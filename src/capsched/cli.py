@@ -5,16 +5,16 @@ Subcommands: gen, schedule, verify, refine, experiment, oracle, reduce-graph.
 Exit codes are a fixed contract: 0 success, 1 verification failure,
 2 input error, 3 size limit exceeded.
 
-Every schedule-producing command re-verifies its output through the direct
-SINR route before writing it and exiting 0. All outputs are deterministic
-for fixed inputs; wall times are only written when a config opts in.
+Every schedule-producing command re-verifies its output through both routes
+of the slot verifier (direct SINR and affectance) before writing it and
+exiting 0. All outputs are deterministic for fixed inputs; wall times are
+only written when a config opts in.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -35,11 +35,10 @@ from .core import (
     SizeLimitError,
     THRESHOLD_SLACK,
     VerificationError,
-    affectance,
-    is_feasible,
     is_p_signal,
     is_q_dispersed,
     partition_report,
+    slot_reports,
 )
 from .experiment import (
     ExperimentVerificationError,
@@ -58,8 +57,6 @@ from .schedulers import (
     first_fit_baseline,
     schedule_nonuniform,
     schedule_repeated,
-    single_shot_greedy,
-    single_shot_guarded,
     strengthen,
 )
 from .topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
@@ -112,12 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy for non-uniform power with --algo A",
     )
     sched.add_argument("--regime-base", type=float, default=2.0)
-    sched.add_argument(
-        "--b-rule",
-        choices=("symmetric", "literal"),
-        default="symmetric",
-        help="separation rule used by algorithm B",
-    )
     sched.set_defaults(func=cmd_schedule)
 
     ver = subs.add_parser("verify", help="verify a schedule against an instance")
@@ -220,9 +211,8 @@ def _check_emitted(instance: Instance, schedule: Schedule) -> None:
             f"schedule is not a partition: missing={report.missing} "
             f"duplicated={report.duplicated} dangling={report.dangling}"
         )
-    for idx, slot in enumerate(schedule.slots):
-        fr = is_feasible(instance.resolve(slot), instance.params)
-        if not (fr.feasible and fr.sinr_feasible):
+    for idx, fr in enumerate(slot_reports(instance, schedule)):
+        if not fr.ok:
             raise VerificationError(
                 f"slot {idx} failed verification (worst link {fr.worst_link}, "
                 f"margin {_fmt(fr.margin)})",
@@ -235,14 +225,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _apply_overrides(load_instance(args.instance), args)
     if args.algo == "A":
         if instance.has_uniform_power and args.power_mode in (None, "uniform"):
-            schedule = schedule_repeated(instance, single_shot_greedy)
+            schedule = schedule_repeated(instance)
         else:
             mode = args.power_mode or "power-regimes"
             strategy = PowerStrategy(mode=mode, regime_base=args.regime_base)
             schedule = schedule_nonuniform(instance, strategy)
     elif args.algo == "B":
-        shot = functools.partial(single_shot_guarded, separation_rule=args.b_rule)
-        schedule = schedule_repeated(instance, shot)
+        schedule = schedule_repeated(instance, guarded=True)
     else:
         schedule = first_fit_baseline(instance)
     _check_emitted(instance, schedule)
@@ -255,6 +244,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.theta is not None and not args.theta > 0:
+        raise ValueError(f"--theta must be positive, got {args.theta}")
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     report = partition_report(instance, schedule)
@@ -270,23 +261,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("partition: ok")
     inv_beta = 1.0 / instance.params.beta
-    for idx, slot in enumerate(schedule.slots):
-        links = instance.resolve(slot)
-        fr = is_feasible(links, instance.params)
-        slot_ok = fr.feasible and fr.sinr_feasible
+    for idx, (slot, fr) in enumerate(zip(schedule.slots, slot_reports(instance, schedule))):
+        slot_ok = fr.ok
         line = (
-            f"slot {idx}: size={len(links)} margin={_fmt(fr.margin)} "
+            f"slot {idx}: size={len(slot)} margin={_fmt(fr.margin)} "
             f"sinr_margin={_fmt(fr.sinr_margin)}"
         )
         if args.theta is not None:
-            if not args.theta > 0:
-                raise ValueError(f"--theta must be positive, got {args.theta}")
-            worst = max(
-                (affectance(links, v, instance.params) for v in links), default=0.0
-            )
-            theta_ok = args.theta * worst <= inv_beta + THRESHOLD_SLACK
-            slot_ok = slot_ok and theta_ok
-            line += f" theta_margin={_fmt(inv_beta - args.theta * worst)}"
+            scaled = args.theta * fr.max_affectance
+            slot_ok = slot_ok and scaled <= inv_beta + THRESHOLD_SLACK
+            line += f" theta_margin={_fmt(inv_beta - scaled)}"
         if not slot_ok:
             line += " FAIL"
             ok = False
@@ -430,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -288,6 +288,24 @@ def affectance(members: Iterable[Link], v: Link, params: ModelParams) -> float:
     return cv * total
 
 
+def _pair_distances(links: Sequence[Link], params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """dist[w, v] = d(s_w, r_v) over ``links`` (lengths on the diagonal), and powers.
+
+    Raises SingularityError when a sender coincides with another link's receiver.
+    """
+    sx = np.array([l.sender.x for l in links])
+    sy = np.array([l.sender.y for l in links])
+    rx = np.array([l.receiver.x for l in links])
+    ry = np.array([l.receiver.y for l in links])
+    dist = np.hypot(sx[:, None] - rx[None, :], sy[:, None] - ry[None, :])
+    if not dist.all():
+        w, v = np.argwhere(dist == 0.0)[0]
+        raise SingularityError(
+            f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
+        )
+    return dist, np.array([effective_power(l, params) for l in links])
+
+
 def affectance_matrix(instance: Instance) -> np.ndarray:
     """Pairwise single-link affectances as an n x n array.
 
@@ -297,25 +315,11 @@ def affectance_matrix(instance: Instance) -> np.ndarray:
     single_affectance entrywise up to float rounding and is cross-checked in
     tests.
     """
-    n = len(instance.links)
-    if n == 0:
+    if not instance.links:
         return np.zeros((0, 0))
     params = instance.params
-    sx = np.array([l.sender.x for l in instance.links])
-    sy = np.array([l.sender.y for l in instance.links])
-    rx = np.array([l.receiver.x for l in instance.links])
-    ry = np.array([l.receiver.y for l in instance.links])
-    powers = np.array([effective_power(l, params) for l in instance.links])
-
-    dvv = np.hypot(sx - rx, sy - ry)
-    # dist[i, j] = d(s_i, r_j)
-    dist = np.hypot(sx[:, None] - rx[None, :], sy[:, None] - ry[None, :])
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any((dist == 0.0) & off_diag):
-        i, j = np.argwhere((dist == 0.0) & off_diag)[0]
-        raise SingularityError(
-            f"sender of link {instance.links[i].id} coincides with receiver of link {instance.links[j].id}"
-        )
+    dist, powers = _pair_distances(instance.links, params)
+    dvv = dist.diagonal()
     pvv = powers / dvv ** params.alpha
     cv = 1.0 / (1.0 - params.beta * params.noise / pvv)
     mat = cv[None, :] * (powers[:, None] / powers[None, :]) * (dvv[None, :] / dist) ** params.alpha
@@ -330,10 +334,10 @@ class FeasibilityReport:
 
     ``feasible`` is the affectance-criterion verdict (a_S(v) <= 1/beta, with
     slack); ``sinr_feasible`` is the independent direct-SINR-ratio verdict.
-    ``margin`` = min over links of (1/beta - a_S(v)); ``sinr_margin`` = min
-    over links of (SINR/beta - 1). ``worst_link`` attains the minimum
-    affectance margin (smallest id on ties). Empty slots are feasible with
-    infinite margins.
+    ``worst_link`` has the largest affectance ``max_affectance`` (smallest id
+    on ties); ``margin`` = 1/beta - max_affectance, the minimum over links of
+    (1/beta - a_S(v)) as rounding is monotone; ``sinr_margin`` = min over
+    links of (SINR/beta - 1). Empty slots are feasible with infinite margins.
     """
 
     feasible: bool
@@ -341,6 +345,12 @@ class FeasibilityReport:
     worst_link: int | None
     margin: float
     sinr_margin: float
+    max_affectance: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        """Both routes accept the slot."""
+        return self.feasible and self.sinr_feasible
 
 
 def _sinr_ratio(members: Sequence[Link], v: Link, params: ModelParams) -> float:
@@ -360,31 +370,45 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
     """Check a slot against the SINR condition, via two independent routes.
 
     Route one evaluates the SINR ratio directly for every member; route two
-    checks the affectance criterion a_S(v) <= 1/beta. Both verdicts and both
-    worst-case margins are reported; the headline ``feasible`` flag is the
-    affectance verdict.
+    checks the affectance criterion a_S(v) <= 1/beta. Both read one array of
+    received powers recv[w, v] and sum over senders in id order, like the
+    scalar reference ``_sinr_ratio`` and ``affectance``. The headline
+    ``feasible`` flag is the affectance verdict.
     """
-    inv_beta = 1.0 / params.beta
-    feasible = True
-    sinr_feasible = True
-    worst_link: int | None = None
-    margin = math.inf
-    sinr_margin = math.inf
     ordered = sorted(members, key=lambda l: l.id)
-    for v in ordered:
-        a = affectance(ordered, v, params)
-        m = inv_beta - a
-        if m < margin:
-            margin = m
-            worst_link = v.id
-        if not a <= inv_beta + THRESHOLD_SLACK:
-            feasible = False
-        ratio = _sinr_ratio(ordered, v, params)
-        sm = ratio / params.beta - 1.0 if math.isfinite(ratio) else math.inf
-        sinr_margin = min(sinr_margin, sm)
-        if not sm >= -THRESHOLD_SLACK:
-            sinr_feasible = False
-    return FeasibilityReport(feasible, sinr_feasible, worst_link, margin, sinr_margin)
+    if not ordered:
+        return FeasibilityReport(True, True, None, math.inf, math.inf)
+    dist, powers = _pair_distances(ordered, params)
+    # d^alpha past the float range means a received power of 0, its limit
+    with np.errstate(over="ignore"):
+        recv = powers[:, None] / dist**params.alpha
+    signal = recv.diagonal().copy()
+    bn = params.beta * params.noise
+    if np.any(signal <= bn):
+        link = ordered[int(np.argmax(signal <= bn))]
+        raise InfeasibleLinkError(link.id, f"link {link.id} is infeasible even alone")
+    np.fill_diagonal(recv, 0.0)
+    cv = 1.0 / (1.0 - bn / signal)
+    aff = cv * (recv / signal).sum(axis=0)
+    with np.errstate(divide="ignore"):  # no interference and no noise: SINR is inf
+        sinr = signal / (recv.sum(axis=0) + params.noise) / params.beta - 1.0
+    worst = int(np.argmax(aff))
+    max_aff, sinr_margin = float(aff[worst]), float(sinr.min())
+    inv_beta = 1.0 / params.beta
+    feasible = max_aff <= inv_beta + THRESHOLD_SLACK
+    sinr_feasible = sinr_margin >= -THRESHOLD_SLACK
+    return FeasibilityReport(
+        feasible, sinr_feasible, ordered[worst].id, inv_beta - max_aff, sinr_margin, max_aff
+    )
+
+
+def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityReport]:
+    """The feasibility report of every slot, in slot order: the one slot verifier.
+
+    Callers check ``report.ok`` (both routes) and raise their own error on a
+    failing slot. Raises KeyError on ids that do not belong to the instance.
+    """
+    return [is_feasible(instance.resolve(slot), instance.params) for slot in schedule.slots]
 
 
 def is_p_signal(instance: Instance, schedule: Schedule, p: float) -> bool:
@@ -393,16 +417,13 @@ def is_p_signal(instance: Instance, schedule: Schedule, p: float) -> bool:
 
 
 def p_signal_violation(instance: Instance, schedule: Schedule, p: float) -> tuple[int, int, float] | None:
-    """First (slot index, link id, affectance) exceeding the 1/p level, or None."""
+    """(slot index, worst link id, its affectance) of the first slot above 1/p, or None."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
     bound = 1.0 / p
-    for idx, slot in enumerate(schedule.slots):
-        links = instance.resolve(slot)
-        for v in links:
-            a = affectance(links, v, params=instance.params)
-            if not a <= bound + THRESHOLD_SLACK:
-                return (idx, v.id, a)
+    for idx, report in enumerate(slot_reports(instance, schedule)):
+        if not report.max_affectance <= bound + THRESHOLD_SLACK:
+            return (idx, report.worst_link, report.max_affectance)
     return None
 
 

@@ -24,22 +24,17 @@ from .core import (
     Schedule,
     SchedulingError,
     VerificationError,
-    is_feasible,
     partition_report,
+    slot_reports,
 )
-from .schedulers import (
-    first_fit_baseline,
-    schedule_repeated,
-    single_shot_greedy,
-    single_shot_guarded,
-)
+from .schedulers import first_fit_baseline, schedule_repeated
 from .topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
 
 SWEEPABLE = ("n", "alpha", "r_cluster", "l_max")
 
 ALGORITHMS: dict[str, Callable[[Instance], Schedule]] = {
-    "A-repeated": lambda inst: schedule_repeated(inst, single_shot_greedy),
-    "B-repeated": lambda inst: schedule_repeated(inst, single_shot_guarded),
+    "A-repeated": schedule_repeated,
+    "B-repeated": lambda inst: schedule_repeated(inst, guarded=True),
     "first-fit-baseline": first_fit_baseline,
 }
 
@@ -232,20 +227,14 @@ def _run_cell(spec: TopologySpec, params: ModelParams, algo: str) -> ResultRow:
         ) from exc
     elapsed_ms = (time.perf_counter() - start) * 1e3
     report = partition_report(instance, schedule)
-    bad_slot = None
-    if report.is_partition:
-        for idx, slot in enumerate(schedule.slots):
-            if not is_feasible(instance.resolve(slot), params).feasible:
-                bad_slot = idx
-                break
-    if not report.is_partition or bad_slot is not None:
-        detail = (
-            f"slot {bad_slot} infeasible"
-            if bad_slot is not None
-            else f"not a partition: {report}"
-        )
+    if not report.is_partition:
+        failure = f"not a partition: {report}"
+    else:
+        bad = [i for i, fr in enumerate(slot_reports(instance, schedule)) if not fr.ok]
+        failure = f"slot {bad[0]} infeasible" if bad else None
+    if failure is not None:
         raise ExperimentVerificationError(
-            f"{algo} on seed {spec.seed}: {detail}",
+            f"{algo} on seed {spec.seed}: {failure}",
             instance=instance,
             schedule=schedule,
         )

@@ -105,6 +105,13 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
+def _link_id(value: Any) -> int:
+    """A link id as written in a file: a JSON integer, nothing coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"link ids must be JSON integers, got {value!r}")
+    return value
+
+
 def instance_from_obj(obj: Any) -> Instance:
     if not isinstance(obj, dict):
         raise ValueError("instance document must be a JSON object")
@@ -132,7 +139,7 @@ def instance_from_obj(obj: Any) -> Instance:
             raise ValueError(f"unknown link keys: {sorted(unknown)}")
         links.append(
             Link(
-                id=int(raw["id"]),
+                id=_link_id(raw["id"]),
                 sender=Point(float(raw["sx"]), float(raw["sy"])),
                 receiver=Point(float(raw["rx"]), float(raw["ry"])),
                 power=float(raw["power"]) if "power" in raw else None,
@@ -153,7 +160,7 @@ def schedule_from_obj(obj: Any) -> Schedule:
         raise ValueError(f"unknown top-level keys in schedule file: {sorted(unknown)}")
     slots = []
     for raw in obj["slots"]:
-        members = [int(i) for i in raw]
+        members = [_link_id(i) for i in raw]
         if len(set(members)) != len(members):
             raise ValueError(f"slot contains duplicate ids: {raw}")
         slots.append(Slot(frozenset(members)))

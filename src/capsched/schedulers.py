@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .core import (
     is_feasible,
     noise_factor,
     p_signal_violation,
+    slot_reports,
 )
 
 INTERFERENCE_CONSTANT = 72.0
@@ -111,6 +112,48 @@ def _length_order(links: Sequence[Link]) -> list[int]:
     return sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
 
 
+def _separated(v: Link, w: Link, c_hat: float) -> bool:
+    """B's symmetric separation test of candidate v against admitted w."""
+    gap = min(distance(w.sender, v.receiver), distance(v.sender, w.receiver))
+    return gap > c_hat * v.length
+
+
+def _sweep(
+    links: Sequence[Link],
+    mat: np.ndarray,
+    order: Sequence[int],
+    threshold: float,
+    c_hat: float | None = None,
+) -> list[int]:
+    """Indices into ``links`` admitted by one sweep in ``order``, in that order.
+
+    A link is admitted when the accumulated affectance on it from the links
+    admitted before it (rows of ``mat``) is at most ``threshold`` and, when
+    ``c_hat`` is given, it passes B's separation test against each of them.
+    The first link of ``order`` is always admitted.
+    """
+    acc = np.zeros(len(links))
+    chosen: list[int] = []
+    for i in order:
+        if acc[i] <= threshold + THRESHOLD_SLACK and (
+            c_hat is None or all(_separated(links[i], links[j], c_hat) for j in chosen)
+        ):
+            chosen.append(i)
+            acc += mat[i]
+    return chosen
+
+
+def _check_guarded(links: Sequence[Link], chosen: Sequence[int], params: ModelParams) -> None:
+    """Re-verify a guarded selection, which carries no feasibility proof."""
+    report = is_feasible([links[i] for i in chosen], params)
+    if not report.ok:
+        raise HeuristicInfeasibilityError(
+            f"guarded selection is not SINR-feasible (worst link "
+            f"{report.worst_link}, margin {report.margin:.3e})",
+            link_id=report.worst_link,
+        )
+
+
 def single_shot_greedy(
     instance: Instance, constants: AlgoConstants | None = None
 ) -> Slot:
@@ -126,106 +169,78 @@ def single_shot_greedy(
             instances through schedule_nonuniform instead.
     """
     _require_uniform_power(instance.links, instance.params)
-    if not instance.links:
-        return Slot()
     if constants is None:
         constants = compute_constants(instance.params)
+    links = instance.links
     mat = affectance_matrix(instance)
-    acc = np.zeros(len(instance.links))
-    chosen: list[int] = []
-    for i in _length_order(instance.links):
-        if acc[i] <= constants.c + THRESHOLD_SLACK:
-            chosen.append(instance.links[i].id)
-            acc += mat[i]
-    return Slot(frozenset(chosen))
+    chosen = _sweep(links, mat, _length_order(links), constants.c)
+    return Slot(frozenset(links[i].id for i in chosen))
 
 
 def single_shot_guarded(
-    instance: Instance,
-    constants: AlgoConstants | None = None,
-    separation_rule: str = "symmetric",
+    instance: Instance, constants: AlgoConstants | None = None
 ) -> Slot:
     """Guarded greedy heuristic: affectance cap 2/3 plus a separation test.
 
     Links are swept in non-decreasing length order and admitted when the
-    accumulated affectance is at most 2/3 and each admitted link keeps a
-    sender-to-receiver distance above c_hat times the candidate's length.
-    The heuristic carries no feasibility proof, so the output is always
-    re-verified and an error is raised instead of silently trimming.
-
-    Args:
-        instance: uniform-power instance to select from.
-        constants: precomputed AlgoConstants; derived from the instance
-            parameters when omitted.
-        separation_rule: "symmetric" requires both cross distances
-            min(d(s_w, r_v), d(s_v, r_w)) to exceed c_hat * len(v);
-            "literal" admits when len(v) > c_hat * d(s_v, r_w), kept only
-            for comparison runs.
+    accumulated affectance is at most 2/3 and both cross distances
+    min(d(s_w, r_v), d(s_v, r_w)) to each admitted link w exceed c_hat times
+    the candidate's length. The heuristic carries no feasibility proof, so
+    the output is always re-verified and an error is raised instead of
+    silently trimming.
 
     Raises:
         HeuristicInfeasibilityError: if the selected set fails verification.
         UnsupportedConfigurationError: on non-uniform power.
-        ValueError: on an unknown separation_rule.
     """
-    if separation_rule not in ("symmetric", "literal"):
-        raise ValueError(f"unknown separation rule {separation_rule!r}")
     _require_uniform_power(instance.links, instance.params)
-    if not instance.links:
-        return Slot()
     if constants is None:
         constants = compute_constants(instance.params)
-    params = instance.params
+    links = instance.links
     mat = affectance_matrix(instance)
-    acc = np.zeros(len(instance.links))
-    chosen: list[int] = []
-
-    def separated(v: Link, w: Link) -> bool:
-        if separation_rule == "literal":
-            return v.length > constants.c_hat * distance(v.sender, w.receiver)
-        gap = min(distance(w.sender, v.receiver), distance(v.sender, w.receiver))
-        return gap > constants.c_hat * v.length
-
-    for i in _length_order(instance.links):
-        v = instance.links[i]
-        if acc[i] <= 2.0 / 3.0 + THRESHOLD_SLACK and all(
-            separated(v, instance.links[j]) for j in chosen
-        ):
-            chosen.append(i)
-            acc += mat[i]
-    members = [instance.links[i].id for i in chosen]
-    report = is_feasible([instance.links[i] for i in chosen], params)
-    if not report.feasible:
-        raise HeuristicInfeasibilityError(
-            f"guarded selection is not SINR-feasible (worst link "
-            f"{report.worst_link}, margin {report.margin:.3e})",
-            link_id=report.worst_link,
-        )
-    return Slot(frozenset(members))
+    chosen = _sweep(links, mat, _length_order(links), 2.0 / 3.0, constants.c_hat)
+    _check_guarded(links, chosen, instance.params)
+    return Slot(frozenset(links[i].id for i in chosen))
 
 
-def schedule_repeated(
-    instance: Instance,
-    single_shot: Callable[[Instance], Slot] = single_shot_greedy,
-) -> Schedule:
-    """Partition all links by repeatedly running a single-shot selector.
+def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) -> Schedule:
+    """Sweep the still-unscheduled links round after round, on one matrix.
 
-    Each round runs ``single_shot`` on the still-unscheduled links and fixes
-    its output as the next slot. Terminates because a singleton always
-    passes the admission test.
+    A round selects what a single shot would on the sub-instance of the
+    unscheduled links, whose matrix is the submatrix of the full one. With
+    ``c_hat`` each round is the guarded heuristic and is re-verified.
     """
-    remaining = list(instance.links)
+    links = instance.links
+    mat = affectance_matrix(instance)
+    order = _length_order(links)
     slots: list[Slot] = []
-    while remaining:
-        sub = Instance(params=instance.params, links=tuple(remaining))
-        slot = single_shot(sub)
-        if not slot.members:
-            raise SchedulingError(
-                "single-shot selector returned an empty slot on a nonempty "
-                "instance"
-            )
-        slots.append(slot)
-        remaining = [l for l in remaining if l.id not in slot.members]
+    while order:
+        chosen = _sweep(links, mat, order, threshold, c_hat)
+        if c_hat is not None:
+            _check_guarded(links, chosen, instance.params)
+        slots.append(Slot(frozenset(links[i].id for i in chosen)))
+        taken = set(chosen)
+        order = [i for i in order if i not in taken]
     return Schedule(tuple(slots))
+
+
+def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
+    """Partition all links by repeating a single-shot selection.
+
+    Each round selects from the still-unscheduled links, as
+    single_shot_greedy does (or single_shot_guarded when ``guarded``), and
+    fixes the selection as the next slot. The affectance matrix is built
+    once. Terminates because the first link of every round is admitted.
+
+    Raises:
+        HeuristicInfeasibilityError: if a guarded round fails verification.
+        UnsupportedConfigurationError: on non-uniform power.
+    """
+    _require_uniform_power(instance.links, instance.params)
+    constants = compute_constants(instance.params)
+    if guarded:
+        return _repeat(instance, 2.0 / 3.0, constants.c_hat)
+    return _repeat(instance, constants.c)
 
 
 def _first_fit_partition(
@@ -354,9 +369,8 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
     if not (q > 0):
         raise PreconditionError(f"dispersion level must be positive, got {q}")
     _require_uniform_power(instance.links, instance.params)
-    for idx, slot in enumerate(schedule.slots):
-        report = is_feasible(instance.resolve(slot), instance.params)
-        if not report.feasible:
+    for idx, report in enumerate(slot_reports(instance, schedule)):
+        if not report.ok:
             raise PreconditionError(
                 f"input slot {idx} is not SINR-feasible (worst link "
                 f"{report.worst_link})"
@@ -367,40 +381,10 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
     return Schedule(tuple(out))
 
 
-def _verified(instance: Instance, schedule: Schedule) -> Schedule:
-    for idx, slot in enumerate(schedule.slots):
-        report = is_feasible(instance.resolve(slot), instance.params)
-        if not report.feasible:
-            raise VerificationError(
-                f"slot {idx} fails SINR verification under true powers "
-                f"(worst link {report.worst_link}, margin {report.margin:.3e})",
-                link_id=report.worst_link,
-                slot_index=idx,
-            )
-    return schedule
-
-
 def _schedule_scaled_threshold(instance: Instance) -> Schedule:
     constants = compute_constants(instance.params)
     powers = [effective_power(l, instance.params) for l in instance.links]
-    scaled_c = constants.c * min(powers) / max(powers)
-    remaining = list(instance.links)
-    slots: list[Slot] = []
-    while remaining:
-        sub = Instance(params=instance.params, links=tuple(remaining))
-        mat = affectance_matrix(sub)
-        acc = np.zeros(len(sub.links))
-        chosen: list[int] = []
-        for i in _length_order(sub.links):
-            if acc[i] <= scaled_c + THRESHOLD_SLACK:
-                chosen.append(i)
-                acc += mat[i]
-        if not chosen:
-            raise SchedulingError("scaled-threshold selection stalled")
-        slots.append(Slot(frozenset(sub.links[i].id for i in chosen)))
-        ids = {sub.links[i].id for i in chosen}
-        remaining = [l for l in remaining if l.id not in ids]
-    return Schedule(tuple(slots))
+    return _repeat(instance, constants.c * min(powers) / max(powers))
 
 
 def _schedule_power_regimes(instance: Instance, base: float) -> Schedule:
@@ -439,7 +423,15 @@ def schedule_nonuniform(instance: Instance, strategy: PowerStrategy) -> Schedule
         schedule = _schedule_scaled_threshold(instance)
     else:
         schedule = _schedule_power_regimes(instance, strategy.regime_base)
-    return _verified(instance, schedule)
+    for idx, report in enumerate(slot_reports(instance, schedule)):
+        if not report.ok:
+            raise VerificationError(
+                f"slot {idx} fails SINR verification under true powers "
+                f"(worst link {report.worst_link}, margin {report.margin:.3e})",
+                link_id=report.worst_link,
+                slot_index=idx,
+            )
+    return schedule
 
 
 def first_fit_baseline(instance: Instance) -> Schedule:

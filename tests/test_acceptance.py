@@ -70,7 +70,7 @@ def corpus():
             spec = TopologySpec(family=family, n=sizes[i % 3], seed=1000 + i)
             instances.append(generate(spec, DEFAULT_MODEL_PARAMS))
     start = time.perf_counter()
-    schedules = [schedule_repeated(inst, single_shot_greedy) for inst in instances]
+    schedules = [schedule_repeated(inst) for inst in instances]
     seconds = time.perf_counter() - start
     return Corpus(instances, schedules, seconds)
 

@@ -5,6 +5,7 @@ and the deterministic summary lines.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -179,13 +180,6 @@ def test_schedule_nonuniform_b_rejected(capsys, tmp_path):
     assert "error:" in text
 
 
-def test_schedule_b_rule_flag(capsys, tmp_path):
-    inst_path = spread_instance(tmp_path)
-    out = tmp_path / "s.json"
-    code, _ = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--b-rule", "literal", "--out", out)
-    assert code == 0
-
-
 def test_schedule_missing_file_exit_2(capsys, tmp_path):
     code, text = run_cli(capsys, "schedule", tmp_path / "missing.json")
     assert code == 2
@@ -222,6 +216,52 @@ def test_verify_dangling_ids_exit_2(capsys, tmp_path):
     code, text = run_cli(capsys, "verify", inst_path, sched_path)
     assert code == 2
     assert "99" in text
+
+
+def test_verify_non_integer_ids_exit_2(capsys, tmp_path):
+    # 0.9 and "1" once read as ids 0 and 1, and the schedule verified
+    inst_path = spread_instance(tmp_path, count=3)
+    sched_path = tmp_path / "lenient.json"
+    sched_path.write_text(json.dumps({"slots": [[0.9, "1"], [2]]}))
+    code, text = run_cli(capsys, "verify", inst_path, sched_path)
+    assert code == 2
+    assert "verified=true" not in text
+
+
+@pytest.mark.parametrize("bad_id", [1.7, True])
+def test_schedule_non_integer_instance_id_exit_2(capsys, tmp_path, bad_id):
+    path = tmp_path / "inst.json"
+    link = {"id": bad_id, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}
+    path.write_text(json.dumps({"params": {"alpha": 3.0, "beta": 1.2}, "links": [link]}))
+    code, text = run_cli(capsys, "schedule", path, "--out", tmp_path / "s.json")
+    assert code == 2
+    assert "error:" in text
+
+
+def test_schedule_overflow_exit_2(capsys, tmp_path):
+    # d^alpha = 1e310 overflows a double while the instance is validated
+    path = tmp_path / "huge.json"
+    link = {"id": 0, "sx": 1e31, "sy": 0.0, "rx": 2e31, "ry": 0.0}
+    path.write_text(json.dumps({"params": {"alpha": 10.0, "beta": 1.2}, "links": [link]}))
+    code, text = run_cli(capsys, "schedule", path, "--out", tmp_path / "s.json")
+    assert code == 2
+    assert "error:" in text
+
+
+def test_schedule_far_apart_links_verify(capsys, tmp_path):
+    # d^alpha between the two links overflows a double: received power 0
+    path = tmp_path / "far.json"
+    links = [
+        {"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0},
+        {"id": 1, "sx": 1e31, "sy": 0.0, "rx": 1e31, "ry": 1.0},
+    ]
+    path.write_text(json.dumps({"params": {"alpha": 10.0, "beta": 1.2}, "links": links}))
+    out = tmp_path / "s.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "schedule", path, "--out", out)[0] == 0
+        assert run_cli(capsys, "verify", path, out)[0] == 0
+    assert load_schedule(out) == Schedule((Slot(frozenset({0, 1})),))
 
 
 def test_verify_missing_link_exit_1(capsys, tmp_path):

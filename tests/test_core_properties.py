@@ -1,18 +1,24 @@
 """Property tests for the affectance layer."""
 
+import dataclasses
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capsched.core import (
+    THRESHOLD_SLACK,
     Instance,
     Link,
     ModelParams,
     Point,
+    _sinr_ratio,
     affectance,
     affectance_matrix,
+    effective_power,
     is_feasible,
+    noise_factor,
+    received_power,
     single_affectance,
 )
 
@@ -114,3 +120,85 @@ def test_subset_monotone(links, params):
     small = links[1 : len(links) // 2 + 1]
     big = links[1:]
     assert affectance(big, v, params) >= affectance(small, v, params) - 1e-15
+
+
+# --- the numpy slot verifier against the scalar reference ----------------------
+
+
+@st.composite
+def noisy_slot(draw):
+    """Separated links and parameters whose noise leaves every link alive."""
+    links = draw(separated_links())
+    params = draw(params_strategy)
+    weakest = min(
+        received_power(l.sender, l.receiver, effective_power(l, params), params) for l in links
+    )
+    noise = draw(st.sampled_from((0.0, 0.5))) * weakest / params.beta
+    return links, dataclasses.replace(params, noise=noise)
+
+
+@st.composite
+def near_threshold_slot(draw):
+    """A slot whose link 0 sits within 1e-9 of 1/beta: link 1 is moved along
+    the ray from r_0 through its sender until its share tops a_S(0) up."""
+    links, params = draw(noisy_slot())
+    assume(len(links) >= 2)
+    v, w = links[0], links[1]
+    rest = affectance(links[2:], v, params)
+    delta = draw(st.floats(min_value=-1e-9, max_value=1e-9))
+    target = (1.0 + delta) / params.beta - rest
+    assume(target > 1e-6)
+    cv = noise_factor(v, params)
+    ratio = effective_power(w, params) / effective_power(v, params)
+    want = v.length * (cv * ratio / target) ** (1.0 / params.alpha)
+    dx, dy = w.sender.x - v.receiver.x, w.sender.y - v.receiver.y
+    scale = want / math.hypot(dx, dy)
+    sx, sy = v.receiver.x + dx * scale, v.receiver.y + dy * scale
+    moved = Link(
+        id=w.id,
+        sender=Point(sx, sy),
+        receiver=Point(w.receiver.x - w.sender.x + sx, w.receiver.y - w.sender.y + sy),
+        power=w.power,
+    )
+    out = (v, moved) + links[2:]
+    assume(all(_well_separated(a, b) for a in out for b in out if a.id != b.id))
+    return out, params
+
+
+def _check_against_scalar(links, params):
+    report = is_feasible(links, params)
+    ordered = sorted(links, key=lambda l: l.id)
+    inv_beta = 1.0 / params.beta
+    affs = [affectance(ordered, v, params) for v in ordered]
+    ratios = [_sinr_ratio(ordered, v, params) for v in ordered]
+    ref_max = max(affs)
+    ref_sinr = min(r / params.beta - 1.0 if math.isfinite(r) else math.inf for r in ratios)
+
+    assert math.isclose(report.max_affectance, ref_max, rel_tol=1e-12)
+    assert report.margin == inv_beta - report.max_affectance
+    assert math.isclose(report.margin, inv_beta - ref_max, rel_tol=1e-12, abs_tol=1e-12 * inv_beta)
+    assert report.sinr_margin == ref_sinr or math.isclose(
+        report.sinr_margin, ref_sinr, rel_tol=1e-12, abs_tol=1e-12
+    )
+    worst = affs[[l.id for l in ordered].index(report.worst_link)]
+    assert math.isclose(worst, ref_max, rel_tol=1e-12)
+    # verdicts agree wherever the reference sits outside the tolerance band
+    if abs(ref_max - (inv_beta + THRESHOLD_SLACK)) > 1e-12 * ref_max:
+        assert report.feasible == (ref_max <= inv_beta + THRESHOLD_SLACK)
+    if abs(ref_sinr + THRESHOLD_SLACK) > 1e-12:
+        assert report.sinr_feasible == (ref_sinr >= -THRESHOLD_SLACK)
+
+
+@given(noisy_slot())
+@settings(max_examples=80, deadline=None)
+def test_fast_verifier_matches_scalar_reference(slot):
+    _check_against_scalar(*slot)
+
+
+@given(near_threshold_slot())
+@settings(max_examples=80, deadline=None)
+def test_fast_verifier_matches_scalar_near_threshold(slot):
+    links, params = slot
+    _check_against_scalar(links, params)
+    # the construction itself: link 0 sits at 1/beta to within 1e-9 relative
+    assert abs(affectance(links, links[0], params) * params.beta - 1.0) <= 2e-9

@@ -119,6 +119,22 @@ def test_schedule_unknown_key_rejected():
         schedule_from_obj({"slots": [[0]], "bonus": True})
 
 
+@pytest.mark.parametrize("slots", [[[0.9, 1]], [[0, "1"]], [[0, True]], [[1.0]], ["01"]])
+def test_schedule_rejects_non_integer_ids(slots):
+    with pytest.raises(ValueError):
+        schedule_from_obj({"slots": slots})
+
+
+@pytest.mark.parametrize("bad_id", [1.7, True, "1", 1.0])
+def test_instance_rejects_non_integer_ids(bad_id):
+    obj = {
+        "params": {"alpha": 3.0, "beta": 1.0},
+        "links": [{"id": bad_id, "sx": 0, "sy": 0, "rx": 1, "ry": 0}],
+    }
+    with pytest.raises(ValueError):
+        instance_from_obj(obj)
+
+
 def test_schedule_to_obj_sorts_members():
     sched = Schedule((Slot(frozenset({5, 3, 4})),))
     assert schedule_to_obj(sched) == {"slots": [[3, 4, 5]]}

@@ -18,7 +18,6 @@ from capsched.core import (
     Point,
     PreconditionError,
     Schedule,
-    SchedulingError,
     Slot,
     UnsupportedConfigurationError,
     affectance,
@@ -186,35 +185,18 @@ def test_guarded_output_feasible_on_random():
         assert slot.members
 
 
-def separation_toggle_fixture():
+def close_sender_fixture():
     # short link, then a long link whose sender nearly touches the short
-    # receiver: the literal reading admits it, the symmetric one refuses
+    # receiver: the separation test refuses it
     short = Link(id=0, sender=Point(0, 0), receiver=Point(0.5, 0))
     long = Link(id=1, sender=Point(0.55, 0), receiver=Point(1.55, 0))
     return Instance(params=P0, links=(short, long))
 
 
 def test_guarded_symmetric_refuses_close_sender():
-    inst = separation_toggle_fixture()
-    slot = single_shot_guarded(inst, separation_rule="symmetric")
+    inst = close_sender_fixture()
+    slot = single_shot_guarded(inst)
     assert slot == Slot(frozenset({0}))
-
-
-def test_guarded_literal_reading_admits_and_fails_verification():
-    inst = separation_toggle_fixture()
-    # sanity for the fixture: literal condition holds, 1.0 > c_hat * 0.05
-    c_hat = compute_constants(P0).c_hat
-    assert 1.0 > c_hat * 0.05
-    # the admitted pair drowns the short link: a = (0.5/0.05)^3 = 1000
-    with pytest.raises(HeuristicInfeasibilityError) as exc:
-        single_shot_guarded(inst, separation_rule="literal")
-    assert exc.value.link_id == 0
-
-
-def test_guarded_unknown_rule():
-    inst = separation_toggle_fixture()
-    with pytest.raises(ValueError):
-        single_shot_guarded(inst, separation_rule="both")
 
 
 def ring_overload_fixture():
@@ -282,15 +264,21 @@ def test_repeated_empty_instance():
     assert schedule_repeated(Instance(params=P0, links=())) == Schedule(())
 
 
-def test_repeated_rejects_stalling_selector():
-    inst = Instance(params=P0, links=(unit_link(0, 0, 0),))
-    with pytest.raises(SchedulingError):
-        schedule_repeated(inst, single_shot=lambda sub: Slot())
+@pytest.mark.parametrize("guarded", [False, True])
+def test_repeated_rounds_equal_single_shots_on_the_rest(guarded):
+    # one matrix for the whole run selects what a fresh sub-instance would
+    shot = single_shot_guarded if guarded else single_shot_greedy
+    inst = random_instance(7, 120)
+    remaining = list(inst.links)
+    for slot in schedule_repeated(inst, guarded=guarded).slots:
+        assert slot == shot(Instance(params=inst.params, links=tuple(remaining)))
+        remaining = [l for l in remaining if l.id not in slot.members]
+    assert not remaining
 
 
 def test_repeated_works_with_guarded_selector():
     inst = random_instance(42, 50)
-    sched = schedule_repeated(inst, single_shot=single_shot_guarded)
+    sched = schedule_repeated(inst, guarded=True)
     assert partition_report(inst, sched).is_partition
     for slot in sched.slots:
         assert is_feasible(inst.resolve(slot), inst.params).feasible
