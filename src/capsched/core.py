@@ -288,42 +288,74 @@ def affectance(members: Iterable[Link], v: Link, params: ModelParams) -> float:
     return cv * total
 
 
-def _pair_distances(links: Sequence[Link], params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """dist[w, v] = d(s_w, r_v) over ``links`` (lengths on the diagonal), and powers.
+class AffectanceRows:
+    """Rows of the affectance matrix of ``links``, computed on demand.
 
-    Raises SingularityError when a sender coincides with another link's receiver.
+    Holds O(n) per-link arrays: sender and receiver coordinates, powers,
+    lengths d_vv and noise factors c_v. ``row(i)`` is the affectance of
+    links[i] on every link, bit for bit row i of ``affectance_matrix``, in
+    O(n) time and memory, so a scheduler that reads only the rows of the
+    links it admits never holds an n x n array.
+
+    Raises SingularityError when a sender coincides with another link's
+    receiver, naming the smallest sender index first, then the smallest
+    receiver index.
     """
-    sx = np.array([l.sender.x for l in links])
-    sy = np.array([l.sender.y for l in links])
-    rx = np.array([l.receiver.x for l in links])
-    ry = np.array([l.receiver.y for l in links])
-    dist = np.hypot(sx[:, None] - rx[None, :], sy[:, None] - ry[None, :])
-    if not dist.all():
-        w, v = np.argwhere(dist == 0.0)[0]
-        raise SingularityError(
-            f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
-        )
-    return dist, np.array([effective_power(l, params) for l in links])
+
+    def __init__(self, links: Sequence[Link], params: ModelParams):
+        self.sx = np.array([l.sender.x for l in links], dtype=float)
+        self.sy = np.array([l.sender.y for l in links], dtype=float)
+        self.rx = np.array([l.receiver.x for l in links], dtype=float)
+        self.ry = np.array([l.receiver.y for l in links], dtype=float)
+        self.powers = np.array([effective_power(l, params) for l in links], dtype=float)
+        self.alpha = params.alpha
+        # d(s_w, r_v) == 0 exactly when the coordinates are equal (-0.0 == 0.0)
+        receivers: dict[tuple[float, float], int] = {}
+        for v, point in enumerate(zip(self.rx.tolist(), self.ry.tolist())):
+            receivers.setdefault(point, v)
+        for w, point in enumerate(zip(self.sx.tolist(), self.sy.tolist())):
+            v = receivers.get(point)
+            if v is not None:
+                raise SingularityError(
+                    f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
+                )
+        self.lengths = np.hypot(self.sx - self.rx, self.sy - self.ry)
+        self._beta_noise = params.beta * params.noise
+
+    @cached_property
+    def cv(self) -> np.ndarray:
+        """Noise factor c_v of every link (computed on first use)."""
+        pvv = self.powers / self.lengths**self.alpha
+        return 1.0 / (1.0 - self._beta_noise / pvv)
+
+    def distances(self, i: int) -> np.ndarray:
+        """d(s_i, r_v) for every link v."""
+        return np.hypot(self.sx[i] - self.rx, self.sy[i] - self.ry)
+
+    def row(self, i: int, dist: np.ndarray | None = None) -> np.ndarray:
+        """Affectance of links[i] on every link (entry i is 0).
+
+        ``dist`` may pass ``distances(i)`` when the caller already has it.
+        """
+        if dist is None:
+            dist = self.distances(i)
+        out = self.cv * (self.powers[i] / self.powers) * (self.lengths / dist) ** self.alpha
+        out[i] = 0.0
+        return out
 
 
 def affectance_matrix(instance: Instance) -> np.ndarray:
-    """Pairwise single-link affectances as an n x n array.
+    """Pairwise single-link affectances as an n x n array, built from AffectanceRows.
 
     Entry [i, j] is the affectance of links[i] on links[j] (indices follow
-    instance.links order); the diagonal is zero. This is the vectorized
-    acceleration used by schedulers and oracles; it agrees with
+    instance.links order); the diagonal is zero. It agrees with
     single_affectance entrywise up to float rounding and is cross-checked in
-    tests.
+    tests. Schedulers read rows on demand instead; the full array is for
+    small inputs: the exact oracles, one slot of ``strengthen`` and tests.
     """
-    if not instance.links:
-        return np.zeros((0, 0))
-    params = instance.params
-    dist, powers = _pair_distances(instance.links, params)
-    dvv = dist.diagonal()
-    pvv = powers / dvv ** params.alpha
-    cv = 1.0 / (1.0 - params.beta * params.noise / pvv)
-    mat = cv[None, :] * (powers[:, None] / powers[None, :]) * (dvv[None, :] / dist) ** params.alpha
-    np.fill_diagonal(mat, 0.0)
+    n = len(instance.links)
+    rows = AffectanceRows(instance.links, instance.params)
+    mat = np.array([rows.row(i) for i in range(n)]).reshape(n, n)
     mat.flags.writeable = False
     return mat
 
@@ -378,10 +410,11 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
     ordered = sorted(members, key=lambda l: l.id)
     if not ordered:
         return FeasibilityReport(True, True, None, math.inf, math.inf)
-    dist, powers = _pair_distances(ordered, params)
+    geo = AffectanceRows(ordered, params)
+    dist = np.hypot(geo.sx[:, None] - geo.rx[None, :], geo.sy[:, None] - geo.ry[None, :])
     # d^alpha past the float range means a received power of 0, its limit
     with np.errstate(over="ignore"):
-        recv = powers[:, None] / dist**params.alpha
+        recv = geo.powers[:, None] / dist**params.alpha
     signal = recv.diagonal().copy()
     bn = params.beta * params.noise
     if np.any(signal <= bn):

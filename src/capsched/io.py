@@ -112,37 +112,55 @@ def _link_id(value: Any) -> int:
     return value
 
 
+def _number(value: Any, name: str) -> float:
+    """A number as written in a file: a JSON integer or float, nothing coerced."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+_JSON_KINDS = {dict: "object", list: "array"}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` itself if it is a JSON object (dict) or array (list) as ``kind`` asks."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def instance_from_obj(obj: Any) -> Instance:
-    if not isinstance(obj, dict):
-        raise ValueError("instance document must be a JSON object")
+    _typed(obj, dict, "instance document")
     unknown = set(obj) - {"params", "links"}
     if unknown:
         raise ValueError(f"unknown top-level keys in instance file: {sorted(unknown)}")
     try:
-        raw_params = obj["params"]
-        raw_links = obj["links"]
+        raw_params = _typed(obj["params"], dict, "params")
+        raw_links = _typed(obj["links"], list, "links")
     except KeyError as exc:
         raise ValueError(f"instance file missing key {exc}") from None
     unknown = set(raw_params) - {"alpha", "beta", "noise", "default_power"}
     if unknown:
         raise ValueError(f"unknown params keys: {sorted(unknown)}")
     params = ModelParams(
-        alpha=float(raw_params["alpha"]),
-        beta=float(raw_params["beta"]),
-        noise=float(raw_params.get("noise", 0.0)),
-        default_power=float(raw_params.get("default_power", 1.0)),
+        alpha=_number(raw_params["alpha"], "alpha"),
+        beta=_number(raw_params["beta"], "beta"),
+        noise=_number(raw_params.get("noise", 0.0), "noise"),
+        default_power=_number(raw_params.get("default_power", 1.0), "default_power"),
     )
     links = []
     for raw in raw_links:
+        _typed(raw, dict, "a link")
         unknown = set(raw) - {"id", "sx", "sy", "rx", "ry", "power"}
         if unknown:
             raise ValueError(f"unknown link keys: {sorted(unknown)}")
+        xy = {key: _number(raw[key], key) for key in ("sx", "sy", "rx", "ry")}
         links.append(
             Link(
                 id=_link_id(raw["id"]),
-                sender=Point(float(raw["sx"]), float(raw["sy"])),
-                receiver=Point(float(raw["rx"]), float(raw["ry"])),
-                power=float(raw["power"]) if "power" in raw else None,
+                sender=Point(xy["sx"], xy["sy"]),
+                receiver=Point(xy["rx"], xy["ry"]),
+                power=_number(raw["power"], "power") if "power" in raw else None,
             )
         )
     return Instance(params=params, links=tuple(links))
@@ -159,8 +177,8 @@ def schedule_from_obj(obj: Any) -> Schedule:
     if unknown:
         raise ValueError(f"unknown top-level keys in schedule file: {sorted(unknown)}")
     slots = []
-    for raw in obj["slots"]:
-        members = [_link_id(i) for i in raw]
+    for raw in _typed(obj["slots"], list, "slots"):
+        members = [_link_id(i) for i in _typed(raw, list, "a slot")]
         if len(set(members)) != len(members):
             raise ValueError(f"slot contains duplicate ids: {raw}")
         slots.append(Slot(frozenset(members)))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     THRESHOLD_SLACK,
+    AffectanceRows,
     HeuristicInfeasibilityError,
     Instance,
     Link,
@@ -113,14 +114,37 @@ def _length_order(links: Sequence[Link]) -> list[int]:
 
 
 def _separated(v: Link, w: Link, c_hat: float) -> bool:
-    """B's symmetric separation test of candidate v against admitted w."""
+    """B's symmetric separation test of candidate v against admitted w (scalar reference)."""
     gap = min(distance(w.sender, v.receiver), distance(v.sender, w.receiver))
     return gap > c_hat * v.length
 
 
+# Relative gap below which numpy's hypot (which may differ from math.hypot in
+# the last ulp) does not decide the separation test; such pairs use _separated.
+_SEPARATION_TIE = 1e-12
+
+
+def _too_close(
+    links: Sequence[Link], rows: AffectanceRows, j: int, dist_j: np.ndarray, c_hat: float
+) -> np.ndarray:
+    """Mask of the links that fail the separation test against admitted link j.
+
+    Equals ``not _separated(links[i], links[j], c_hat)`` for every i; the
+    numpy distances decide wherever they are clear of the bound by far more
+    than rounding, and the scalar test decides the rest.
+    """
+    gap = np.minimum(dist_j, np.hypot(rows.sx - rows.rx[j], rows.sy - rows.ry[j]))
+    bound = c_hat * rows.lengths
+    near = gap <= bound
+    unsure = ~(np.abs(gap - bound) > _SEPARATION_TIE * bound)
+    for i in np.flatnonzero(unsure).tolist():
+        near[i] = not _separated(links[i], links[j], c_hat)
+    return near
+
+
 def _sweep(
     links: Sequence[Link],
-    mat: np.ndarray,
+    rows: AffectanceRows,
     order: Sequence[int],
     threshold: float,
     c_hat: float | None = None,
@@ -128,18 +152,21 @@ def _sweep(
     """Indices into ``links`` admitted by one sweep in ``order``, in that order.
 
     A link is admitted when the accumulated affectance on it from the links
-    admitted before it (rows of ``mat``) is at most ``threshold`` and, when
+    admitted before it (their ``rows``) is at most ``threshold`` and, when
     ``c_hat`` is given, it passes B's separation test against each of them.
-    The first link of ``order`` is always admitted.
+    The first link of ``order`` is always admitted. Only the rows of admitted
+    links are computed.
     """
     acc = np.zeros(len(links))
+    blocked = np.zeros(len(links), dtype=bool)
     chosen: list[int] = []
     for i in order:
-        if acc[i] <= threshold + THRESHOLD_SLACK and (
-            c_hat is None or all(_separated(links[i], links[j], c_hat) for j in chosen)
-        ):
+        if acc[i] <= threshold + THRESHOLD_SLACK and not blocked[i]:
             chosen.append(i)
-            acc += mat[i]
+            dist = rows.distances(i)
+            acc += rows.row(i, dist)
+            if c_hat is not None:
+                blocked |= _too_close(links, rows, i, dist, c_hat)
     return chosen
 
 
@@ -172,8 +199,8 @@ def single_shot_greedy(
     if constants is None:
         constants = compute_constants(instance.params)
     links = instance.links
-    mat = affectance_matrix(instance)
-    chosen = _sweep(links, mat, _length_order(links), constants.c)
+    rows = AffectanceRows(links, instance.params)
+    chosen = _sweep(links, rows, _length_order(links), constants.c)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -197,25 +224,26 @@ def single_shot_guarded(
     if constants is None:
         constants = compute_constants(instance.params)
     links = instance.links
-    mat = affectance_matrix(instance)
-    chosen = _sweep(links, mat, _length_order(links), 2.0 / 3.0, constants.c_hat)
+    rows = AffectanceRows(links, instance.params)
+    chosen = _sweep(links, rows, _length_order(links), 2.0 / 3.0, constants.c_hat)
     _check_guarded(links, chosen, instance.params)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
 def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) -> Schedule:
-    """Sweep the still-unscheduled links round after round, on one matrix.
+    """Sweep the still-unscheduled links round after round, on one row kernel.
 
     A round selects what a single shot would on the sub-instance of the
-    unscheduled links, whose matrix is the submatrix of the full one. With
+    unscheduled links, whose affectances are those of the full instance.
+    Each link's row is computed once, in the round that admits it. With
     ``c_hat`` each round is the guarded heuristic and is re-verified.
     """
     links = instance.links
-    mat = affectance_matrix(instance)
+    rows = AffectanceRows(links, instance.params)
     order = _length_order(links)
     slots: list[Slot] = []
     while order:
-        chosen = _sweep(links, mat, order, threshold, c_hat)
+        chosen = _sweep(links, rows, order, threshold, c_hat)
         if c_hat is not None:
             _check_guarded(links, chosen, instance.params)
         slots.append(Slot(frozenset(links[i].id for i in chosen)))
@@ -229,8 +257,9 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
 
     Each round selects from the still-unscheduled links, as
     single_shot_greedy does (or single_shot_guarded when ``guarded``), and
-    fixes the selection as the next slot. The affectance matrix is built
-    once. Terminates because the first link of every round is admitted.
+    fixes the selection as the next slot. Holds O(n) state: the row of a
+    link is computed in the round that admits it. Terminates because the
+    first link of every round is admitted.
 
     Raises:
         HeuristicInfeasibilityError: if a guarded round fails verification.
@@ -442,24 +471,20 @@ def first_fit_baseline(instance: Instance) -> Schedule:
     """
     if not instance.links:
         return Schedule(())
-    params = instance.params
-    mat = affectance_matrix(instance)
-    inv_beta = 1.0 / params.beta
+    rows = AffectanceRows(instance.links, instance.params)
+    bound = 1.0 / instance.params.beta + THRESHOLD_SLACK
     sets: list[list[int]] = []
     accs: list[np.ndarray] = []
-    for i, link in enumerate(instance.links):
-        placed = False
+    for i in range(len(instance.links)):
+        row = rows.row(i)
         for members, acc in zip(sets, accs):
-            if acc[i] > inv_beta + THRESHOLD_SLACK:
-                continue
-            if all(acc[j] + mat[i, j] <= inv_beta + THRESHOLD_SLACK for j in members):
+            if acc[i] <= bound and (acc[members] + row[members] <= bound).all():
                 members.append(i)
-                acc += mat[i]
-                placed = True
+                acc += row
                 break
-        if not placed:
+        else:
             sets.append([i])
-            accs.append(mat[i].copy())
+            accs.append(row)
     return Schedule(
         tuple(Slot(frozenset(instance.links[i].id for i in s)) for s in sets)
     )

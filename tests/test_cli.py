@@ -13,6 +13,7 @@ from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
 from capsched.core import Schedule, Slot
+from capsched.schedulers import disperse_slot
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -228,6 +229,25 @@ def test_verify_non_integer_ids_exit_2(capsys, tmp_path):
     assert "verified=true" not in text
 
 
+def test_verify_wrongly_typed_slot_exit_2(capsys, tmp_path):
+    # {"slots": [5]} once ended in a TypeError traceback and exit 1
+    inst_path = spread_instance(tmp_path, count=2)
+    sched_path = tmp_path / "typed.json"
+    sched_path.write_text(json.dumps({"slots": [5]}))
+    code, text = run_cli(capsys, "verify", inst_path, sched_path)
+    assert code == 2
+    assert "error:" in text
+
+
+def test_schedule_null_coordinate_exit_2(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    link = {"id": 0, "sx": None, "sy": 0.0, "rx": 1.0, "ry": 0.0}
+    path.write_text(json.dumps({"params": {"alpha": 3.0, "beta": 1.2}, "links": [link]}))
+    code, text = run_cli(capsys, "schedule", path, "--out", tmp_path / "s.json")
+    assert code == 2
+    assert "error:" in text
+
+
 @pytest.mark.parametrize("bad_id", [1.7, True])
 def test_schedule_non_integer_instance_id_exit_2(capsys, tmp_path, bad_id):
     path = tmp_path / "inst.json"
@@ -369,6 +389,20 @@ def test_refine_disperse_roundtrip(capsys, tmp_path):
     assert "counting bound 23" in text  # ceil(27/1.2)
     code, _ = run_cli(capsys, "verify", inst_path, refined_path, "--q", 1.0)
     assert code == 0
+
+
+def test_refine_disperse_prints_worst_growth(capsys, tmp_path):
+    inst_path = gen_instance(capsys, tmp_path, 120, 2, "clustered")
+    sched_path = tmp_path / "s.json"
+    run_cli(capsys, "schedule", inst_path, "--algo", "firstfit", "--out", sched_path)
+    instance, schedule = load_instance(inst_path), load_schedule(sched_path)
+    pieces = [len(disperse_slot(instance, slot, 1.0)) for slot in schedule.slots]
+    assert max(pieces) > 1 and pieces.count(max(pieces)) < len(pieces)
+    code, text = run_cli(
+        capsys, "refine", inst_path, sched_path, "--disperse", 1.0, "--out", tmp_path / "r.json"
+    )
+    assert code == 0
+    assert f"slots {len(pieces)} -> {sum(pieces)}, worst per-slot growth {max(pieces)}," in text
 
 
 def test_refine_requires_exactly_one_mode(capsys, tmp_path):

@@ -3,15 +3,19 @@
 import dataclasses
 import math
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capsched.core import (
     THRESHOLD_SLACK,
+    AffectanceRows,
     Instance,
     Link,
     ModelParams,
     Point,
+    SingularityError,
     _sinr_ratio,
     affectance,
     affectance_matrix,
@@ -21,6 +25,15 @@ from capsched.core import (
     received_power,
     single_affectance,
 )
+from capsched.schedulers import (
+    compute_constants,
+    first_fit_baseline,
+    schedule_repeated,
+    single_shot_greedy,
+)
+from capsched.topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
+
+P_KERNEL = ModelParams(alpha=3.0, beta=1.2, noise=0.0)
 
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -202,3 +215,92 @@ def test_fast_verifier_matches_scalar_near_threshold(slot):
     _check_against_scalar(links, params)
     # the construction itself: link 0 sits at 1/beta to within 1e-9 relative
     assert abs(affectance(links, links[0], params) * params.beta - 1.0) <= 2e-9
+
+
+# --- the row kernel against the dense expression and the scalar reference ----
+
+
+def _dense_reference(instance):
+    """The n x n broadcast form of the affectance formula, independent of the kernel."""
+    links, params = instance.links, instance.params
+    sx = np.array([l.sender.x for l in links])
+    sy = np.array([l.sender.y for l in links])
+    rx = np.array([l.receiver.x for l in links])
+    ry = np.array([l.receiver.y for l in links])
+    powers = np.array([effective_power(l, params) for l in links])
+    dist = np.hypot(sx[:, None] - rx[None, :], sy[:, None] - ry[None, :])
+    dvv = dist.diagonal()
+    cv = 1.0 / (1.0 - params.beta * params.noise / (powers / dvv**params.alpha))
+    mat = cv[None, :] * (powers[:, None] / powers[None, :]) * (dvv[None, :] / dist) ** params.alpha
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+def _kernel_corpus():
+    rng = np.random.default_rng(7)
+    for family in ("random", "clustered"):
+        for seed in (0, 1):
+            inst = generate(TopologySpec(family=family, n=150, seed=seed), DEFAULT_MODEL_PARAMS)
+            powers = rng.choice([1.0, 2.0, 4.0, 8.0], size=len(inst))
+            per_link = tuple(
+                dataclasses.replace(l, power=float(p)) for l, p in zip(inst.links, powers)
+            )
+            noisy = dataclasses.replace(inst.params, noise=1e-6)
+            yield f"{family}-{seed}", inst
+            yield f"{family}-{seed}-powers", Instance(params=inst.params, links=per_link)
+            yield f"{family}-{seed}-noise", Instance(params=noisy, links=inst.links)
+
+
+@pytest.mark.parametrize("name, inst", list(_kernel_corpus()))
+def test_kernel_rows_equal_dense_matrix(name, inst):
+    rows = AffectanceRows(inst.links, inst.params)
+    mat = affectance_matrix(inst)
+    ref = _dense_reference(inst)
+    assert np.array_equal(mat, ref)
+    for i in range(len(inst)):
+        row = rows.row(i)
+        assert np.array_equal(row, mat[i]), i
+        assert np.array_equal(rows.row(i, rows.distances(i)), row)
+    links, params = inst.links, inst.params
+    for i, j in [(0, 1), (1, 0), (5, 77), (149, 3)]:
+        assert math.isclose(mat[i, j], single_affectance(links[i], links[j], params), rel_tol=1e-12)
+
+
+def _link(lid, sx, sy, rx, ry):
+    return Link(id=lid, sender=Point(sx, sy), receiver=Point(rx, ry))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_kernel_rejects_sender_on_receiver(zero):
+    # link 11's sender sits on link 10's receiver, -0.0 and 0.0 alike
+    links = (_link(10, 5.0, 3.0, -0.0, 3.0), _link(11, zero, 3.0, zero, 9.0))
+    with pytest.raises(SingularityError, match="sender of link 11 .* receiver of link 10"):
+        AffectanceRows(links, P_KERNEL)
+    with pytest.raises(SingularityError):
+        affectance_matrix(Instance(params=P_KERNEL, links=links))
+
+
+def test_kernel_names_first_coincident_pair():
+    # indices 1 and 2 both send from a receiver point; receivers 0 and 3 share (1, 0)
+    links = (
+        _link(40, 0.0, 0.0, 1.0, 0.0),
+        _link(30, 1.0, 0.0, 2.0, 0.0),
+        _link(20, 2.0, 0.0, 3.0, 0.0),
+        _link(10, 1.0, 5.0, 1.0, 0.0),
+    )
+    with pytest.raises(SingularityError, match="sender of link 30 coincides with receiver of link 40"):
+        AffectanceRows(links, P_KERNEL)
+
+
+def test_singularity_raised_for_a_link_never_admitted():
+    # the long link 1 sends from the short link 0's receiver; link 0 affects it
+    # by about 0.97 > c, so the greedy never admits it and never reads its row
+    short, long = _link(0, 0.0, 0.0, 1.0, 0.0), _link(1, 1.0, 0.0, 101.0, 0.0)
+    inst = Instance(params=P_KERNEL, links=(short, long))
+    assert single_affectance(short, long, P_KERNEL) > compute_constants(P_KERNEL).c
+    with pytest.raises(SingularityError):
+        single_shot_greedy(inst)
+    with pytest.raises(SingularityError):
+        schedule_repeated(inst)
+    with pytest.raises(SingularityError):
+        first_fit_baseline(inst)

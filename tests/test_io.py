@@ -135,6 +135,48 @@ def test_instance_rejects_non_integer_ids(bad_id):
         instance_from_obj(obj)
 
 
+@pytest.mark.parametrize("slots", [5, None, {"0": [0]}, [5], [None], [{"id": 0}]])
+def test_schedule_rejects_wrongly_typed_slots(slots):
+    # a bare number once raised TypeError ("'int' object is not iterable")
+    with pytest.raises(ValueError):
+        schedule_from_obj({"slots": slots})
+
+
+def _instance_obj(**changes):
+    link = {"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}
+    link.update(changes.pop("link", {}))
+    obj = {"params": {"alpha": 3.0, "beta": 1.0}, "links": [link]}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _instance_obj(link={"sx": None}),
+        _instance_obj(link={"ry": "1.5"}),
+        _instance_obj(link={"rx": [1.0]}),
+        _instance_obj(link={"sy": False}),
+        _instance_obj(link={"power": None}),
+        _instance_obj(link={"power": True}),
+        _instance_obj(params={"alpha": None, "beta": 1.0}),
+        _instance_obj(params={"alpha": 3.0, "beta": "1"}),
+        _instance_obj(params=[3.0, 1.0]),
+        _instance_obj(links={"0": {}}),
+        _instance_obj(links=[5]),
+        _instance_obj(links=None),
+    ],
+)
+def test_instance_rejects_wrongly_typed_values(obj):
+    with pytest.raises(ValueError):
+        instance_from_obj(obj)
+
+
+def test_instance_accepts_integer_coordinates():
+    inst = instance_from_obj(_instance_obj(link={"sx": 0, "rx": 2, "power": 3}))
+    assert inst.links[0].receiver == Point(2.0, 0.0) and inst.links[0].power == 3.0
+
+
 def test_schedule_to_obj_sorts_members():
     sched = Schedule((Slot(frozenset({5, 3, 4})),))
     assert schedule_to_obj(sched) == {"slots": [[3, 4, 5]]}

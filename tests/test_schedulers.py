@@ -6,11 +6,13 @@ hand-computed affectance arithmetic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from capsched.core import (
+    AffectanceRows,
     HeuristicInfeasibilityError,
     Instance,
     Link,
@@ -29,6 +31,8 @@ from capsched.core import (
 from capsched.schedulers import (
     AlgoConstants,
     PowerStrategy,
+    _separated,
+    _too_close,
     compute_constants,
     disperse,
     disperse_slot,
@@ -40,6 +44,7 @@ from capsched.schedulers import (
     strengthen,
     strengthen_slot,
 )
+from capsched.topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
 
 P0 = ModelParams(alpha=3.0, beta=1.2, noise=0.0)
 
@@ -197,6 +202,51 @@ def test_guarded_symmetric_refuses_close_sender():
     inst = close_sender_fixture()
     slot = single_shot_guarded(inst)
     assert slot == Slot(frozenset({0}))
+
+
+def test_separation_mask_matches_scalar_test():
+    inst = random_instance(3, 150)
+    links, c_hat = inst.links, compute_constants(P0).c_hat
+    rows = AffectanceRows(links, P0)
+    for j in range(0, len(links), 7):
+        mask = _too_close(links, rows, j, rows.distances(j), c_hat)
+        assert mask.tolist() == [not _separated(v, links[j], c_hat) for v in links]
+
+
+def test_separation_mask_ties_use_scalar_test(monkeypatch):
+    # d(s_w, r_v) is exactly 2 * len(v), then one ulp beyond it
+    v = unit_link(0, 0.0, 0.0)
+    tie = Link(id=1, sender=Point(3.0, 0.0), receiver=Point(3.0, 7.0))
+    clear = Link(id=2, sender=Point(math.nextafter(3.0, 4.0), 0.0), receiver=Point(3.0, -7.0))
+    calls = []
+
+    def counted(a, b, c_hat):
+        calls.append((a.id, b.id))
+        return _separated(a, b, c_hat)
+
+    monkeypatch.setattr("capsched.schedulers._separated", counted)
+    for w, near in ((tie, True), (clear, False)):
+        links = (v, w)
+        rows = AffectanceRows(links, P0)
+        assert bool(_too_close(links, rows, 1, rows.distances(1), 2.0)[0]) is near
+    assert (0, 1) in calls and (0, 2) in calls
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [schedule_repeated, lambda i: schedule_repeated(i, guarded=True), first_fit_baseline],
+    ids=["A", "B", "firstfit"],
+)
+def test_schedulers_hold_no_square_matrix(schedule):
+    # a dense n x n float64 array would be 32 MB at n=2000
+    inst = generate(TopologySpec(family="random", n=2000, seed=0), DEFAULT_MODEL_PARAMS)
+    tracemalloc.start()
+    try:
+        schedule(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def ring_overload_fixture():
