@@ -1,176 +1,58 @@
-"""Wireless link scheduling under the physical (SINR) interference model."""
+"""Wireless link scheduling under the physical (SINR) interference model.
 
-from .abstract import (
-    CorrespondenceReport,
-    GainMatrix,
-    Graph,
-    abstract_affectance,
-    abstract_feasible,
-    correspondence_check,
-    export_gain_matrix,
-    graph_to_instance,
-    is_independent_set,
-    load_gain_matrix,
-    load_graph,
-    save_gain_matrix,
-    save_graph,
-)
+The package root exports the documented library entry points, the emission
+gate ``verify_schedule`` and the ``SchedulingError`` family; everything else
+is imported from its module (``capsched.core``, ``capsched.schedulers``, ...).
+"""
+
+from .abstract import correspondence_check, export_gain_matrix
 from .core import (
-    THRESHOLD_SLACK,
-    AffectanceRows,
-    FeasibilityReport,
     HeuristicInfeasibilityError,
     InfeasibleLinkError,
-    Instance,
-    Link,
     ModelParams,
-    PartitionReport,
-    Point,
     PreconditionError,
-    Schedule,
     SchedulingError,
     SingularityError,
     SizeLimitError,
-    Slot,
     UnsupportedConfigurationError,
     VerificationError,
-    affectance,
-    affectance_matrix,
-    distance,
     is_feasible,
     is_p_signal,
     is_q_dispersed,
-    is_q_near,
-    p_signal_violation,
-    partition_report,
-    relative_interference,
-    single_affectance,
-    slot_reports,
+    verify_schedule,
 )
-from .experiment import (
-    AggregateRow,
-    ExperimentConfig,
-    ExperimentVerificationError,
-    ResultRow,
-    aggregate_rows,
-    load_experiment_config,
-    run_experiment,
-    write_aggregates,
-    write_results_csv,
-    write_timings_csv,
-)
-from .io import load_instance, load_schedule, save_instance, save_schedule
-from .oracles import (
-    DEFAULT_LIMITS,
-    OracleLimits,
-    feasible_subsets,
-    max_feasible_subset,
-    max_p_signal_subset,
-    min_p_signal_schedule,
-    min_schedule,
-    psi,
-    psi_p,
-)
-from .schedulers import (
-    AlgoConstants,
-    PowerStrategy,
-    compute_constants,
-    disperse,
-    disperse_slot,
-    first_fit_baseline,
-    schedule_nonuniform,
-    schedule_repeated,
-    single_shot_greedy,
-    single_shot_guarded,
-    strengthen,
-    strengthen_slot,
-)
-from .topogen import DEFAULT_MODEL_PARAMS, TopologySpec, gen_clustered, gen_random, generate
+from .experiment import ExperimentConfig, ExperimentVerificationError, run_experiment
+from .oracles import max_feasible_subset, min_schedule
+from .schedulers import disperse, schedule_repeated, single_shot_greedy, strengthen
+from .topogen import TopologySpec, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffectanceRows",
-    "AggregateRow",
-    "AlgoConstants",
-    "CorrespondenceReport",
-    "DEFAULT_LIMITS",
-    "DEFAULT_MODEL_PARAMS",
     "ExperimentConfig",
     "ExperimentVerificationError",
-    "FeasibilityReport",
-    "GainMatrix",
-    "Graph",
     "HeuristicInfeasibilityError",
     "InfeasibleLinkError",
-    "Instance",
-    "Link",
     "ModelParams",
-    "OracleLimits",
-    "PartitionReport",
-    "Point",
-    "PowerStrategy",
     "PreconditionError",
-    "ResultRow",
-    "Schedule",
     "SchedulingError",
     "SingularityError",
     "SizeLimitError",
-    "Slot",
-    "THRESHOLD_SLACK",
     "TopologySpec",
     "UnsupportedConfigurationError",
     "VerificationError",
-    "abstract_affectance",
-    "abstract_feasible",
-    "affectance",
-    "affectance_matrix",
-    "aggregate_rows",
-    "compute_constants",
     "correspondence_check",
     "disperse",
-    "disperse_slot",
-    "distance",
     "export_gain_matrix",
-    "feasible_subsets",
-    "first_fit_baseline",
-    "gen_clustered",
-    "gen_random",
     "generate",
-    "graph_to_instance",
     "is_feasible",
-    "is_independent_set",
     "is_p_signal",
     "is_q_dispersed",
-    "is_q_near",
-    "load_experiment_config",
-    "load_gain_matrix",
-    "load_graph",
-    "load_instance",
-    "load_schedule",
     "max_feasible_subset",
-    "max_p_signal_subset",
-    "min_p_signal_schedule",
     "min_schedule",
-    "p_signal_violation",
-    "partition_report",
-    "psi",
-    "psi_p",
-    "relative_interference",
     "run_experiment",
-    "save_gain_matrix",
-    "save_graph",
-    "save_instance",
-    "save_schedule",
-    "schedule_nonuniform",
     "schedule_repeated",
-    "single_affectance",
     "single_shot_greedy",
-    "single_shot_guarded",
-    "slot_reports",
     "strengthen",
-    "strengthen_slot",
-    "write_aggregates",
-    "write_results_csv",
-    "write_timings_csv",
+    "verify_schedule",
 ]

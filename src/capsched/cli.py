@@ -5,10 +5,11 @@ Subcommands: gen, schedule, verify, refine, experiment, oracle, reduce-graph.
 Exit codes are a fixed contract: 0 success, 1 verification failure,
 2 input error, 3 size limit exceeded.
 
-Every schedule-producing command re-verifies its output through both routes
-of the slot verifier (direct SINR and affectance) before writing it and
-exiting 0. All outputs are deterministic for fixed inputs; wall times are
-only written when a config opts in.
+Every schedule-producing command passes its output through the emission
+gate ``core.verify_schedule`` (a partition, and both routes of the slot
+verifier: direct SINR and affectance) before writing it and exiting 0. All
+outputs are deterministic for fixed inputs; wall times are only written
+when a config opts in.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from .core import (
     SizeLimitError,
     THRESHOLD_SLACK,
     VerificationError,
-    is_p_signal,
-    is_q_dispersed,
+    first_p_violation,
     partition_report,
+    report_q_dispersed,
     slot_reports,
+    verify_schedule,
 )
 from .experiment import (
     ExperimentVerificationError,
@@ -202,24 +204,6 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
     return Instance(params=params, links=instance.links)
 
 
-def _check_emitted(instance: Instance, schedule: Schedule) -> None:
-    """Independent verification gate for every schedule the CLI writes."""
-    report = partition_report(instance, schedule)
-    if not report.is_partition:
-        raise VerificationError(
-            f"schedule is not a partition: missing={report.missing} "
-            f"duplicated={report.duplicated} dangling={report.dangling}"
-        )
-    for idx, fr in enumerate(slot_reports(instance, schedule)):
-        if not fr.ok:
-            raise VerificationError(
-                f"slot {idx} failed verification (worst link {fr.worst_link}, "
-                f"margin {_fmt(fr.margin)})",
-                link_id=fr.worst_link,
-                slot_index=idx,
-            )
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _apply_overrides(load_instance(args.instance), args)
     if args.algo == "A":
@@ -233,7 +217,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         schedule = schedule_repeated(instance, guarded=True)
     else:
         schedule = first_fit_baseline(instance)
-    _check_emitted(instance, schedule)
+    verify_schedule(instance, schedule)
     save_schedule(schedule, args.out)
     print(
         f"schedule: algo={args.algo} links={len(instance)} "
@@ -260,7 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("partition: ok")
     inv_beta = 1.0 / instance.params.beta
-    for idx, (slot, fr) in enumerate(zip(schedule.slots, slot_reports(instance, schedule))):
+    reports = slot_reports(instance, schedule)
+    for idx, (slot, fr) in enumerate(zip(schedule.slots, reports)):
         slot_ok = fr.ok
         line = (
             f"slot {idx}: size={len(slot)} margin={_fmt(fr.margin)} "
@@ -275,13 +260,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok = False
         print(line)
     if args.p is not None:
-        p_ok = is_p_signal(instance, schedule, args.p)
+        p_ok = first_p_violation(reports, args.p) is None
         print(f"p-signal(p={_fmt(args.p)}): {'ok' if p_ok else 'FAIL'}")
         ok = ok and p_ok
     if args.q is not None:
         q_ok = all(
-            is_q_dispersed(instance.resolve(slot), args.q, instance.params)
-            for slot in schedule.slots
+            report_q_dispersed(instance.resolve(slot), fr, args.q, instance.params)
+            for slot, fr in zip(schedule.slots, reports)
         )
         print(f"dispersed(q={_fmt(args.q)}): {'ok' if q_ok else 'FAIL'}")
         ok = ok and q_ok
@@ -330,7 +315,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
             f"worst per-slot growth {growth}, stated bound {stated}, "
             f"counting bound {counting}"
         )
-    _check_emitted(instance, refined)
+    verify_schedule(instance, refined)
     save_schedule(refined, args.out)
     print(f"refined schedule -> {args.out}")
     return 0

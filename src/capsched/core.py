@@ -369,7 +369,9 @@ class FeasibilityReport:
     ``worst_link`` has the largest affectance ``max_affectance`` (smallest id
     on ties); ``margin`` = 1/beta - max_affectance, the minimum over links of
     (1/beta - a_S(v)) as rounding is monotone; ``sinr_margin`` = min over
-    links of (SINR/beta - 1). Empty slots are feasible with infinite margins.
+    links of (SINR/beta - 1). ``max_pair_affectance`` is the largest
+    single-link affectance a_w(v) over distinct members (0 for slots of at
+    most one link). Empty slots are feasible with infinite margins.
     """
 
     feasible: bool
@@ -378,6 +380,7 @@ class FeasibilityReport:
     margin: float
     sinr_margin: float
     max_affectance: float = 0.0
+    max_pair_affectance: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -422,7 +425,9 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
         raise InfeasibleLinkError(link.id, f"link {link.id} is infeasible even alone")
     np.fill_diagonal(recv, 0.0)
     cv = 1.0 / (1.0 - bn / signal)
-    aff = cv * (recv / signal).sum(axis=0)
+    rel = recv / signal
+    aff = cv * rel.sum(axis=0)
+    max_pair = float((cv * rel.max(axis=0)).max())
     with np.errstate(divide="ignore"):  # no interference and no noise: SINR is inf
         sinr = signal / (recv.sum(axis=0) + params.noise) / params.beta - 1.0
     worst = int(np.argmax(aff))
@@ -431,17 +436,51 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
     feasible = max_aff <= inv_beta + THRESHOLD_SLACK
     sinr_feasible = sinr_margin >= -THRESHOLD_SLACK
     return FeasibilityReport(
-        feasible, sinr_feasible, ordered[worst].id, inv_beta - max_aff, sinr_margin, max_aff
+        feasible,
+        sinr_feasible,
+        ordered[worst].id,
+        inv_beta - max_aff,
+        sinr_margin,
+        max_aff,
+        max_pair,
     )
 
 
 def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityReport]:
     """The feasibility report of every slot, in slot order: the one slot verifier.
 
-    Callers check ``report.ok`` (both routes) and raise their own error on a
-    failing slot. Raises KeyError on ids that do not belong to the instance.
+    One report answers every question asked of a slot: both routes
+    (``ok``), the p-signal level (``first_p_violation``), the theta-scaled
+    margin (``max_affectance``) and q-dispersion (``report_q_dispersed``).
+    Raises KeyError on ids that do not belong to the instance.
     """
     return [is_feasible(instance.resolve(slot), instance.params) for slot in schedule.slots]
+
+
+def verify_schedule(instance: Instance, schedule: Schedule) -> None:
+    """The emission gate: raise unless ``schedule`` is fit to leave the program.
+
+    The schedule must partition the instance's link ids and every slot must
+    pass both routes of the slot verifier.
+
+    Raises:
+        VerificationError: naming the partition defect, or the first failing
+            slot (``slot_index``) and its worst link (``link_id``).
+    """
+    report = partition_report(instance, schedule)
+    if not report.is_partition:
+        raise VerificationError(
+            f"schedule is not a partition: missing={report.missing} "
+            f"duplicated={report.duplicated} dangling={report.dangling}"
+        )
+    for idx, fr in enumerate(slot_reports(instance, schedule)):
+        if not fr.ok:
+            raise VerificationError(
+                f"slot {idx} failed verification (worst link {fr.worst_link}, "
+                f"margin {fr.margin:.6g})",
+                link_id=fr.worst_link,
+                slot_index=idx,
+            )
 
 
 def is_p_signal(instance: Instance, schedule: Schedule, p: float) -> bool:
@@ -451,10 +490,17 @@ def is_p_signal(instance: Instance, schedule: Schedule, p: float) -> bool:
 
 def p_signal_violation(instance: Instance, schedule: Schedule, p: float) -> tuple[int, int, float] | None:
     """(slot index, worst link id, its affectance) of the first slot above 1/p, or None."""
+    return first_p_violation(slot_reports(instance, schedule), p)
+
+
+def first_p_violation(
+    reports: Sequence[FeasibilityReport], p: float
+) -> tuple[int, int, float] | None:
+    """(slot index, worst link id, its affectance) of the first report above 1/p, or None."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
     bound = 1.0 / p
-    for idx, report in enumerate(slot_reports(instance, schedule)):
+    for idx, report in enumerate(reports):
         if not report.max_affectance <= bound + THRESHOLD_SLACK:
             return (idx, report.worst_link, report.max_affectance)
     return None
@@ -493,6 +539,33 @@ def is_q_dispersed(members: Sequence[Link], q: float, params: ModelParams) -> bo
             if w.id != v.id and is_q_near(w, v, q, params):
                 return False
     return True
+
+
+# Relative tie band of report_q_dispersed per unit of alpha * c_v: numpy's and
+# math's hypot and power may each differ in the last ulp, which d^alpha scales
+# by alpha and the noise factor c_v = 1/(1 - beta*N/P_vv) by about c_v.
+_Q_TIE = 1e-12
+
+
+def report_q_dispersed(
+    members: Sequence[Link], report: FeasibilityReport, q: float, params: ModelParams
+) -> bool:
+    """``is_q_dispersed(members, q, params)``, read off the slot's report.
+
+    ``report`` is ``is_feasible(members, params)``. Its
+    ``max_pair_affectance`` decides against q^-alpha wherever it is clear of
+    that bound by more than rounding could move it; the scalar
+    ``is_q_dispersed`` decides the near-ties.
+    """
+    if not (q > 0):
+        raise ValueError(f"q must be positive, got {q}")
+    _require_uniform_power(members, params)
+    cv_max = max((noise_factor(l, params) for l in members), default=1.0)
+    value = report.max_pair_affectance
+    gap = value - q ** (-params.alpha)
+    if abs(gap) > _Q_TIE * params.alpha * cv_max * value:
+        return gap < 0
+    return is_q_dispersed(members, q, params)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from .core import (
     Schedule,
     SchedulingError,
     VerificationError,
-    partition_report,
-    slot_reports,
+    verify_schedule,
 )
 from .schedulers import first_fit_baseline, schedule_repeated
 from .topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
@@ -226,18 +225,14 @@ def _run_cell(spec: TopologySpec, params: ModelParams, algo: str) -> ResultRow:
             schedule=None,
         ) from exc
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = partition_report(instance, schedule)
-    if not report.is_partition:
-        failure = f"not a partition: {report}"
-    else:
-        bad = [i for i, fr in enumerate(slot_reports(instance, schedule)) if not fr.ok]
-        failure = f"slot {bad[0]} infeasible" if bad else None
-    if failure is not None:
+    try:
+        verify_schedule(instance, schedule)
+    except VerificationError as exc:
         raise ExperimentVerificationError(
-            f"{algo} on seed {spec.seed}: {failure}",
+            f"{algo} on seed {spec.seed}: {exc}",
             instance=instance,
             schedule=schedule,
-        )
+        ) from exc
     return ResultRow(
         algorithm=algo,
         family=spec.family,

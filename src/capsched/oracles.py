@@ -8,7 +8,7 @@ exponential and guarded by explicit size limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -16,15 +16,10 @@ from .core import (
     THRESHOLD_SLACK,
     Instance,
     Schedule,
-    SchedulingError,
     SizeLimitError,
     Slot,
     affectance_matrix,
 )
-
-
-class OracleCancelled(SchedulingError):
-    """Raised when a cooperative cancellation token fires mid-enumeration."""
 
 
 @dataclass(frozen=True)
@@ -41,8 +36,6 @@ class OracleLimits:
 
 DEFAULT_LIMITS = OracleLimits()
 
-CancelToken = Callable[[], bool]
-
 
 def _id_ordered_matrix(instance: Instance) -> np.ndarray:
     """Affectance matrix reindexed so that axis order is ascending link id."""
@@ -51,12 +44,7 @@ def _id_ordered_matrix(instance: Instance) -> np.ndarray:
     return mat[np.ix_(order, order)]
 
 
-def _max_subset(
-    instance: Instance,
-    threshold: float,
-    limits: OracleLimits,
-    should_cancel: CancelToken | None,
-) -> Slot:
+def _max_subset(instance: Instance, threshold: float, limits: OracleLimits) -> Slot:
     """Maximum set whose internal affectance per member stays <= threshold.
 
     Depth-first search over links in ascending id order, include branch
@@ -81,8 +69,6 @@ def _max_subset(
 
     def dfs(pos: int, chosen: list[int], sums: list[float]) -> None:
         nonlocal best
-        if should_cancel is not None and should_cancel():
-            raise OracleCancelled("subset enumeration cancelled")
         if len(chosen) + (n - pos) <= len(best):
             return
         if pos == n:
@@ -106,11 +92,7 @@ def _max_subset(
     return Slot(frozenset(links[i].id for i in best))
 
 
-def max_feasible_subset(
-    instance: Instance,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    should_cancel: CancelToken | None = None,
-) -> Slot:
+def max_feasible_subset(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Slot:
     """Exact maximum-cardinality SINR-feasible subset.
 
     Ties are broken towards the lexicographically smallest id set so
@@ -118,21 +100,17 @@ def max_feasible_subset(
 
     Raises:
         SizeLimitError: if the instance exceeds limits.max_links_subset.
-        OracleCancelled: if the cancellation token fires.
     """
-    return _max_subset(instance, 1.0 / instance.params.beta, limits, should_cancel)
+    return _max_subset(instance, 1.0 / instance.params.beta, limits)
 
 
 def max_p_signal_subset(
-    instance: Instance,
-    p: float,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    should_cancel: CancelToken | None = None,
+    instance: Instance, p: float, limits: OracleLimits = DEFAULT_LIMITS
 ) -> Slot:
     """Exact maximum subset whose affectance on every member is <= 1/p."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
-    return _max_subset(instance, 1.0 / p, limits, should_cancel)
+    return _max_subset(instance, 1.0 / p, limits)
 
 
 def _member_positions(mask: int) -> list[int]:
@@ -144,14 +122,11 @@ def _member_positions(mask: int) -> list[int]:
     return out
 
 
-def _feasible_mask_table(
-    mat: np.ndarray, n: int, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """For every subset mask: per-link affectance sums and feasibility.
+def _feasible_mask_table(mat: np.ndarray, n: int, threshold: float) -> np.ndarray:
+    """For every subset mask: whether all of its members stay within threshold.
 
-    affs[mask, j] is the affectance of mask's members (minus j itself) on
-    link j, filled in by peeling the lowest set bit; feasible[mask] says
-    whether all of mask's own members stay within threshold.
+    The affectance of mask's members (minus j itself) on link j, affs[mask, j],
+    is filled in by peeling the lowest set bit.
     """
     size = 1 << n
     affs = np.zeros((size, n))
@@ -163,15 +138,10 @@ def _feasible_mask_table(
         affs[mask] = affs[prev] + mat[low]
         members = _member_positions(mask)
         feasible[mask] = bool((affs[mask][members] <= bound).all())
-    return affs, feasible
+    return feasible
 
 
-def _min_partition(
-    instance: Instance,
-    threshold: float,
-    limits: OracleLimits,
-    should_cancel: CancelToken | None,
-) -> Schedule:
+def _min_partition(instance: Instance, threshold: float, limits: OracleLimits) -> Schedule:
     """Exact minimum partition into sets meeting the affectance threshold.
 
     Dynamic program over subsets: dp[mask] is the minimum number of sets
@@ -189,13 +159,11 @@ def _min_partition(
         return Schedule(())
     links = sorted(instance.links, key=lambda l: l.id)
     mat = _id_ordered_matrix(instance)
-    _, feasible = _feasible_mask_table(mat, n, threshold)
+    feasible = _feasible_mask_table(mat, n, threshold)
     full = (1 << n) - 1
     infinity = n + 1
     dp = [0] * (full + 1)
     for mask in range(1, full + 1):
-        if should_cancel is not None and mask % 256 == 0 and should_cancel():
-            raise OracleCancelled("partition enumeration cancelled")
         low = mask & -mask
         value = infinity
         sub = mask
@@ -226,25 +194,18 @@ def _min_partition(
     return Schedule(tuple(slots))
 
 
-def min_schedule(
-    instance: Instance,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    should_cancel: CancelToken | None = None,
-) -> Schedule:
+def min_schedule(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Schedule:
     """Exact minimum-length SINR-feasible schedule (optimal partition)."""
-    return _min_partition(instance, 1.0 / instance.params.beta, limits, should_cancel)
+    return _min_partition(instance, 1.0 / instance.params.beta, limits)
 
 
 def min_p_signal_schedule(
-    instance: Instance,
-    p: float,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    should_cancel: CancelToken | None = None,
+    instance: Instance, p: float, limits: OracleLimits = DEFAULT_LIMITS
 ) -> Schedule:
     """Exact minimum-length p-signal schedule."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
-    return _min_partition(instance, 1.0 / p, limits, should_cancel)
+    return _min_partition(instance, 1.0 / p, limits)
 
 
 def psi(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> int:
@@ -258,9 +219,7 @@ def psi_p(instance: Instance, p: float, limits: OracleLimits = DEFAULT_LIMITS) -
 
 
 def feasible_subsets(
-    instance: Instance,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    should_cancel: CancelToken | None = None,
+    instance: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> Iterator[Slot]:
     """All nonempty SINR-feasible subsets, in ascending bitmask order.
 
@@ -277,9 +236,7 @@ def feasible_subsets(
         return
     links = sorted(instance.links, key=lambda l: l.id)
     mat = _id_ordered_matrix(instance)
-    _, feasible = _feasible_mask_table(mat, n, 1.0 / instance.params.beta)
+    feasible = _feasible_mask_table(mat, n, 1.0 / instance.params.beta)
     for mask in range(1, 1 << n):
-        if should_cancel is not None and mask % 256 == 0 and should_cancel():
-            raise OracleCancelled("subset enumeration cancelled")
         if feasible[mask]:
             yield Slot(frozenset(links[i].id for i in _member_positions(mask)))

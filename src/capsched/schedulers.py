@@ -27,7 +27,6 @@ from .core import (
     SchedulingError,
     Slot,
     UnsupportedConfigurationError,
-    VerificationError,
     _require_uniform_power,
     affectance_matrix,
     distance,
@@ -36,6 +35,7 @@ from .core import (
     noise_factor,
     p_signal_violation,
     slot_reports,
+    verify_schedule,
 )
 
 INTERFERENCE_CONSTANT = 72.0
@@ -438,10 +438,10 @@ def schedule_nonuniform(instance: Instance, strategy: PowerStrategy) -> Schedule
     """Schedule an instance whose links may transmit at different powers.
 
     See PowerStrategy for the available modes. Whatever the mode, the
-    returned schedule is verified slot by slot under the true link powers.
+    returned schedule passes ``verify_schedule`` under the true link powers.
 
     Raises:
-        VerificationError: if any produced slot fails that final check.
+        VerificationError: if the produced schedule fails that final check.
         UnsupportedConfigurationError: in uniform mode on non-uniform input.
     """
     if not instance.links:
@@ -452,14 +452,7 @@ def schedule_nonuniform(instance: Instance, strategy: PowerStrategy) -> Schedule
         schedule = _schedule_scaled_threshold(instance)
     else:
         schedule = _schedule_power_regimes(instance, strategy.regime_base)
-    for idx, report in enumerate(slot_reports(instance, schedule)):
-        if not report.ok:
-            raise VerificationError(
-                f"slot {idx} fails SINR verification under true powers "
-                f"(worst link {report.worst_link}, margin {report.margin:.3e})",
-                link_id=report.worst_link,
-                slot_index=idx,
-            )
+    verify_schedule(instance, schedule)
     return schedule
 
 

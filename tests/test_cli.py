@@ -4,11 +4,18 @@ Each test drives main() directly and asserts on exit codes, emitted files,
 and the deterministic summary lines.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from capsched import core
 from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
@@ -349,6 +356,27 @@ def test_verify_theta_fails_unstrengthened(capsys, tmp_path):
     assert "FAIL" in text
 
 
+def test_verify_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypatch):
+    # --p, --theta and --q all read the one report of each slot
+    inst_path = gen_instance(capsys, tmp_path, n=40, seed=5, family="clustered")
+    sched_path = tmp_path / "ff.json"
+    assert run_cli(capsys, "schedule", inst_path, "--algo", "firstfit", "--out", sched_path)[0] == 0
+    calls = []
+    real = core.is_feasible
+
+    def counted(members, params):
+        calls.append(len(members))
+        return real(members, params)
+
+    monkeypatch.setattr(core, "is_feasible", counted)
+    code, text = run_cli(
+        capsys, "verify", inst_path, sched_path, "--p", 1.2, "--theta", 1.0, "--q", 1.0
+    )
+    assert code in (0, 1)
+    assert "p-signal(p=1.2)" in text and "dispersed(q=1)" in text
+    assert len(calls) == load_schedule(sched_path).slot_count
+
+
 # --- refine ---------------------------------------------------------------------
 
 
@@ -600,3 +628,108 @@ def test_no_arguments_exit_2(capsys):
 def test_unknown_subcommand_exit_2(capsys):
     code, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+# --- exit-code contract under fuzzed documents -----------------------------------
+
+json_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.text(max_size=3),
+)
+coordinate = st.one_of(
+    st.integers(min_value=0, max_value=4),  # small grid: coincident points happen
+    st.floats(min_value=-100, max_value=100),
+    st.floats(min_value=-100, max_value=100),
+    st.floats(min_value=-100, max_value=100),
+)
+extreme = st.sampled_from([1e31, -1e300, 5e-324, 1e-200])
+
+
+def _rarely(draw) -> bool:
+    # not the bound 0, which hypothesis draws far more often than 1 in 40
+    return draw(st.integers(0, 39)) == 17
+
+
+def _maybe(draw, valid, other=json_scalar):
+    """Mostly a valid value, now and then any JSON value."""
+    return draw(other) if _rarely(draw) else draw(valid)
+
+
+@st.composite
+def instance_doc(draw):
+    if _rarely(draw):
+        return draw(st.one_of(json_scalar, st.lists(json_scalar, max_size=2)))
+    bad = st.one_of(json_scalar, st.sampled_from([2.0, 0.0, -1.0, 300.0, 1e-300]))
+    params = {
+        "alpha": _maybe(draw, st.sampled_from([2.5, 3.0, 4.7, 10.0]), bad),
+        "beta": _maybe(draw, st.sampled_from([0.5, 1.2, 3.0]), bad),
+        "noise": _maybe(draw, st.sampled_from([0.0, 0.0, 1e-6, 0.01]), bad),
+        "default_power": _maybe(draw, st.sampled_from([1.0, 2.0]), bad),
+    }
+    if _rarely(draw):
+        params.pop(draw(st.sampled_from(sorted(params))))
+    n = draw(st.integers(min_value=0, max_value=6))
+    links = []
+    for lid in draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True)):
+        link = {"id": _maybe(draw, st.just(lid))}
+        for key in ("sx", "sy", "rx", "ry"):
+            link[key] = _maybe(draw, coordinate, st.one_of(extreme, json_scalar))
+        if draw(st.booleans()):
+            link["power"] = _maybe(draw, st.sampled_from([1.0, 2.0, 8.0]), bad)
+        links.append(link)
+    doc = {"params": params, "links": links}
+    if _rarely(draw):
+        doc["extra"] = 1
+    return doc
+
+
+@st.composite
+def schedule_doc(draw):
+    if _rarely(draw):
+        return draw(st.one_of(json_scalar, st.lists(json_scalar, max_size=2)))
+    slot = st.lists(st.integers(min_value=-1, max_value=9), max_size=5)
+    slots = draw(st.lists(st.one_of(slot, slot, slot, json_scalar), max_size=4))
+    return {"slots": slots}
+
+
+flag_value = st.sampled_from(["1", "2", "0.5", "0", "-1", "nan", "inf", "1e-300", "1e300"])
+
+
+def _run_main(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    return code
+
+
+@given(
+    instance_doc(),
+    schedule_doc(),
+    st.sampled_from(["A", "B", "firstfit"]),
+    st.lists(st.tuples(st.sampled_from(["--p", "--q", "--theta"]), flag_value), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_exit_codes_hold_for_fuzzed_documents(inst, sched, algo, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "inst.json")
+        sched_path = os.path.join(tmp, "sched.json")
+        out_path = os.path.join(tmp, "out.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            json.dump(inst, fh)
+        with open(sched_path, "w", encoding="utf-8") as fh:
+            json.dump(sched, fh)
+        extra = [part for pair in flags for part in pair]
+        code = _run_main(["schedule", inst_path, "--algo", algo, "--out", out_path])
+        event(f"schedule exit {code}")
+        if code == 0:
+            # what schedule emits passes verify
+            assert _run_main(["verify", inst_path, out_path]) == 0
+            event(f"verify emitted exit {_run_main(['verify', inst_path, out_path, *extra])}")
+        event(f"verify exit {_run_main(['verify', inst_path, sched_path, *extra])}")

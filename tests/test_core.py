@@ -19,6 +19,7 @@ from capsched.core import (
     SingularityError,
     Slot,
     UnsupportedConfigurationError,
+    VerificationError,
     affectance,
     affectance_matrix,
     distance,
@@ -33,6 +34,7 @@ from capsched.core import (
     received_power,
     relative_interference,
     single_affectance,
+    verify_schedule,
 )
 
 P0 = ModelParams(alpha=3.0, beta=1.2, noise=0.0)
@@ -317,3 +319,49 @@ def test_feasibility_report_is_immutable():
     rep = FeasibilityReport(True, True, None, 1.0, 1.0)
     with pytest.raises(Exception):
         rep.feasible = False
+
+
+def test_report_max_pair_affectance():
+    v = Link(id=0, sender=Point(1, 0), receiver=Point(0, 0))
+    w = Link(id=1, sender=Point(0, 3), receiver=Point(0, 4))
+    u = unit_link(2, 10, 10)
+    links = (v, w, u)
+    rep = is_feasible(links, P0)
+    pairs = [single_affectance(a, b, P0) for a in links for b in links if a.id != b.id]
+    assert math.isclose(rep.max_pair_affectance, max(pairs), rel_tol=1e-14)
+    # the largest pair term is w on v: (1/3)^3
+    assert math.isclose(rep.max_pair_affectance, 1.0 / 27.0, rel_tol=1e-14)
+    assert is_feasible((v,), P0).max_pair_affectance == 0.0
+    assert is_feasible((), P0).max_pair_affectance == 0.0
+
+
+def test_verify_schedule_accepts_a_feasible_partition():
+    links = tuple(unit_link(i, 50.0 * i, 0) for i in range(3))
+    inst = Instance(params=P0, links=links)
+    verify_schedule(inst, Schedule((Slot(frozenset({0, 2})), Slot(frozenset({1})))))
+    verify_schedule(Instance(params=P0, links=()), Schedule(()))
+
+
+def test_verify_schedule_rejects_a_non_partition():
+    links = tuple(unit_link(i, 50.0 * i, 0) for i in range(3))
+    inst = Instance(params=P0, links=links)
+    with pytest.raises(VerificationError, match=r"not a partition: missing=\(2,\)") as err:
+        verify_schedule(inst, Schedule((Slot(frozenset({0, 1})),)))
+    assert err.value.slot_index is None and err.value.link_id is None
+    with pytest.raises(VerificationError, match=r"dangling=\(7,\)"):
+        verify_schedule(inst, Schedule((Slot(frozenset({0, 1, 2, 7})),)))
+
+
+def test_verify_schedule_names_the_first_failing_slot():
+    # two parallel unit links 0.1 apart cannot share a slot at beta = 1.2
+    links = (
+        unit_link(0, 0, 0),
+        unit_link(1, 100, 0),
+        Link(id=2, sender=Point(100, 0.1), receiver=Point(101, 0.1)),
+    )
+    inst = Instance(params=P0, links=links)
+    sched = Schedule((Slot(frozenset({0})), Slot(frozenset({1, 2}))))
+    with pytest.raises(VerificationError, match=r"slot 1 failed verification \(worst link") as err:
+        verify_schedule(inst, sched)
+    assert err.value.slot_index == 1
+    assert err.value.link_id in (1, 2)

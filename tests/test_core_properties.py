@@ -1,28 +1,35 @@
-"""Property tests for the affectance layer."""
+"""Property tests: the affectance layer, the slot verifier, scheduler invariances."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from capsched import core
 from capsched.core import (
     THRESHOLD_SLACK,
     AffectanceRows,
+    HeuristicInfeasibilityError,
     Instance,
     Link,
     ModelParams,
     Point,
+    Schedule,
     SingularityError,
+    Slot,
     _sinr_ratio,
     affectance,
     affectance_matrix,
     effective_power,
     is_feasible,
+    is_q_dispersed,
     noise_factor,
     received_power,
+    report_q_dispersed,
     single_affectance,
 )
 from capsched.schedulers import (
@@ -304,3 +311,144 @@ def test_singularity_raised_for_a_link_never_admitted():
         schedule_repeated(inst)
     with pytest.raises(SingularityError):
         first_fit_baseline(inst)
+
+
+# --- the report-based q verdict against the scalar is_q_dispersed ------------
+
+
+def _ulp_tie(a, alpha):
+    """A q near a^(-1/alpha) with q**-alpha == a exactly, if one lies within 16 ulps."""
+    q = a ** (-1.0 / alpha)
+    for _ in range(16):
+        if q ** -alpha == a:
+            return q
+        q = math.nextafter(q, 0.0 if q ** -alpha < a else math.inf)
+    return a ** (-1.0 / alpha)
+
+
+@st.composite
+def q_slot(draw):
+    """A uniform-power slot with noise and a q at, near or away from a pair affectance."""
+    links = tuple(dataclasses.replace(l, power=None) for l in draw(separated_links()))
+    params = draw(params_strategy)
+    weakest = min(received_power(l.sender, l.receiver, params.default_power, params) for l in links)
+    # c_v of the weakest link reaches 1, 2, 100 or about 1e6
+    noise = draw(st.sampled_from((0.0, 0.5, 0.99, 0.999999))) * weakest / params.beta
+    params = dataclasses.replace(params, noise=noise)
+    pairs = [single_affectance(w, v, params) for v in links for w in links if w.id != v.id]
+    kind = draw(st.sampled_from(("tie", "near", "free")))
+    if kind == "free" or not pairs:
+        return links, params, draw(st.floats(min_value=0.05, max_value=50))
+    if kind == "tie":  # at the largest pair, where the verdict is decided
+        return links, params, _ulp_tie(max(pairs), params.alpha)
+    a = draw(st.sampled_from(sorted(pairs)))
+    return links, params, a ** (-1.0 / params.alpha) * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+
+
+@given(q_slot())
+@settings(max_examples=200, deadline=None)
+def test_report_q_verdict_matches_scalar(slot):
+    links, params, q = slot
+    report = is_feasible(links, params)
+    with mock.patch.object(core, "is_q_dispersed", wraps=is_q_dispersed) as scalar:
+        verdict = report_q_dispersed(links, report, q, params)
+    assert verdict == is_q_dispersed(links, q, params)
+    # the scalar loop runs exactly when the report's value is inside the tie band
+    cv_max = max(noise_factor(l, params) for l in links)
+    gap = report.max_pair_affectance - q ** -params.alpha
+    band = core._Q_TIE * params.alpha * cv_max * report.max_pair_affectance
+    assert scalar.call_count == (not abs(gap) > band)
+
+
+def test_report_q_verdict_hands_an_exact_tie_to_the_scalar_route():
+    # a_w(v) = (1/3)^3 == 3^-3 exactly: w is not 3-near v (strict inequality)
+    v = Link(id=0, sender=Point(1, 0), receiver=Point(0, 0))
+    w = Link(id=1, sender=Point(0, 3), receiver=Point(0, 4))
+    report = is_feasible((v, w), P_KERNEL)
+    assert report.max_pair_affectance == 3.0**-3.0
+    with mock.patch.object(core, "is_q_dispersed", wraps=is_q_dispersed) as scalar:
+        assert report_q_dispersed((v, w), report, 3.0, P_KERNEL)
+        assert scalar.call_count == 1
+        assert not report_q_dispersed((v, w), report, 3.0 * (1 + 1e-6), P_KERNEL)
+        assert report_q_dispersed((v, w), report, 3.0 * (1 - 1e-6), P_KERNEL)
+        assert scalar.call_count == 1
+
+
+def test_report_q_verdict_at_a_tie_the_numpy_value_misses():
+    # q^-alpha equals the scalar a_0(1) exactly; numpy's value of the same pair
+    # (0.03312394851250965 against 0.033123948512509646 here) lies one ulp
+    # above it, so only the scalar route gives the strict verdict
+    links = (_link(0, 23.048, 40.504, 23.977, 37.705), _link(1, 10.983, 45.651, 11.891, 42.145))
+    params = ModelParams(alpha=3.0, beta=1.0)
+    q = 3.113765958440783
+    assert q**-3.0 == single_affectance(links[0], links[1], params)
+    assert is_q_dispersed(links, q, params)
+    assert report_q_dispersed(links, is_feasible(links, params), q, params)
+
+
+# --- model invariances of the schedulers (noise = 0 scaling, id relabelling) --
+
+SCHEDULERS = {
+    "A": schedule_repeated,
+    "B": lambda inst: schedule_repeated(inst, guarded=True),
+    "firstfit": first_fit_baseline,
+}
+
+
+def _outcome(algo, inst):
+    try:
+        return SCHEDULERS[algo](inst)
+    except HeuristicInfeasibilityError:
+        return "refused"
+
+
+@given(
+    family=st.sampled_from(("random", "clustered")),
+    seed=st.integers(min_value=0, max_value=5),
+    k=st.sampled_from((-7, 3, 20)),
+    alpha=st.sampled_from((2.5, 3.0, 4.7)),
+)
+@settings(max_examples=15, deadline=None)
+def test_schedules_invariant_under_power_of_two_scaling(family, seed, k, alpha):
+    # with noise = 0 every affectance is a ratio of distances, and scaling all
+    # coordinates by 2^k scales every distance exactly
+    params = dataclasses.replace(DEFAULT_MODEL_PARAMS, alpha=alpha, noise=0.0)
+    inst = generate(TopologySpec(family=family, n=150, seed=seed), params)
+    f = 2.0**k
+    scaled = Instance(
+        params=params,
+        links=tuple(
+            dataclasses.replace(
+                l,
+                sender=Point(l.sender.x * f, l.sender.y * f),
+                receiver=Point(l.receiver.x * f, l.receiver.y * f),
+            )
+            for l in inst.links
+        ),
+    )
+    for algo in SCHEDULERS:
+        assert _outcome(algo, scaled) == _outcome(algo, inst), algo
+
+
+@given(
+    family=st.sampled_from(("random", "clustered")),
+    seed=st.integers(min_value=0, max_value=5),
+    noise=st.sampled_from((0.0, 1e-6)),
+    perm=st.permutations(range(150)),
+)
+@settings(max_examples=15, deadline=None)
+def test_schedules_follow_id_relabelling(family, seed, noise, perm):
+    params = dataclasses.replace(DEFAULT_MODEL_PARAMS, noise=noise)
+    inst = generate(TopologySpec(family=family, n=150, seed=seed), params)
+    assume(len({l.length for l in inst.links}) == len(inst))
+    new_id = {l.id: 3 * p + 1 for l, p in zip(inst.links, perm)}
+    relabelled = Instance(
+        params=params, links=tuple(dataclasses.replace(l, id=new_id[l.id]) for l in inst.links)
+    )
+    for algo in SCHEDULERS:
+        want = _outcome(algo, inst)
+        if isinstance(want, Schedule):
+            want = Schedule(
+                tuple(Slot(frozenset(new_id[i] for i in s.members)) for s in want.slots)
+            )
+        assert _outcome(algo, relabelled) == want, algo

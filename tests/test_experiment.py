@@ -177,6 +177,27 @@ def test_run_experiment_flags_bad_partition(monkeypatch):
     assert err.value.schedule is not None
 
 
+def test_run_experiment_flags_infeasible_slot(monkeypatch):
+    # n=6 links of length up to 5 in a 10 x 10 field: all in one slot is infeasible
+    cfg = small_config(
+        topology=TopologySpec(family="random", n=6, seed=0, l_max=5.0, field_size=10.0),
+        algorithms=("A-repeated",),
+        repetitions=1,
+    )
+    emitted = []
+
+    def one_slot(instance):
+        emitted.append(Schedule((Slot(frozenset(link.id for link in instance.links)),)))
+        return emitted[-1]
+
+    monkeypatch.setitem(ALGORITHMS, "A-repeated", one_slot)
+    with pytest.raises(ExperimentVerificationError, match="slot 0 failed verification") as err:
+        run_experiment(cfg)
+    assert str(err.value).startswith("A-repeated on seed 11: ")
+    assert err.value.schedule == emitted[0]
+    assert err.value.instance is not None
+
+
 def test_run_experiment_wraps_scheduler_errors(monkeypatch):
     cfg = small_config(algorithms=("A-repeated",), repetitions=1)
 

@@ -22,7 +22,6 @@ from capsched.core import (
 )
 from capsched.oracles import (
     DEFAULT_LIMITS,
-    OracleCancelled,
     OracleLimits,
     feasible_subsets,
     max_feasible_subset,
@@ -140,12 +139,6 @@ def test_max_subset_size_limit():
         max_feasible_subset(inst, limits=OracleLimits(max_links_subset=4))
 
 
-def test_max_subset_cancellation():
-    inst = random_instance(2, 8)
-    with pytest.raises(OracleCancelled):
-        max_feasible_subset(inst, should_cancel=lambda: True)
-
-
 def test_p_signal_subset_at_beta_identical():
     for seed in range(4):
         inst = random_instance(seed + 9, 9)
@@ -234,12 +227,6 @@ def test_min_schedule_size_limit():
     inst = random_instance(5, 6)
     with pytest.raises(SizeLimitError):
         min_schedule(inst, limits=OracleLimits(max_links_schedule=5))
-
-
-def test_min_schedule_cancellation():
-    inst = random_instance(6, 10)
-    with pytest.raises(OracleCancelled):
-        min_schedule(inst, should_cancel=lambda: True)
 
 
 def test_min_p_signal_schedule_rejects_bad_p():
