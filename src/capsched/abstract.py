@@ -8,7 +8,6 @@ sets, and an export bridging geometric instances into matrix form.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .core import (
     SizeLimitError,
     single_affectance,
 )
-from .io import write_canonical
+from .io import read_json, write_canonical
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,5 +333,4 @@ def save_gain_matrix(matrix: GainMatrix, path: str | os.PathLike) -> None:
 
 
 def load_gain_matrix(path: str | os.PathLike) -> GainMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return gain_matrix_from_obj(json.load(fh))
+    return gain_matrix_from_obj(read_json(path))

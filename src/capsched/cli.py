@@ -16,18 +16,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
 
-from .abstract import (
-    correspondence_check,
-    graph_to_instance,
-    load_graph,
-    save_gain_matrix,
-)
+from . import abstract, experiment, oracles, schedulers, topogen
 from .core import (
+    DEFAULT_MODEL_PARAMS,
     Instance,
     ModelParams,
     PreconditionError,
@@ -42,25 +37,11 @@ from .core import (
     slot_reports,
     verify_schedule,
 )
-from .experiment import (
-    ExperimentVerificationError,
-    load_experiment_config,
-    run_experiment,
-    write_aggregates,
-    write_results_csv,
-    write_timings_csv,
-)
 from .io import load_instance, load_schedule, save_instance, save_schedule, write_canonical
-from .oracles import max_feasible_subset, max_p_signal_subset, min_schedule
-from .schedulers import (
-    PowerStrategy,
-    disperse,
-    first_fit_baseline,
-    schedule_nonuniform,
-    schedule_repeated,
-    strengthen,
-)
-from .topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
+
+# abstract, experiment, oracles, schedulers and topogen are lazy modules (see
+# capsched/__init__.py): bind no names from them here, call through the module
+# so that each executes only when a command uses it.
 
 
 def _fmt(x: float) -> str:
@@ -172,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = TopologySpec(
+    spec = topogen.TopologySpec(
         family=args.family,
         n=args.n,
         seed=args.seed,
@@ -184,7 +165,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     params = ModelParams(
         alpha=args.alpha, beta=args.beta, noise=args.noise, default_power=args.power
     )
-    instance = generate(spec, params)
+    instance = topogen.generate(spec, params)
     save_instance(instance, args.out)
     print(f"generated family={spec.family} n={len(instance)} seed={spec.seed} -> {args.out}")
     return 0
@@ -204,20 +185,27 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
     return Instance(params=params, links=instance.links)
 
 
+def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
+    """The schedule ``--algo`` asks for, after exactly one pass of the emission gate."""
+    if args.algo == "A" and not (
+        instance.has_uniform_power and args.power_mode in (None, "uniform")
+    ):
+        mode = args.power_mode or "power-regimes"
+        strategy = schedulers.PowerStrategy(mode=mode, regime_base=args.regime_base)
+        return schedulers.schedule_nonuniform(instance, strategy)  # ends with the gate
+    if args.algo == "A":
+        schedule = schedulers.schedule_repeated(instance)
+    elif args.algo == "B":
+        schedule = schedulers.schedule_repeated(instance, guarded=True)
+    else:
+        schedule = schedulers.first_fit_baseline(instance)
+    verify_schedule(instance, schedule)
+    return schedule
+
+
 def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _apply_overrides(load_instance(args.instance), args)
-    if args.algo == "A":
-        if instance.has_uniform_power and args.power_mode in (None, "uniform"):
-            schedule = schedule_repeated(instance)
-        else:
-            mode = args.power_mode or "power-regimes"
-            strategy = PowerStrategy(mode=mode, regime_base=args.regime_base)
-            schedule = schedule_nonuniform(instance, strategy)
-    elif args.algo == "B":
-        schedule = schedule_repeated(instance, guarded=True)
-    else:
-        schedule = first_fit_baseline(instance)
-    verify_schedule(instance, schedule)
+    schedule = _gated_schedule(instance, args)
     save_schedule(schedule, args.out)
     print(
         f"schedule: algo={args.algo} links={len(instance)} "
@@ -296,7 +284,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     schedule = load_schedule(args.schedule)
     if args.strengthen is not None:
         p, p_prime = args.strengthen
-        refined = strengthen(instance, schedule, p, p_prime)
+        refined = schedulers.strengthen(instance, schedule, p, p_prime)
         bound = math.ceil(2.0 * p_prime / p) ** 2
         observed = refined.slot_count / max(schedule.slot_count, 1)
         print(
@@ -305,7 +293,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         )
     else:
         q = args.disperse
-        refined = disperse(instance, schedule, q)
+        refined = schedulers.disperse(instance, schedule, q)
         alpha = instance.params.alpha
         stated = math.ceil((q + 2.0) ** alpha)
         counting = math.ceil((q + 2.0) ** alpha / instance.params.beta)
@@ -322,11 +310,11 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = load_experiment_config(args.config)
+    config = experiment.load_experiment_config(args.config)
     out = config.output or "results.csv"
     try:
-        rows, aggregates = run_experiment(config, workers=max(args.workers, 1))
-    except ExperimentVerificationError as exc:
+        rows, aggregates = experiment.run_experiment(config, workers=max(args.workers, 1))
+    except experiment.ExperimentVerificationError as exc:
         directory = os.path.dirname(out) or "."
         inst_path = os.path.join(directory, "failed_instance.json")
         save_instance(exc.instance, inst_path)
@@ -337,14 +325,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             dumped.append(sched_path)
         print(f"error: {exc} (dumped {', '.join(dumped)})", file=sys.stderr)
         return 1
-    write_results_csv(rows, out)
+    experiment.write_results_csv(rows, out)
     base, _ = os.path.splitext(out)
     agg_path = base + "_aggregate.dat"
-    write_aggregates(aggregates, agg_path)
+    experiment.write_aggregates(aggregates, agg_path)
     print(f"wrote {len(rows)} rows -> {out}")
     print(f"wrote {len(aggregates)} aggregate rows -> {agg_path}")
     if config.timings:
-        write_timings_csv(rows, config.timings)
+        experiment.write_timings_csv(rows, config.timings)
         print(f"wrote timings -> {config.timings}")
     return 0
 
@@ -354,19 +342,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.mode == "psignal":
         if args.p is None:
             raise ValueError("--mode psignal requires --p")
-        slot = max_p_signal_subset(instance, args.p)
+        slot = oracles.max_p_signal_subset(instance, args.p)
         obj = {"mode": "psignal", "p": args.p, "size": len(slot), "members": list(slot.sorted_members)}
         summary = f"oracle psignal: size={len(slot)}"
     elif args.mode == "subset":
         if args.p is not None:
             raise ValueError("--p only applies to --mode psignal")
-        slot = max_feasible_subset(instance)
+        slot = oracles.max_feasible_subset(instance)
         obj = {"mode": "subset", "size": len(slot), "members": list(slot.sorted_members)}
         summary = f"oracle subset: size={len(slot)}"
     else:
         if args.p is not None:
             raise ValueError("--p only applies to --mode psignal")
-        schedule = min_schedule(instance)
+        schedule = oracles.min_schedule(instance)
         obj = {
             "mode": "schedule",
             "slot_count": schedule.slot_count,
@@ -379,10 +367,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_graph(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    matrix = graph_to_instance(graph)
+    graph = abstract.load_graph(args.graph)
+    matrix = abstract.graph_to_instance(graph)
     if args.check:
-        report = correspondence_check(graph)
+        report = abstract.correspondence_check(graph)
         if not report.ok:
             print(
                 f"correspondence: FAIL counterexample={sorted(report.counterexample)}",
@@ -390,7 +378,7 @@ def cmd_reduce_graph(args: argparse.Namespace) -> int:
             )
             return 1
         print(f"correspondence: ok subsets={report.subsets_checked}")
-    save_gain_matrix(matrix, args.out)
+    abstract.save_gain_matrix(matrix, args.out)
     print(f"gain matrix: n={matrix.n} -> {args.out}")
     return 0
 

@@ -129,6 +129,9 @@ class ModelParams:
             raise ValueError(f"default_power must be finite and > 0, got {self.default_power}")
 
 
+DEFAULT_MODEL_PARAMS = ModelParams(alpha=3.0, beta=1.2, noise=0.0, default_power=1.0)
+
+
 @dataclass(frozen=True)
 class Slot:
     """A set of link ids scheduled to transmit concurrently."""

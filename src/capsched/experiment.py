@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import statistics
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
+    DEFAULT_MODEL_PARAMS,
     Instance,
     ModelParams,
     Schedule,
@@ -26,8 +26,9 @@ from .core import (
     VerificationError,
     verify_schedule,
 )
+from .io import read_json
 from .schedulers import first_fit_baseline, schedule_repeated
-from .topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
+from .topogen import TopologySpec, generate
 
 SWEEPABLE = ("n", "alpha", "r_cluster", "l_max")
 
@@ -169,8 +170,7 @@ def config_from_obj(obj: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str | os.PathLike) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_obj(json.load(fh))
+    return config_from_obj(read_json(path))
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict[str, float]]:

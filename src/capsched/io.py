@@ -185,13 +185,21 @@ def schedule_from_obj(obj: Any) -> Schedule:
     return Schedule(tuple(slots))
 
 
+def read_json(path: str | os.PathLike) -> Any:
+    """Parse one JSON file; nesting too deep for the parser is an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{os.fspath(path)}: JSON nested too deeply") from None
+
+
 def save_instance(instance: Instance, path: str | os.PathLike) -> None:
     write_canonical(path, instance_to_obj(instance))
 
 
 def load_instance(path: str | os.PathLike) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh))
+    return instance_from_obj(read_json(path))
 
 
 def save_schedule(schedule: Schedule, path: str | os.PathLike) -> None:
@@ -199,5 +207,4 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike) -> None:
 
 
 def load_schedule(path: str | os.PathLike) -> Schedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_obj(json.load(fh))
+    return schedule_from_obj(read_json(path))

@@ -445,8 +445,8 @@ def schedule_nonuniform(instance: Instance, strategy: PowerStrategy) -> Schedule
         UnsupportedConfigurationError: in uniform mode on non-uniform input.
     """
     if not instance.links:
-        return Schedule(())
-    if strategy.mode == "uniform":
+        schedule = Schedule(())
+    elif strategy.mode == "uniform":
         schedule = schedule_repeated(instance)
     elif strategy.mode == "scaled-threshold":
         schedule = _schedule_scaled_threshold(instance)

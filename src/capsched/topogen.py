@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Link, ModelParams, Point
-
-DEFAULT_MODEL_PARAMS = ModelParams(alpha=3.0, beta=1.2, noise=0.0, default_power=1.0)
+from .core import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point
 
 FAMILIES = ("random", "clustered")
 

@@ -246,6 +246,21 @@ def test_verify_wrongly_typed_slot_exit_2(capsys, tmp_path):
     assert "error:" in text
 
 
+def test_deeply_nested_json_exit_2(capsys, tmp_path):
+    # 100 000 nested arrays once ended in a RecursionError traceback and exit 1
+    deep = "[" * 100_000 + "]" * 100_000
+    inst_path = spread_instance(tmp_path, count=2)
+    sched_path = tmp_path / "deep_schedule.json"
+    sched_path.write_text('{"slots": ' + deep + "}")
+    code, text = run_cli(capsys, "verify", inst_path, sched_path)
+    assert code == 2 and "nested too deeply" in text
+    deep_params = tmp_path / "deep_params.json"
+    deep_params.write_text('{"params": {"alpha": 3.0, "beta": ' + deep + '}, "links": []}')
+    code, text = run_cli(capsys, "schedule", deep_params, "--out", tmp_path / "s.json")
+    assert code == 2 and "nested too deeply" in text
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_schedule_null_coordinate_exit_2(capsys, tmp_path):
     path = tmp_path / "inst.json"
     link = {"id": 0, "sx": None, "sy": 0.0, "rx": 1.0, "ry": 0.0}
@@ -375,6 +390,29 @@ def test_verify_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypat
     assert code in (0, 1)
     assert "p-signal(p=1.2)" in text and "dispersed(q=1)" in text
     assert len(calls) == load_schedule(sched_path).slot_count
+
+
+def test_schedule_per_link_power_runs_the_gate_once(capsys, tmp_path, monkeypatch):
+    # schedule_nonuniform ends with the emission gate; the command adds no second pass
+    inst_path = gen_instance(capsys, tmp_path, n=40, seed=5)
+    doc = json.loads(inst_path.read_text())
+    for i, link in enumerate(doc["links"]):
+        link["power"] = 2.0 ** (i % 3)
+    power_path = tmp_path / "power.json"
+    power_path.write_text(json.dumps(doc))
+    calls = []
+    real = core.is_feasible
+
+    def counted(members, params):
+        calls.append(len(members))
+        return real(members, params)
+
+    monkeypatch.setattr(core, "is_feasible", counted)
+    code, text = run_cli(
+        capsys, "schedule", power_path, "--algo", "A", "--out", tmp_path / "s.json"
+    )
+    assert code == 0 and "verified=true" in text
+    assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
 
 
 # --- refine ---------------------------------------------------------------------

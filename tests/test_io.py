@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from capsched.abstract import load_gain_matrix
 from capsched.core import Instance, Link, ModelParams, Point, Schedule, Slot
+from capsched.experiment import load_experiment_config
 from capsched.io import (
     canonical_dumps,
     format_float,
@@ -180,3 +182,25 @@ def test_instance_accepts_integer_coordinates():
 def test_schedule_to_obj_sorts_members():
     sched = Schedule((Slot(frozenset({5, 3, 4})),))
     assert schedule_to_obj(sched) == {"slots": [[3, 4, 5]]}
+
+
+def _deep(depth: int = 100_000) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_schedule, '{"slots": ' + _deep() + "}"),
+        (load_instance, '{"params": {"alpha": 3.0, "beta": ' + _deep() + '}, "links": []}'),
+        (load_experiment_config, '{"topology": ' + _deep() + "}"),
+        (load_gain_matrix, '{"n": 1, "entries": ' + _deep() + "}"),
+    ],
+    ids=["schedule", "instance", "experiment-config", "gain-matrix"],
+)
+def test_json_nested_past_the_parser_limit_is_a_value_error(tmp_path, loader, text):
+    # json.load raises RecursionError here; every loader turns it into an input error
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loader(path)

@@ -1,11 +1,19 @@
-"""The package root exports what the README documents."""
+"""The package root exports what the README documents and loads only what a command runs."""
 
+import json
 import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 import capsched
+from capsched.core import Instance, Link, ModelParams, Point, Schedule, Slot
+from capsched.io import save_instance, save_schedule
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def _readme_entry_points() -> list[str]:
@@ -30,3 +38,114 @@ def test_package_root_exports_the_error_family():
     for name in ("SchedulingError", "VerificationError", "ExperimentVerificationError"):
         assert issubclass(getattr(capsched, name), capsched.SchedulingError)
     assert capsched.__version__
+
+
+# --- lazy submodules ------------------------------------------------------------
+
+LAZY = ("abstract", "experiment", "oracles", "schedulers", "topogen")
+
+# Runs one `python -m capsched ...` in this fresh interpreter, then reports which
+# lazy modules executed: an unexecuted one still has LazyLoader's module type.
+_COMMAND_PROBE = """
+import json, runpy, sys, types
+argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+sys.argv = ["capsched", *argv]
+try:
+    runpy.run_module("capsched", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({
+    "code": code,
+    "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
+    "futures": "concurrent.futures" in sys.modules,
+}))
+"""
+
+
+def _fresh_python(script: str, *args: str, cwd) -> str:
+    """Last stdout line of ``script`` run in a new interpreter that imports this capsched."""
+    src = os.path.dirname(os.path.dirname(capsched.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def _instance_files(tmp_path) -> None:
+    params = ModelParams(alpha=3.0, beta=1.2)
+    links = tuple(
+        Link(id=i, sender=Point(100.0 * i, 0.0), receiver=Point(100.0 * i + 1.0, 0.0))
+        for i in range(3)
+    )
+    save_instance(Instance(params=params, links=links), tmp_path / "inst.json")
+    save_schedule(Schedule((Slot(frozenset({0, 1, 2})),)), tmp_path / "sched.json")
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], []),
+        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], ["topogen"]),
+        (["schedule", "inst.json", "--out", "out.json"], ["schedulers"]),
+    ],
+    ids=["verify", "gen", "schedule"],
+)
+def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, executed):
+    _instance_files(tmp_path)
+    probe = _fresh_python(_COMMAND_PROBE, json.dumps(argv), json.dumps(LAZY), cwd=tmp_path)
+    result = json.loads(probe)
+    assert result == {"code": 0, "executed": executed, "futures": False}
+
+
+def test_lazy_modules_are_package_attributes_and_registered():
+    # monkeypatch.setattr("capsched.schedulers....") resolves through the attribute
+    for name in LAZY:
+        assert sys.modules[f"capsched.{name}"] is getattr(capsched, name)
+    assert capsched.schedule_repeated is capsched.schedulers.schedule_repeated
+    with pytest.raises(AttributeError):
+        getattr(capsched, "no_such_name")
+
+
+# The benchmark's tracer (perfbench/tracing.py) imports capsched.cli, looks up
+# sys.modules["capsched.<mod>"] for every target and wraps module attributes.
+_TRACER_PROBE = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import capsched.cli
+missing = [m for m, _, _, _ in tracing.TARGETS if "capsched." + m not in sys.modules]
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    tracer.begin_command(0, "run")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["gen", "--family", "random", "--n", "30", "--seed", "1", "--out", "i.json"],
+            ["schedule", "i.json", "--out", "s.json"],
+            ["verify", "i.json", "s.json"],
+        ):
+            assert capsched.cli.main(argv) == 0, argv
+finally:
+    tracer.uninstall()
+print(json.dumps({"missing": missing, "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+
+
+def test_the_benchmark_tracer_finds_and_wraps_every_target(tmp_path):
+    tracing = os.path.join(ROOT, "perfbench", "tracing.py")
+    result = json.loads(_fresh_python(_TRACER_PROBE, tracing, cwd=tmp_path))
+    assert result["missing"] == []
+    assert {
+        "cli.gen",
+        "cli.schedule",
+        "cli.verify",
+        "topogen.generate",
+        "schedulers.schedule_repeated",
+        "io.load_instance",
+        "io.save_schedule",
+        "core.is_feasible",
+        "core.partition_report",
+    } <= set(result["spans"])
