@@ -346,6 +346,12 @@ class AffectanceRows:
         out[i] = 0.0
         return out
 
+    def row_on(self, i: int, idx: np.ndarray) -> np.ndarray:
+        """``row(i)[idx]`` bit for bit, in O(len(idx)) time; ``idx`` must not hold i."""
+        dist = np.hypot(self.sx[i] - self.rx[idx], self.sy[i] - self.ry[idx])
+        lengths = self.lengths[idx]
+        return self.cv[idx] * (self.powers[i] / self.powers[idx]) * (lengths / dist) ** self.alpha
+
 
 def affectance_matrix(instance: Instance) -> np.ndarray:
     """Pairwise single-link affectances as an n x n array, built from AffectanceRows.
@@ -353,8 +359,8 @@ def affectance_matrix(instance: Instance) -> np.ndarray:
     Entry [i, j] is the affectance of links[i] on links[j] (indices follow
     instance.links order); the diagonal is zero. It agrees with
     single_affectance entrywise up to float rounding and is cross-checked in
-    tests. Schedulers read rows on demand instead; the full array is for
-    small inputs: the exact oracles, one slot of ``strengthen`` and tests.
+    tests. Schedulers and refiners read rows on demand instead; the full
+    array is built only for the exact oracles and in tests.
     """
     n = len(instance.links)
     rows = AffectanceRows(instance.links, instance.params)

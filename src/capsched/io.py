@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from typing import Any
 
 from .core import Instance, Link, ModelParams, Point, Schedule, Slot
@@ -105,17 +106,23 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
+def _shown(value: Any) -> str:
+    """An input value for an error message: its ``reprlib`` repr, cut at 60 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _link_id(value: Any) -> int:
     """A link id as written in a file: a JSON integer, nothing coerced."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"link ids must be JSON integers, got {value!r}")
+        raise ValueError(f"link ids must be JSON integers, got {_shown(value)}")
     return value
 
 
 def _number(value: Any, name: str) -> float:
     """A number as written in a file: a JSON integer or float, nothing coerced."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+        raise ValueError(f"{name} must be a JSON number, got {_shown(value)}")
     return float(value)
 
 
@@ -125,7 +132,7 @@ _JSON_KINDS = {dict: "object", list: "array"}
 def _typed(value: Any, kind: type, what: str) -> Any:
     """``value`` itself if it is a JSON object (dict) or array (list) as ``kind`` asks."""
     if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {_shown(value)}")
     return value
 
 
@@ -133,7 +140,7 @@ def instance_from_obj(obj: Any) -> Instance:
     _typed(obj, dict, "instance document")
     unknown = set(obj) - {"params", "links"}
     if unknown:
-        raise ValueError(f"unknown top-level keys in instance file: {sorted(unknown)}")
+        raise ValueError(f"unknown top-level keys in instance file: {_shown(sorted(unknown))}")
     try:
         raw_params = _typed(obj["params"], dict, "params")
         raw_links = _typed(obj["links"], list, "links")
@@ -141,7 +148,7 @@ def instance_from_obj(obj: Any) -> Instance:
         raise ValueError(f"instance file missing key {exc}") from None
     unknown = set(raw_params) - {"alpha", "beta", "noise", "default_power"}
     if unknown:
-        raise ValueError(f"unknown params keys: {sorted(unknown)}")
+        raise ValueError(f"unknown params keys: {_shown(sorted(unknown))}")
     params = ModelParams(
         alpha=_number(raw_params["alpha"], "alpha"),
         beta=_number(raw_params["beta"], "beta"),
@@ -153,7 +160,7 @@ def instance_from_obj(obj: Any) -> Instance:
         _typed(raw, dict, "a link")
         unknown = set(raw) - {"id", "sx", "sy", "rx", "ry", "power"}
         if unknown:
-            raise ValueError(f"unknown link keys: {sorted(unknown)}")
+            raise ValueError(f"unknown link keys: {_shown(sorted(unknown))}")
         xy = {key: _number(raw[key], key) for key in ("sx", "sy", "rx", "ry")}
         links.append(
             Link(
@@ -175,12 +182,12 @@ def schedule_from_obj(obj: Any) -> Schedule:
         raise ValueError("schedule document must be a JSON object with a 'slots' key")
     unknown = set(obj) - {"slots"}
     if unknown:
-        raise ValueError(f"unknown top-level keys in schedule file: {sorted(unknown)}")
+        raise ValueError(f"unknown top-level keys in schedule file: {_shown(sorted(unknown))}")
     slots = []
     for raw in _typed(obj["slots"], list, "slots"):
         members = [_link_id(i) for i in _typed(raw, list, "a slot")]
         if len(set(members)) != len(members):
-            raise ValueError(f"slot contains duplicate ids: {raw}")
+            raise ValueError(f"slot contains duplicate ids: {_shown(raw)}")
         slots.append(Slot(frozenset(members)))
     return Schedule(tuple(slots))
 

@@ -208,16 +208,6 @@ def min_p_signal_schedule(
     return _min_partition(instance, 1.0 / p, limits)
 
 
-def psi(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> int:
-    """Minimum number of slots in any SINR-feasible schedule."""
-    return min_schedule(instance, limits).slot_count
-
-
-def psi_p(instance: Instance, p: float, limits: OracleLimits = DEFAULT_LIMITS) -> int:
-    """Minimum number of slots in any p-signal schedule."""
-    return min_p_signal_schedule(instance, p, limits).slot_count
-
-
 def feasible_subsets(
     instance: Instance, limits: OracleLimits = DEFAULT_LIMITS
 ) -> Iterator[Slot]:

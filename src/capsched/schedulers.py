@@ -4,14 +4,18 @@ The module provides the greedy single-shot selector and its guarded variant,
 repeated application for full schedules, two schedule refinement passes
 (signal strengthening and spatial dispersion), non-uniform power handling,
 and a first-fit baseline for comparisons.
+All of them admit links through ``_sweep``, which fills one set, and
+``_first_fit``, which repeats it on the links left (first-fit in that order).
+Both read rows on demand from ``core.AffectanceRows`` and hold O(n) state.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from .core import (
     Slot,
     UnsupportedConfigurationError,
     _require_uniform_power,
-    affectance_matrix,
     distance,
     effective_power,
     is_feasible,
@@ -120,54 +123,111 @@ def _separated(v: Link, w: Link, c_hat: float) -> bool:
 
 
 # Relative gap below which numpy's hypot (which may differ from math.hypot in
-# the last ulp) does not decide the separation test; such pairs use _separated.
-_SEPARATION_TIE = 1e-12
+# the last ulp) does not decide a distance test; such pairs use the scalar test.
+_DISTANCE_TIE = 1e-12
+
+
+def _tie_band(
+    gap: np.ndarray, bound: np.ndarray, scalar_near: Callable[[int], bool]
+) -> np.ndarray:
+    """Mask of ``gap < bound``; inside the ``_DISTANCE_TIE`` band ``scalar_near(i)`` decides."""
+    near = gap < bound
+    unsure = ~(np.abs(gap - bound) > _DISTANCE_TIE * bound)
+    for i in unsure.nonzero()[0].tolist():
+        near[i] = scalar_near(i)
+    return near
 
 
 def _too_close(
     links: Sequence[Link], rows: AffectanceRows, j: int, dist_j: np.ndarray, c_hat: float
 ) -> np.ndarray:
-    """Mask of the links that fail the separation test against admitted link j.
-
-    Equals ``not _separated(links[i], links[j], c_hat)`` for every i; the
-    numpy distances decide wherever they are clear of the bound by far more
-    than rounding, and the scalar test decides the rest.
-    """
+    """B's mask against admitted link j: ``not _separated(links[i], links[j], c_hat)``."""
     gap = np.minimum(dist_j, np.hypot(rows.sx - rows.rx[j], rows.sy - rows.ry[j]))
-    bound = c_hat * rows.lengths
-    near = gap <= bound
-    unsure = ~(np.abs(gap - bound) > _SEPARATION_TIE * bound)
-    for i in np.flatnonzero(unsure).tolist():
-        near[i] = not _separated(links[i], links[j], c_hat)
-    return near
+    return _tie_band(
+        gap, c_hat * rows.lengths, lambda i: not _separated(links[i], links[j], c_hat)
+    )
+
+
+def _dispersed(v: Link, w: Link, bound: float) -> bool:
+    """Disperse's test of candidate v against set member w (scalar reference)."""
+    return distance(w.sender, v.receiver) >= bound and distance(w.receiver, v.receiver) >= bound
+
+
+def _not_dispersed(
+    links: Sequence[Link], rows: AffectanceRows, j: int, dist_j: np.ndarray, bound: np.ndarray
+) -> np.ndarray:
+    """Disperse's mask against member j: ``not _dispersed(links[i], links[j], bound[i])``."""
+    gap = np.minimum(dist_j, np.hypot(rows.rx[j] - rows.rx, rows.ry[j] - rows.ry))
+    return _tie_band(gap, bound, lambda i: not _dispersed(links[i], links[j], bound[i]))
+
+
+# near(j, rows.distances(j)) -> mask of the links that may not share a set with j
+NearMask = Callable[[int, np.ndarray], np.ndarray]
 
 
 def _sweep(
-    links: Sequence[Link],
+    rows: AffectanceRows,
+    order: Iterable[int],
+    threshold: float,
+    near: NearMask | None = None,
+    guard: bool = False,
+) -> list[int]:
+    """Indices admitted by one sweep in ``order``, in admission order.
+
+    A link is admitted when the accumulated affectance on it from the links
+    admitted before it (their rows) is at most ``threshold``, it is in no
+    ``near`` mask of theirs, and, with ``guard``, adding it keeps the
+    affectance on each of them at most ``threshold`` too. The first link of
+    ``order`` is always admitted. Rows are computed only for admitted links,
+    and only when ``threshold`` is finite.
+    """
+    n = len(rows.lengths)
+    bound = threshold + THRESHOLD_SLACK
+    acc = np.zeros(n)
+    blocked = np.zeros(n, dtype=bool)
+    members = np.empty(n, dtype=np.intp)
+    m = 0
+    for i in order:
+        if not acc[i] <= bound or blocked[i]:
+            continue
+        if guard and m:
+            admitted = members[:m]
+            if not (acc[admitted] + rows.row_on(i, admitted) <= bound).all():
+                continue
+        members[m] = i
+        m += 1
+        dist = rows.distances(i)
+        if threshold < math.inf:
+            acc += rows.row(i, dist)
+        if near is not None:
+            blocked |= near(i, dist)
+    return members[:m].tolist()
+
+
+def _first_fit(
     rows: AffectanceRows,
     order: Sequence[int],
     threshold: float,
-    c_hat: float | None = None,
-) -> list[int]:
-    """Indices into ``links`` admitted by one sweep in ``order``, in that order.
+    near: NearMask | None = None,
+    guard: bool = False,
+) -> list[list[int]]:
+    """First-fit of ``order`` into the sets ``_sweep`` admits, as one round per set.
 
-    A link is admitted when the accumulated affectance on it from the links
-    admitted before it (their ``rows``) is at most ``threshold`` and, when
-    ``c_hat`` is given, it passes B's separation test against each of them.
-    The first link of ``order`` is always admitted. Only the rows of admitted
-    links are computed.
+    Sweeping the links left, round after round, gives exactly the sets (and
+    float sums) of first-fit with one accumulator per open set, in O(n) state.
     """
-    acc = np.zeros(len(links))
-    blocked = np.zeros(len(links), dtype=bool)
-    chosen: list[int] = []
-    for i in order:
-        if acc[i] <= threshold + THRESHOLD_SLACK and not blocked[i]:
-            chosen.append(i)
-            dist = rows.distances(i)
-            acc += rows.row(i, dist)
-            if c_hat is not None:
-                blocked |= _too_close(links, rows, i, dist, c_hat)
-    return chosen
+    rounds: list[list[int]] = []
+    left = list(order)
+    while left:
+        chosen = _sweep(rows, left, threshold, near, guard)
+        rounds.append(chosen)
+        taken = set(chosen)
+        left = [i for i in left if i not in taken]
+    return rounds
+
+
+def _slots(links: Sequence[Link], sets: Iterable[Iterable[int]]) -> tuple[Slot, ...]:
+    return tuple(Slot(frozenset(links[i].id for i in s)) for s in sets)
 
 
 def _check_guarded(links: Sequence[Link], chosen: Sequence[int], params: ModelParams) -> None:
@@ -200,7 +260,7 @@ def single_shot_greedy(
         constants = compute_constants(instance.params)
     links = instance.links
     rows = AffectanceRows(links, instance.params)
-    chosen = _sweep(links, rows, _length_order(links), constants.c)
+    chosen = _sweep(rows, _length_order(links), constants.c)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -225,31 +285,27 @@ def single_shot_guarded(
         constants = compute_constants(instance.params)
     links = instance.links
     rows = AffectanceRows(links, instance.params)
-    chosen = _sweep(links, rows, _length_order(links), 2.0 / 3.0, constants.c_hat)
+    near = functools.partial(_too_close, links, rows, c_hat=constants.c_hat)
+    chosen = _sweep(rows, _length_order(links), 2.0 / 3.0, near)
     _check_guarded(links, chosen, instance.params)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
 def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) -> Schedule:
-    """Sweep the still-unscheduled links round after round, on one row kernel.
+    """First-fit in length order on one row kernel: round k is slot k.
 
     A round selects what a single shot would on the sub-instance of the
     unscheduled links, whose affectances are those of the full instance.
-    Each link's row is computed once, in the round that admits it. With
-    ``c_hat`` each round is the guarded heuristic and is re-verified.
+    With ``c_hat`` each round is the guarded heuristic and is re-verified.
     """
     links = instance.links
     rows = AffectanceRows(links, instance.params)
-    order = _length_order(links)
-    slots: list[Slot] = []
-    while order:
-        chosen = _sweep(links, rows, order, threshold, c_hat)
-        if c_hat is not None:
+    near = None if c_hat is None else functools.partial(_too_close, links, rows, c_hat=c_hat)
+    rounds = _first_fit(rows, _length_order(links), threshold, near)
+    if c_hat is not None:
+        for chosen in rounds:
             _check_guarded(links, chosen, instance.params)
-        slots.append(Slot(frozenset(links[i].id for i in chosen)))
-        taken = set(chosen)
-        order = [i for i in order if i not in taken]
-    return Schedule(tuple(slots))
+    return Schedule(_slots(links, rounds))
 
 
 def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
@@ -272,30 +328,6 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
     return _repeat(instance, constants.c)
 
 
-def _first_fit_partition(
-    order: Sequence[int],
-    mat: np.ndarray,
-    threshold: float,
-) -> list[list[int]]:
-    """First-fit links (given as indices in admission order) into sets.
-
-    A link joins the first set whose accumulated affectance on it is at most
-    ``threshold``; mat[i] must give the affectance of link i on every link.
-    """
-    sets: list[list[int]] = []
-    accs: list[np.ndarray] = []
-    for i in order:
-        for members, acc in zip(sets, accs):
-            if acc[i] <= threshold + THRESHOLD_SLACK:
-                members.append(i)
-                acc += mat[i]
-                break
-        else:
-            sets.append([i])
-            accs.append(mat[i].copy())
-    return sets
-
-
 def strengthen_slot(
     instance: Instance, slot: Slot, p_prime: float
 ) -> tuple[Slot, ...]:
@@ -308,19 +340,13 @@ def strengthen_slot(
     plus 1/(2p') from shorter ones (pass two).
     """
     links = instance.resolve(slot)
-    if len(links) <= 1:
-        return (slot,) if links else ()
-    sub = Instance(params=instance.params, links=links)
-    mat = affectance_matrix(sub)
+    rows = AffectanceRows(links, instance.params)
     threshold = 1.0 / (2.0 * p_prime)
-    decreasing = sorted(
-        range(len(links)), key=lambda i: (-links[i].length, links[i].id)
-    )
+    decreasing = sorted(range(len(links)), key=lambda i: (-links[i].length, links[i].id))
     out: list[Slot] = []
-    for first_pass_set in _first_fit_partition(decreasing, mat, threshold):
+    for first_pass_set in _first_fit(rows, decreasing, threshold):
         increasing = sorted(first_pass_set, key=lambda i: (links[i].length, links[i].id))
-        for final_set in _first_fit_partition(increasing, mat, threshold):
-            out.append(Slot(frozenset(links[i].id for i in final_set)))
+        out.extend(_slots(links, _first_fit(rows, increasing, threshold)))
     return tuple(out)
 
 
@@ -347,10 +373,8 @@ def strengthen(
             f"input schedule is not a {p}-signal schedule: link {link_id} in "
             f"slot {slot_idx} has affectance {value:.6e} > 1/p = {1.0 / p:.6e}"
         )
-    out: list[Slot] = []
-    for slot in schedule.slots:
-        out.extend(strengthen_slot(instance, slot, p_prime))
-    return Schedule(tuple(out))
+    pieces = (strengthen_slot(instance, slot, p_prime) for slot in schedule.slots)
+    return Schedule(tuple(s for slots in pieces for s in slots))
 
 
 def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
@@ -364,23 +388,12 @@ def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
     """
     params = instance.params
     links = instance.resolve(slot)
-    if len(links) <= 1:
-        return (slot,) if links else ()
-    ordered = sorted(links, key=lambda l: (l.length, l.id))
-    sets: list[list[Link]] = []
-    for v in ordered:
-        bound = (q * noise_factor(v, params) ** (1.0 / params.alpha) + 2.0) * v.length
-        for members in sets:
-            if all(
-                distance(w.sender, v.receiver) >= bound
-                and distance(w.receiver, v.receiver) >= bound
-                for w in members
-            ):
-                members.append(v)
-                break
-        else:
-            sets.append([v])
-    return tuple(Slot(frozenset(l.id for l in s)) for s in sets)
+    rows = AffectanceRows(links, params)
+    bound = np.array(
+        [(q * noise_factor(v, params) ** (1.0 / params.alpha) + 2.0) * v.length for v in links]
+    )
+    near = functools.partial(_not_dispersed, links, rows, bound=bound)
+    return _slots(links, _first_fit(rows, _length_order(links), math.inf, near))
 
 
 def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
@@ -404,10 +417,8 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
                 f"input slot {idx} is not SINR-feasible (worst link "
                 f"{report.worst_link})"
             )
-    out: list[Slot] = []
-    for slot in schedule.slots:
-        out.extend(disperse_slot(instance, slot, q))
-    return Schedule(tuple(out))
+    pieces = (disperse_slot(instance, slot, q) for slot in schedule.slots)
+    return Schedule(tuple(s for slots in pieces for s in slots))
 
 
 def _schedule_scaled_threshold(instance: Instance) -> Schedule:
@@ -462,22 +473,7 @@ def first_fit_baseline(instance: Instance) -> Schedule:
     Each link lands in the first existing slot that stays SINR-feasible
     after the addition, else it opens a new slot.
     """
-    if not instance.links:
-        return Schedule(())
-    rows = AffectanceRows(instance.links, instance.params)
-    bound = 1.0 / instance.params.beta + THRESHOLD_SLACK
-    sets: list[list[int]] = []
-    accs: list[np.ndarray] = []
-    for i in range(len(instance.links)):
-        row = rows.row(i)
-        for members, acc in zip(sets, accs):
-            if acc[i] <= bound and (acc[members] + row[members] <= bound).all():
-                members.append(i)
-                acc += row
-                break
-        else:
-            sets.append([i])
-            accs.append(row)
-    return Schedule(
-        tuple(Slot(frozenset(instance.links[i].id for i in s)) for s in sets)
-    )
+    links = instance.links
+    rows = AffectanceRows(links, instance.params)
+    rounds = _first_fit(rows, range(len(links)), 1.0 / instance.params.beta, guard=True)
+    return Schedule(_slots(links, rounds))

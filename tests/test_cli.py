@@ -261,6 +261,23 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_wrongly_typed_values_give_a_short_error(capsys, tmp_path):
+    # a 980-deep slot and a 100 000-character coordinate were echoed in full
+    inst_path = spread_instance(tmp_path, count=2)
+    sched_path = tmp_path / "nested.json"
+    sched_path.write_text('{"slots": [' + "[" * 980 + "]" * 980 + "]}")
+    code, text = run_cli(capsys, "verify", inst_path, sched_path)
+    assert code == 2
+    assert text.startswith("error:") and text.count("\n") == 1 and len(text) < 200
+    path = tmp_path / "inst.json"
+    link = {"id": 0, "sx": "x" * 100_000, "sy": 0.0, "rx": 1.0, "ry": 0.0}
+    path.write_text(json.dumps({"params": {"alpha": 3.0, "beta": 1.2}, "links": [link]}))
+    code, text = run_cli(capsys, "schedule", path, "--out", tmp_path / "s.json")
+    assert code == 2
+    assert text.startswith("error:") and text.count("\n") == 1 and len(text) < 200
+    assert "sx must be a JSON number" in text
+
+
 def test_schedule_null_coordinate_exit_2(capsys, tmp_path):
     path = tmp_path / "inst.json"
     link = {"id": 0, "sx": None, "sy": 0.0, "rx": 1.0, "ry": 0.0}

@@ -116,6 +116,15 @@ def test_schedule_duplicate_in_slot_rejected():
         schedule_from_obj({"slots": [[1, 1]]})
 
 
+def test_error_messages_cut_long_values():
+    with pytest.raises(ValueError) as exc:
+        schedule_from_obj({"slots": [list(range(10_000)) + [0]]})
+    assert "duplicate ids" in str(exc.value) and len(str(exc.value)) < 120
+    with pytest.raises(ValueError) as exc:
+        schedule_from_obj({"slots": [["y" * 10_000]]})
+    assert len(str(exc.value)) < 120 and "..." in str(exc.value)
+
+
 def test_schedule_unknown_key_rejected():
     with pytest.raises(ValueError):
         schedule_from_obj({"slots": [[0]], "bonus": True})

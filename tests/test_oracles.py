@@ -28,8 +28,6 @@ from capsched.oracles import (
     max_p_signal_subset,
     min_p_signal_schedule,
     min_schedule,
-    psi,
-    psi_p,
 )
 from capsched.schedulers import schedule_repeated, single_shot_greedy
 
@@ -203,24 +201,26 @@ def test_min_schedule_is_partition_of_feasible_slots():
 def test_psi_lower_bounds_repeated_greedy():
     for seed in range(5):
         inst = random_instance(seed + 100, 9)
-        assert psi(inst) <= schedule_repeated(inst).slot_count
+        assert min_schedule(inst).slot_count <= schedule_repeated(inst).slot_count
 
 
 def test_psi_p_strengthening_bound():
     # minimum p-signal schedules can cost at most ceil(2p/beta)^2 more slots
     for seed in range(4):
         inst = random_instance(seed + 110, 7)
-        base = psi(inst)
+        base = min_schedule(inst).slot_count
         for p in (2 * P0.beta, 4 * P0.beta):
             factor = math.ceil(2 * p / P0.beta) ** 2
-            assert psi_p(inst, p) <= factor * base
+            assert min_p_signal_schedule(inst, p).slot_count <= factor * base
 
 
 def test_psi_p_monotone_in_p():
     inst = random_instance(200, 8)
-    values = [psi_p(inst, p) for p in (P0.beta, 2 * P0.beta, 4 * P0.beta)]
+    values = [
+        min_p_signal_schedule(inst, p).slot_count for p in (P0.beta, 2 * P0.beta, 4 * P0.beta)
+    ]
     assert values == sorted(values)
-    assert values[0] == psi(inst)
+    assert values[0] == min_schedule(inst).slot_count
 
 
 def test_min_schedule_size_limit():

@@ -10,8 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsched.core import (
+    THRESHOLD_SLACK,
     AffectanceRows,
     HeuristicInfeasibilityError,
     Instance,
@@ -31,6 +34,9 @@ from capsched.core import (
 from capsched.schedulers import (
     AlgoConstants,
     PowerStrategy,
+    _dispersed,
+    _first_fit,
+    _not_dispersed,
     _separated,
     _too_close,
     compute_constants,
@@ -537,3 +543,121 @@ def test_first_fit_respects_input_order():
     inst = Instance(params=params, links=links)
     sched = first_fit_baseline(inst)
     assert [slot.sorted_members for slot in sched.slots] == [(5, 9), (2,)]
+
+
+# --- the one admission loop ----------------------------------------------------
+
+
+def slot_parallel_first_fit(rows, order, threshold, guard=False):
+    """First-fit as the schedulers once ran it: one accumulator per open set."""
+    bound = threshold + THRESHOLD_SLACK
+    sets, accs = [], []
+    for i in order:
+        row = rows.row(i)
+        for members, acc in zip(sets, accs):
+            if acc[i] <= bound and (not guard or (acc[members] + row[members] <= bound).all()):
+                members.append(i)
+                acc += row
+                break
+        else:
+            sets.append([i])
+            accs.append(row.copy())
+    return sets
+
+
+small_instances = st.builds(
+    lambda family, n, seed: generate(
+        TopologySpec(family=family, n=n, seed=seed), DEFAULT_MODEL_PARAMS
+    ),
+    st.sampled_from(("random", "clustered")),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@given(small_instances)
+@settings(max_examples=40, deadline=None)
+def test_first_fit_rounds_equal_slot_parallel_first_fit(inst):
+    links, params = inst.links, inst.params
+    rows = AffectanceRows(links, params)
+    length = sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
+    c = compute_constants(params).c
+    assert _first_fit(rows, length, c) == slot_parallel_first_fit(rows, length, c)
+    ids = range(len(links))
+    guarded = _first_fit(rows, ids, 1 / params.beta, guard=True)
+    assert guarded == slot_parallel_first_fit(rows, ids, 1 / params.beta, guard=True)
+    assert first_fit_baseline(inst).slots == tuple(
+        Slot(frozenset(links[i].id for i in s)) for s in guarded
+    )
+    # strengthen: decreasing length order, then each set in increasing order
+    threshold = 1 / (2 * 2.4)
+    expected = []
+    decreasing = sorted(range(len(links)), key=lambda i: (-links[i].length, links[i].id))
+    for first in slot_parallel_first_fit(rows, decreasing, threshold):
+        increasing = sorted(first, key=lambda i: (links[i].length, links[i].id))
+        expected += slot_parallel_first_fit(rows, increasing, threshold)
+    slot = Slot(frozenset(l.id for l in links))
+    assert strengthen_slot(inst, slot, 2.4) == tuple(
+        Slot(frozenset(links[i].id for i in s)) for s in expected
+    )
+
+
+def test_row_on_equals_the_full_row():
+    inst = random_instance(5, 80, power_range=(0.5, 4.0))
+    rows = AffectanceRows(inst.links, inst.params)
+    for i in range(0, 80, 9):
+        idx = np.array([v for v in range(0, 80, 3) if v != i], dtype=np.intp)
+        assert np.array_equal(rows.row_on(i, idx), rows.row(i)[idx])
+
+
+def test_dispersion_mask_matches_scalar_test():
+    inst = random_instance(4, 150)
+    links = inst.links
+    rows = AffectanceRows(links, P0)
+    bound = 3.0 * rows.lengths
+    for j in range(0, len(links), 7):
+        mask = _not_dispersed(links, rows, j, rows.distances(j), bound)
+        expected = [not _dispersed(v, links[j], bound[i]) for i, v in enumerate(links)]
+        assert mask.tolist() == expected
+
+
+@pytest.mark.parametrize("end", ["sender", "receiver"])
+def test_dispersion_mask_ties_use_scalar_test(monkeypatch, end):
+    # d(s_w, r_v) or d(r_w, r_v) is exactly the bound 3 of v (q=1, c_v=1),
+    # then one ulp below it
+    v = unit_link(0, 0.0, 0.0)
+    calls = []
+
+    def counted(a, b, bound):
+        calls.append((a.id, b.id))
+        return _dispersed(a, b, bound)
+
+    monkeypatch.setattr("capsched.schedulers._dispersed", counted)
+    for lid, x, near in ((1, 4.0, False), (2, math.nextafter(4.0, 0.0), True)):
+        if end == "sender":
+            w = Link(id=lid, sender=Point(x, 0.0), receiver=Point(x, 7.0))
+        else:
+            w = Link(id=lid, sender=Point(x, 7.0), receiver=Point(x, 0.0))
+        links = (v, w)
+        rows = AffectanceRows(links, P0)
+        bound = np.array([3.0, 3.0 * w.length])
+        assert bool(_not_dispersed(links, rows, 1, rows.distances(1), bound)[0]) is near
+    assert (0, 1) in calls and (0, 2) in calls
+
+
+def test_first_fit_holds_linear_state():
+    # 300 parallel unit links 0.001 apart: every pair conflicts, so each link
+    # gets its own slot; one accumulator per open slot would peak at 720 kB
+    n = 300
+    links = tuple(
+        Link(id=i, sender=Point(0.0, 1e-3 * i), receiver=Point(1.0, 1e-3 * i)) for i in range(n)
+    )
+    inst = Instance(params=P0, links=links)
+    tracemalloc.start()
+    try:
+        sched = first_fit_baseline(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sched.slot_count == n
+    assert peak < 250_000
