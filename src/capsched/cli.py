@@ -5,11 +5,12 @@ Subcommands: gen, schedule, verify, refine, experiment, oracle, reduce-graph.
 Exit codes are a fixed contract: 0 success, 1 verification failure,
 2 input error, 3 size limit exceeded.
 
-Every schedule-producing command passes its output through the emission
-gate ``core.verify_schedule`` (a partition, and both routes of the slot
-verifier: direct SINR and affectance) before writing it and exiting 0. All
-outputs are deterministic for fixed inputs; wall times are only written
-when a config opts in.
+Every schedule or oracle answer passes the slot verifier before it is
+written and the command exits 0: schedules through the emission gate
+``core.verify_schedule`` (a partition, and both routes: direct SINR and
+affectance), oracle slots through ``core.is_feasible`` (at level p for
+psignal). All outputs are deterministic for fixed inputs; wall times are
+written only on opt-in.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     THRESHOLD_SLACK,
     VerificationError,
     first_p_violation,
+    is_feasible,
     partition_report,
     report_q_dispersed,
     slot_reports,
@@ -187,15 +189,11 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
 
 def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
     """The schedule ``--algo`` asks for, after exactly one pass of the emission gate."""
-    if args.algo == "A" and not (
-        instance.has_uniform_power and args.power_mode in (None, "uniform")
-    ):
-        mode = args.power_mode or "power-regimes"
+    if args.algo == "A":
+        mode = args.power_mode or ("uniform" if instance.has_uniform_power else "power-regimes")
         strategy = schedulers.PowerStrategy(mode=mode, regime_base=args.regime_base)
         return schedulers.schedule_nonuniform(instance, strategy)  # ends with the gate
-    if args.algo == "A":
-        schedule = schedulers.schedule_repeated(instance)
-    elif args.algo == "B":
+    if args.algo == "B":
         schedule = schedulers.schedule_repeated(instance, guarded=True)
     else:
         schedule = schedulers.first_fit_baseline(instance)
@@ -339,28 +337,31 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    if args.mode == "psignal":
-        if args.p is None:
-            raise ValueError("--mode psignal requires --p")
-        slot = oracles.max_p_signal_subset(instance, args.p)
-        obj = {"mode": "psignal", "p": args.p, "size": len(slot), "members": list(slot.sorted_members)}
-        summary = f"oracle psignal: size={len(slot)}"
-    elif args.mode == "subset":
-        if args.p is not None:
-            raise ValueError("--p only applies to --mode psignal")
-        slot = oracles.max_feasible_subset(instance)
-        obj = {"mode": "subset", "size": len(slot), "members": list(slot.sorted_members)}
-        summary = f"oracle subset: size={len(slot)}"
-    else:
-        if args.p is not None:
-            raise ValueError("--p only applies to --mode psignal")
+    if (args.mode == "psignal") != (args.p is not None):
+        raise ValueError("--p is required by --mode psignal and applies to no other mode")
+    if args.mode == "schedule":
         schedule = oracles.min_schedule(instance)
-        obj = {
-            "mode": "schedule",
-            "slot_count": schedule.slot_count,
-            "slots": [list(s.sorted_members) for s in schedule.slots],
-        }
+        verify_schedule(instance, schedule)
+        slots = [list(s.sorted_members) for s in schedule.slots]
+        obj = {"mode": "schedule", "slot_count": schedule.slot_count, "slots": slots}
         summary = f"oracle schedule: slots={schedule.slot_count}"
+    else:
+        if args.p is None:
+            slot = oracles.max_feasible_subset(instance)
+        else:
+            slot = oracles.max_p_signal_subset(instance, args.p)
+        # a psignal answer need not be SINR-feasible: p may lie below beta
+        report = is_feasible(instance.resolve(slot), instance.params)
+        if not (report.ok if args.p is None else first_p_violation([report], args.p) is None):
+            raise VerificationError(
+                f"oracle {args.mode} answer failed verification (worst link "
+                f"{report.worst_link}, margin {report.margin:.6g})",
+                link_id=report.worst_link,
+            )
+        obj = {"mode": args.mode, "size": len(slot), "members": list(slot.sorted_members)}
+        if args.p is not None:
+            obj["p"] = args.p
+        summary = f"oracle {args.mode}: size={len(slot)}"
     write_canonical(args.out, obj)
     print(f"{summary} -> {args.out}")
     return 0

@@ -292,13 +292,13 @@ def affectance(members: Iterable[Link], v: Link, params: ModelParams) -> float:
 
 
 class AffectanceRows:
-    """Rows of the affectance matrix of ``links``, computed on demand.
+    """The affectance kernel of ``links``: the only vectorized affectance formula.
 
     Holds O(n) per-link arrays: sender and receiver coordinates, powers,
-    lengths d_vv and noise factors c_v. ``row(i)`` is the affectance of
-    links[i] on every link, bit for bit row i of ``affectance_matrix``, in
-    O(n) time and memory, so a scheduler that reads only the rows of the
-    links it admits never holds an n x n array.
+    lengths d_vv and noise factors c_v. ``block`` is the formula; ``row(i)``
+    (links[i] on every link, in O(n) time and memory, so a scheduler that
+    reads only the rows of the links it admits never holds an n x n array),
+    ``row_on``, ``matrix`` and the affectance route of ``is_feasible`` read it.
 
     Raises SingularityError when a sender coincides with another link's
     receiver, naming the smallest sender index first, then the smallest
@@ -331,40 +331,46 @@ class AffectanceRows:
         pvv = self.powers / self.lengths**self.alpha
         return 1.0 / (1.0 - self._beta_noise / pvv)
 
-    def distances(self, i: int) -> np.ndarray:
-        """d(s_i, r_v) for every link v."""
-        return np.hypot(self.sx[i] - self.rx, self.sy[i] - self.ry)
+    def distances(self, w: int | slice) -> np.ndarray:
+        """d(s_w, r_v) for every link v; ``slice(None)`` gives the n x n block [w, v]."""
+        return np.hypot(self.sx[w, None] - self.rx, self.sy[w, None] - self.ry)
+
+    def block(self, w, v, dist: np.ndarray) -> np.ndarray:
+        """a_w(v) = c_v (P_w/P_v) (d_vv/d(s_w, r_v))^alpha, w == v kept; w, v, dist broadcast."""
+        ratio = self.cv[v] * (self.powers[w] / self.powers[v])
+        out = self.lengths[v] / dist
+        out **= self.alpha
+        out *= ratio
+        return out
 
     def row(self, i: int, dist: np.ndarray | None = None) -> np.ndarray:
-        """Affectance of links[i] on every link (entry i is 0).
-
-        ``dist`` may pass ``distances(i)`` when the caller already has it.
-        """
-        if dist is None:
-            dist = self.distances(i)
-        out = self.cv * (self.powers[i] / self.powers) * (self.lengths / dist) ** self.alpha
+        """Affectance of links[i] on every link, entry i 0; ``dist`` may pass ``distances(i)``."""
+        out = self.block(i, slice(None), self.distances(i) if dist is None else dist)
         out[i] = 0.0
         return out
 
     def row_on(self, i: int, idx: np.ndarray) -> np.ndarray:
         """``row(i)[idx]`` bit for bit, in O(len(idx)) time; ``idx`` must not hold i."""
-        dist = np.hypot(self.sx[i] - self.rx[idx], self.sy[i] - self.ry[idx])
-        lengths = self.lengths[idx]
-        return self.cv[idx] * (self.powers[i] / self.powers[idx]) * (lengths / dist) ** self.alpha
+        return self.block(i, idx, np.hypot(self.sx[i] - self.rx[idx], self.sy[i] - self.ry[idx]))
+
+    def matrix(self, dist: np.ndarray | None = None) -> np.ndarray:
+        """Every a_w(v) as an n x n array [w, v], zero diagonal: row w is ``row(w)`` bit for bit."""
+        ids = np.arange(len(self.lengths))
+        out = self.block(ids[:, None], ids, self.distances(slice(None)) if dist is None else dist)
+        np.fill_diagonal(out, 0.0)
+        return out
 
 
 def affectance_matrix(instance: Instance) -> np.ndarray:
-    """Pairwise single-link affectances as an n x n array, built from AffectanceRows.
+    """Pairwise single-link affectances: ``AffectanceRows.matrix``, read-only.
 
     Entry [i, j] is the affectance of links[i] on links[j] (indices follow
-    instance.links order); the diagonal is zero. It agrees with
-    single_affectance entrywise up to float rounding and is cross-checked in
-    tests. Schedulers and refiners read rows on demand instead; the full
-    array is built only for the exact oracles and in tests.
+    instance.links order); the diagonal is zero. One kernel call over the
+    whole distance block; it agrees with single_affectance entrywise up to
+    float rounding. Schedulers and refiners read rows on demand instead; the
+    full array is built only for the exact oracles and in tests.
     """
-    n = len(instance.links)
-    rows = AffectanceRows(instance.links, instance.params)
-    mat = np.array([rows.row(i) for i in range(n)]).reshape(n, n)
+    mat = AffectanceRows(instance.links, instance.params).matrix()
     mat.flags.writeable = False
     return mat
 
@@ -413,17 +419,17 @@ def _sinr_ratio(members: Sequence[Link], v: Link, params: ModelParams) -> float:
 def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityReport:
     """Check a slot against the SINR condition, via two independent routes.
 
-    Route one evaluates the SINR ratio directly for every member; route two
-    checks the affectance criterion a_S(v) <= 1/beta. Both read one array of
-    received powers recv[w, v] and sum over senders in id order, like the
-    scalar reference ``_sinr_ratio`` and ``affectance``. The headline
-    ``feasible`` flag is the affectance verdict.
+    Route one evaluates the SINR ratio of every member from received powers
+    P_w / d(s_w, r_v)^alpha; route two checks a_S(v) <= 1/beta on the
+    ``AffectanceRows`` kernel, the arithmetic the schedulers admit with. They
+    share only the distances; both sum over senders in id order, like the
+    scalar ``_sinr_ratio`` and ``affectance``. ``feasible`` is route two's verdict.
     """
     ordered = sorted(members, key=lambda l: l.id)
     if not ordered:
         return FeasibilityReport(True, True, None, math.inf, math.inf)
     geo = AffectanceRows(ordered, params)
-    dist = np.hypot(geo.sx[:, None] - geo.rx[None, :], geo.sy[:, None] - geo.ry[None, :])
+    dist = geo.distances(slice(None))
     # d^alpha past the float range means a received power of 0, its limit
     with np.errstate(over="ignore"):
         recv = geo.powers[:, None] / dist**params.alpha
@@ -433,25 +439,22 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
         link = ordered[int(np.argmax(signal <= bn))]
         raise InfeasibleLinkError(link.id, f"link {link.id} is infeasible even alone")
     np.fill_diagonal(recv, 0.0)
-    cv = 1.0 / (1.0 - bn / signal)
-    rel = recv / signal
-    aff = cv * rel.sum(axis=0)
-    max_pair = float((cv * rel.max(axis=0)).max())
     with np.errstate(divide="ignore"):  # no interference and no noise: SINR is inf
         sinr = signal / (recv.sum(axis=0) + params.noise) / params.beta - 1.0
+    del recv  # one m x m array fewer at the kernel's peak
+    mat = geo.matrix(dist)
+    aff = mat.sum(axis=0)
     worst = int(np.argmax(aff))
     max_aff, sinr_margin = float(aff[worst]), float(sinr.min())
     inv_beta = 1.0 / params.beta
-    feasible = max_aff <= inv_beta + THRESHOLD_SLACK
-    sinr_feasible = sinr_margin >= -THRESHOLD_SLACK
     return FeasibilityReport(
-        feasible,
-        sinr_feasible,
+        max_aff <= inv_beta + THRESHOLD_SLACK,
+        sinr_margin >= -THRESHOLD_SLACK,
         ordered[worst].id,
         inv_beta - max_aff,
         sinr_margin,
         max_aff,
-        max_pair,
+        float(mat.max()),
     )
 
 

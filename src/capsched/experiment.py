@@ -26,7 +26,7 @@ from .core import (
     VerificationError,
     verify_schedule,
 )
-from .io import read_json
+from .io import _shown, read_json
 from .schedulers import first_fit_baseline, schedule_repeated
 from .topogen import TopologySpec, generate
 
@@ -75,14 +75,14 @@ class ExperimentConfig:
         for name, values in self.sweep:
             if name not in SWEEPABLE:
                 raise ValueError(
-                    f"cannot sweep {name!r}; supported: {', '.join(SWEEPABLE)}"
+                    f"cannot sweep {_shown(name)}; supported: {', '.join(SWEEPABLE)}"
                 )
             if not values:
                 raise ValueError(f"sweep over {name!r} has no values")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(
-                    f"unknown algorithm {algo!r}; supported: "
+                    f"unknown algorithm {_shown(algo)}; supported: "
                     f"{', '.join(sorted(ALGORITHMS))}"
                 )
         if not self.algorithms:
@@ -139,7 +139,7 @@ def config_from_obj(obj: dict) -> ExperimentConfig:
     }
     unknown = set(obj) - known
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {_shown(sorted(unknown))}")
     topo_obj = dict(obj["topology"])
     if "seed" in topo_obj:
         raise ValueError(
@@ -152,7 +152,7 @@ def config_from_obj(obj: dict) -> ExperimentConfig:
         params_obj = dict(obj["params"])
         unknown = set(params_obj) - {"alpha", "beta", "noise", "default_power"}
         if unknown:
-            raise ValueError(f"unknown params keys: {sorted(unknown)}")
+            raise ValueError(f"unknown params keys: {_shown(sorted(unknown))}")
         params = dataclasses.replace(DEFAULT_MODEL_PARAMS, **params_obj)
     raw_sweep = obj.get("sweep", [])
     pairs = raw_sweep.items() if isinstance(raw_sweep, dict) else raw_sweep

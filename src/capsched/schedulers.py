@@ -35,7 +35,6 @@ from .core import (
     distance,
     effective_power,
     is_feasible,
-    noise_factor,
     p_signal_violation,
     slot_reports,
     verify_schedule,
@@ -386,12 +385,9 @@ def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
     in the set. Output sets are q-dispersed, and remain feasible because
     affectance only shrinks on subsets.
     """
-    params = instance.params
     links = instance.resolve(slot)
-    rows = AffectanceRows(links, params)
-    bound = np.array(
-        [(q * noise_factor(v, params) ** (1.0 / params.alpha) + 2.0) * v.length for v in links]
-    )
+    rows = AffectanceRows(links, instance.params)
+    bound = (q * rows.cv ** (1.0 / rows.alpha) + 2.0) * rows.lengths
     near = functools.partial(_not_dispersed, links, rows, bound=bound)
     return _slots(links, _first_fit(rows, _length_order(links), math.inf, near))
 

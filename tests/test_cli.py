@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from capsched import core
+from capsched import core, oracles
 from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
@@ -425,11 +425,20 @@ def test_schedule_per_link_power_runs_the_gate_once(capsys, tmp_path, monkeypatc
         return real(members, params)
 
     monkeypatch.setattr(core, "is_feasible", counted)
-    code, text = run_cli(
-        capsys, "schedule", power_path, "--algo", "A", "--out", tmp_path / "s.json"
-    )
-    assert code == 0 and "verified=true" in text
-    assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
+    for path in (power_path, inst_path):  # per-link powers, then uniform power
+        calls.clear()
+        code, text = run_cli(capsys, "schedule", path, "--algo", "A", "--out", tmp_path / "s.json")
+        assert code == 0 and "verified=true" in text
+        assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
+
+
+def test_schedule_a_checks_regime_base_on_uniform_power(capsys, tmp_path):
+    # A always goes through schedule_nonuniform, whose strategy validates the flag
+    inst_path = spread_instance(tmp_path)
+    out = tmp_path / "s.json"
+    code, text = run_cli(capsys, "schedule", inst_path, "--regime-base", 0.5, "--out", out)
+    assert code == 2 and "regime_base" in text
+    assert not out.exists()
 
 
 # --- refine ---------------------------------------------------------------------
@@ -550,6 +559,44 @@ def test_oracle_psignal_beta_matches_subset(capsys, tmp_path):
     assert sub["size"] == psig["size"]
 
 
+def test_oracle_schedule_runs_the_gate(capsys, tmp_path, monkeypatch):
+    inst_path = colocated_instance(tmp_path, count=3, beta=2.0)
+    out = tmp_path / "oracle.json"
+    crowded = Schedule((Slot(frozenset({0, 1})), Slot(frozenset({2}))))
+    monkeypatch.setattr(oracles, "min_schedule", lambda instance: crowded)
+    code, text = run_cli(capsys, "oracle", inst_path, "--mode", "schedule", "--out", out)
+    assert code == 1 and "error:" in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, extra", [("subset", []), ("psignal", ["--p", 0.9])], ids=["subset", "psignal"]
+)
+def test_oracle_subset_runs_the_gate(capsys, tmp_path, monkeypatch, mode, extra):
+    # three co-located links at beta=2: each pair has affectance 1, the triple 2
+    inst_path = colocated_instance(tmp_path, count=3, beta=2.0)
+    out = tmp_path / "oracle.json"
+    everything = lambda instance, *args: Slot(frozenset({0, 1, 2}))
+    monkeypatch.setattr(oracles, "max_feasible_subset", everything)
+    monkeypatch.setattr(oracles, "max_p_signal_subset", everything)
+    code, text = run_cli(capsys, "oracle", inst_path, "--mode", mode, *extra, "--out", out)
+    assert code == 1 and "error:" in text
+    assert not out.exists()
+
+
+def test_oracle_psignal_below_beta_needs_no_sinr_feasibility(capsys, tmp_path):
+    # p = 0.9 < beta = 2: a co-located pair (affectance 1 <= 1/p) is the answer,
+    # though it is not SINR-feasible
+    inst_path = colocated_instance(tmp_path, count=3, beta=2.0)
+    out = tmp_path / "oracle.json"
+    code, text = run_cli(capsys, "oracle", inst_path, "--mode", "psignal", "--p", 0.9, "--out", out)
+    assert code == 0, text
+    members = json.loads(out.read_text(encoding="utf-8"))["members"]
+    assert members == [0, 1]
+    inst = load_instance(inst_path)
+    assert not core.is_feasible(inst.resolve(Slot(frozenset(members))), inst.params).sinr_feasible
+
+
 def test_oracle_flag_validation(capsys, tmp_path):
     inst_path = spread_instance(tmp_path)
     code, _ = run_cli(capsys, "oracle", inst_path, "--mode", "psignal")
@@ -660,6 +707,23 @@ def test_experiment_bad_config_exit_2(capsys, tmp_path):
     code, text = run_cli(capsys, "experiment", "--config", cfg_path)
     assert code == 2
     assert "error:" in text
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"algorithms": ["A" * 5000]},
+        {"sweep": {"x" * 5000: [1]}},
+        {"y" * 5000: 1},
+        {"params": {"z" * 5000: 1.0}},
+    ],
+    ids=["algorithm", "sweep", "config-key", "params-key"],
+)
+def test_experiment_config_errors_cut_long_names(capsys, tmp_path, overrides):
+    cfg_path = write_config(tmp_path, **overrides)
+    code, text = run_cli(capsys, "experiment", "--config", cfg_path)
+    assert code == 2
+    assert text.startswith("error:") and text.count("\n") == 1 and len(text.encode()) < 200
 
 
 def test_experiment_sweep_row_counts(capsys, tmp_path):

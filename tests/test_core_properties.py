@@ -273,6 +273,28 @@ def test_kernel_rows_equal_dense_matrix(name, inst):
         assert math.isclose(mat[i, j], single_affectance(links[i], links[j], params), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("name, inst", list(_kernel_corpus()))
+def test_verifier_affectance_route_reads_the_kernel(name, inst):
+    # the report's affectances are the id-ordered column sums and the largest
+    # entry of the kernel's matrix restricted to the slot, bit for bit
+    mat = affectance_matrix(inst)
+    position = {l.id: i for i, l in enumerate(inst.links)}
+    rng = np.random.default_rng(11)
+    slots = [s.sorted_members for s in first_fit_baseline(inst).slots if len(s) > 1]
+    for k in (2, 17, 60):
+        slots.append(sorted(inst.links[i].id for i in rng.choice(len(inst), k, replace=False)))
+    for ids in slots:
+        idx = [position[i] for i in ids]
+        sub = mat[np.ix_(idx, idx)]
+        sums = np.zeros(len(idx))
+        for row in sub:
+            sums = sums + row
+        report = is_feasible([inst.links[i] for i in idx], inst.params)
+        assert report.max_affectance == sums.max()
+        assert report.worst_link == ids[int(np.argmax(sums))]
+        assert report.max_pair_affectance == sub.max()
+
+
 def _link(lid, sx, sy, rx, ry):
     return Link(id=lid, sender=Point(sx, sy), receiver=Point(rx, ry))
 
@@ -361,16 +383,16 @@ def test_report_q_verdict_matches_scalar(slot):
 
 
 def test_report_q_verdict_hands_an_exact_tie_to_the_scalar_route():
-    # a_w(v) = (1/3)^3 == 3^-3 exactly: w is not 3-near v (strict inequality)
+    # a_w(v) = (1/2)^3 == 2^-3 exactly: w is not 2-near v (strict inequality)
     v = Link(id=0, sender=Point(1, 0), receiver=Point(0, 0))
-    w = Link(id=1, sender=Point(0, 3), receiver=Point(0, 4))
+    w = Link(id=1, sender=Point(0, 2), receiver=Point(0, 3))
     report = is_feasible((v, w), P_KERNEL)
-    assert report.max_pair_affectance == 3.0**-3.0
+    assert report.max_pair_affectance == 2.0**-3.0
     with mock.patch.object(core, "is_q_dispersed", wraps=is_q_dispersed) as scalar:
-        assert report_q_dispersed((v, w), report, 3.0, P_KERNEL)
+        assert report_q_dispersed((v, w), report, 2.0, P_KERNEL)
         assert scalar.call_count == 1
-        assert not report_q_dispersed((v, w), report, 3.0 * (1 + 1e-6), P_KERNEL)
-        assert report_q_dispersed((v, w), report, 3.0 * (1 - 1e-6), P_KERNEL)
+        assert not report_q_dispersed((v, w), report, 2.0 * (1 + 1e-6), P_KERNEL)
+        assert report_q_dispersed((v, w), report, 2.0 * (1 - 1e-6), P_KERNEL)
         assert scalar.call_count == 1
 
 
