@@ -5,12 +5,13 @@ Subcommands: gen, schedule, verify, refine, experiment, oracle, reduce-graph.
 Exit codes are a fixed contract: 0 success, 1 verification failure,
 2 input error, 3 size limit exceeded.
 
-Every schedule or oracle answer passes the slot verifier before it is
-written and the command exits 0: schedules through the emission gate
+Every schedule or oracle answer passes the slot verifier once before it
+is written and the command exits 0: schedules through the emission gate
 ``core.verify_schedule`` (a partition, and both routes: direct SINR and
-affectance), oracle slots through ``core.is_feasible`` (at level p for
-psignal). All outputs are deterministic for fixed inputs; wall times are
-written only on opt-in.
+affectance), except B's, whose rounds ``schedulers.schedule_repeated``
+verifies as it makes them; oracle slots through ``core.is_feasible`` (at
+level p for psignal). All outputs are deterministic for fixed inputs; wall
+times are written only on opt-in.
 """
 
 from __future__ import annotations
@@ -92,7 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="strategy for non-uniform power with --algo A",
     )
-    sched.add_argument("--regime-base", type=float, default=2.0)
+    sched.add_argument(
+        "--regime-base",
+        type=float,
+        default=None,
+        help="power bucket base of --power-mode power-regimes with --algo A (default 2)",
+    )
     sched.set_defaults(func=cmd_schedule)
 
     ver = subs.add_parser("verify", help="verify a schedule against an instance")
@@ -188,20 +194,23 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
 
 
 def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
-    """The schedule ``--algo`` asks for, after exactly one pass of the emission gate."""
+    """The schedule ``--algo`` asks for, after exactly one pass of the slot verifier."""
     if args.algo == "A":
         mode = args.power_mode or ("uniform" if instance.has_uniform_power else "power-regimes")
-        strategy = schedulers.PowerStrategy(mode=mode, regime_base=args.regime_base)
+        base = 2.0 if args.regime_base is None else args.regime_base
+        strategy = schedulers.PowerStrategy(mode=mode, regime_base=base)
         return schedulers.schedule_nonuniform(instance, strategy)  # ends with the gate
     if args.algo == "B":
-        schedule = schedulers.schedule_repeated(instance, guarded=True)
-    else:
-        schedule = schedulers.first_fit_baseline(instance)
+        # a partition by construction; every round (slot) is verified as it is made
+        return schedulers.schedule_repeated(instance, guarded=True)
+    schedule = schedulers.first_fit_baseline(instance)
     verify_schedule(instance, schedule)
     return schedule
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    if args.algo != "A" and (args.power_mode is not None or args.regime_base is not None):
+        raise ValueError("--power-mode and --regime-base apply only to --algo A")
     instance = _apply_overrides(load_instance(args.instance), args)
     schedule = _gated_schedule(instance, args)
     save_schedule(schedule, args.out)

@@ -7,6 +7,7 @@ and the deterministic summary lines.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from capsched import core, oracles
+from capsched import core, oracles, schedulers
 from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
@@ -430,6 +431,52 @@ def test_schedule_per_link_power_runs_the_gate_once(capsys, tmp_path, monkeypatc
         code, text = run_cli(capsys, "schedule", path, "--algo", "A", "--out", tmp_path / "s.json")
         assert code == 0 and "verified=true" in text
         assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
+
+
+def test_schedule_b_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypatch):
+    # B verifies each round as it makes it; the command adds no second pass
+    inst_path = gen_instance(capsys, tmp_path, n=40, seed=5)
+    calls = []
+    real = core.is_feasible
+
+    def counted(members, params):
+        calls.append(len(members))
+        return real(members, params)
+
+    monkeypatch.setattr(core, "is_feasible", counted)
+    monkeypatch.setattr(schedulers, "is_feasible", counted)
+    code, text = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--out", tmp_path / "s.json")
+    assert code == 0 and "verified=true" in text
+    assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
+
+
+def test_schedule_b_failing_round_exit_1(capsys, tmp_path):
+    # 800 short links on a ring of radius 11.5 around link 0's receiver clear
+    # B's separation test and put affectance 800/11.5^3 = 0.53 on link 0:
+    # under the 2/3 admission cap, over 1/beta = 0.5
+    links = [Link(id=0, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0))]
+    for k in range(800):
+        ux, uy = math.cos(2 * math.pi * k / 800), math.sin(2 * math.pi * k / 800)
+        sx, sy = 1.0 + 11.5 * ux, 11.5 * uy
+        sender, receiver = Point(sx, sy), Point(sx + 1e-3 * ux, sy + 1e-3 * uy)
+        links.append(Link(id=k + 1, sender=sender, receiver=receiver))
+    inst_path = tmp_path / "ring.json"
+    save_instance(Instance(params=ModelParams(alpha=3.0, beta=2.0), links=tuple(links)), inst_path)
+    out = tmp_path / "s.json"
+    code, text = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--out", out)
+    assert code == 1 and "worst link 0" in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["B", "firstfit"])
+@pytest.mark.parametrize("flag", [("--regime-base", 0.5), ("--power-mode", "scaled-threshold")])
+def test_schedule_power_flags_apply_only_to_a(capsys, tmp_path, algo, flag):
+    inst_path = spread_instance(tmp_path)
+    out = tmp_path / "s.json"
+    code, text = run_cli(capsys, "schedule", inst_path, "--algo", algo, *flag, "--out", out)
+    assert code == 2
+    assert text == "error: --power-mode and --regime-base apply only to --algo A\n"
+    assert not out.exists()
 
 
 def test_schedule_a_checks_regime_base_on_uniform_power(capsys, tmp_path):

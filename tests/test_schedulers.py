@@ -5,6 +5,7 @@ closed-form constants; algorithm behaviour on fixtures is checked against
 hand-computed affectance arithmetic.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -213,9 +214,9 @@ def test_guarded_symmetric_refuses_close_sender():
 def test_separation_mask_matches_scalar_test():
     inst = random_instance(3, 150)
     links, c_hat = inst.links, compute_constants(P0).c_hat
-    rows = AffectanceRows(links, P0)
+    rows, ids = AffectanceRows(links, P0), np.arange(len(links))
     for j in range(0, len(links), 7):
-        mask = _too_close(links, rows, j, rows.distances(j), c_hat)
+        mask = _too_close(links, rows, ids, j, slice(None), rows.distances(j), c_hat)
         assert mask.tolist() == [not _separated(v, links[j], c_hat) for v in links]
 
 
@@ -233,8 +234,13 @@ def test_separation_mask_ties_use_scalar_test(monkeypatch):
     monkeypatch.setattr("capsched.schedulers._separated", counted)
     for w, near in ((tie, True), (clear, False)):
         links = (v, w)
-        rows = AffectanceRows(links, P0)
-        assert bool(_too_close(links, rows, 1, rows.distances(1), 2.0)[0]) is near
+        rows, ids = AffectanceRows(links, P0), np.arange(2)
+        assert bool(_too_close(links, rows, ids, 1, slice(None), rows.distances(1), 2.0)[0]) is near
+        # the sweep's form: a kernel in sweep order (w, v), v ahead of w
+        ids = np.array([1, 0])
+        frontier, ahead = rows.take(ids), slice(1, None)
+        mask = _too_close(links, frontier, ids, 0, ahead, frontier.distances(0, ahead), 2.0)
+        assert mask.tolist() == [near]
     assert (0, 1) in calls and (0, 2) in calls
 
 
@@ -602,6 +608,110 @@ def test_first_fit_rounds_equal_slot_parallel_first_fit(inst):
     )
 
 
+def full_row_sweep(rows, order, threshold, near=None, guard=False):
+    """The admission sweep before the live frontier: every row over all n links."""
+    n = len(rows.lengths)
+    ids = np.arange(n)
+    bound = threshold + THRESHOLD_SLACK
+    acc = np.zeros(n)
+    blocked = np.zeros(n, dtype=bool)
+    members = np.empty(n, dtype=np.intp)
+    m = 0
+    for i in order:
+        if not acc[i] <= bound or blocked[i]:
+            continue
+        if guard and m:
+            admitted = members[:m]
+            if not (acc[admitted] + rows.row_on(i, admitted) <= bound).all():
+                continue
+        members[m] = i
+        m += 1
+        dist = rows.distances(i)
+        if threshold < math.inf:
+            acc += rows.row(i, dist)
+        if near is not None:
+            blocked |= near(rows, ids, i, slice(None), dist)
+    return members[:m].tolist()
+
+
+def full_row_first_fit(rows, order, threshold, near=None, guard=False):
+    rounds, left = [], list(order)
+    while left:
+        chosen = full_row_sweep(rows, left, threshold, near, guard)
+        rounds.append(chosen)
+        taken = set(chosen)
+        left = [i for i in left if i not in taken]
+    return rounds
+
+
+frontier_instances = st.builds(
+    lambda family, n, seed: generate(
+        TopologySpec(family=family, n=n, seed=seed), DEFAULT_MODEL_PARAMS
+    ),
+    st.sampled_from(("random", "clustered")),
+    st.integers(min_value=65, max_value=300),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+def test_live_frontier_equals_full_rows(monkeypatch):
+    # more take() calls than rounds means some sweep re-gathered its frontier
+    takes, rounds = [0], [0]
+    real_take = AffectanceRows.take
+
+    def counted_take(self, idx):
+        takes[0] += 1
+        return real_take(self, idx)
+
+    monkeypatch.setattr(AffectanceRows, "take", counted_take)
+
+    @given(frontier_instances, st.sampled_from((0.5, 2.0)))
+    @settings(max_examples=20, deadline=None)
+    def check(inst, q):
+        links, params = inst.links, inst.params
+        rows = AffectanceRows(links, params)
+        consts = compute_constants(params)
+        length = sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
+        too_close = functools.partial(_too_close, links, c_hat=consts.c_hat)
+        bound = (q * rows.cv ** (1.0 / rows.alpha) + 2.0) * rows.lengths
+        not_dispersed = functools.partial(_not_dispersed, links, bound=bound)
+        cases = [
+            (length, consts.c, None, False),
+            (range(len(links)), 1 / params.beta, None, True),
+            (length, 2.0 / 3.0, too_close, False),
+            (length, math.inf, not_dispersed, False),
+        ]
+        for order, threshold, near, guard in cases:
+            got = _first_fit(rows, order, threshold, near, guard)
+            assert got == full_row_first_fit(rows, order, threshold, near, guard)
+            rounds[0] += len(got)
+
+    check()
+    assert takes[0] > rounds[0]
+
+
+@pytest.mark.parametrize(
+    "family, seed, schedule, share",
+    [("random", 0, schedule_repeated, 0.35), ("clustered", 2, first_fit_baseline, 0.6)],
+    ids=["A-random", "firstfit-clustered"],
+)
+def test_sweep_evaluates_live_cells_only(monkeypatch, family, seed, schedule, share):
+    # full rows evaluate n^2 cells for A and 1.19 n^2 for this first-fit
+    n = 1000
+    inst = generate(TopologySpec(family=family, n=n, seed=seed), DEFAULT_MODEL_PARAMS)
+    cells = [0]
+    real_block = AffectanceRows.block
+
+    def counted_block(self, w, v, dist):
+        out = real_block(self, w, v, dist)
+        cells[0] += out.size
+        return out
+
+    monkeypatch.setattr(AffectanceRows, "block", counted_block)
+    schedule(inst)
+    assert cells[0] <= share * n * n
+
+
 def test_row_on_equals_the_full_row():
     inst = random_instance(5, 80, power_range=(0.5, 4.0))
     rows = AffectanceRows(inst.links, inst.params)
@@ -613,10 +723,10 @@ def test_row_on_equals_the_full_row():
 def test_dispersion_mask_matches_scalar_test():
     inst = random_instance(4, 150)
     links = inst.links
-    rows = AffectanceRows(links, P0)
+    rows, ids = AffectanceRows(links, P0), np.arange(len(links))
     bound = 3.0 * rows.lengths
     for j in range(0, len(links), 7):
-        mask = _not_dispersed(links, rows, j, rows.distances(j), bound)
+        mask = _not_dispersed(links, rows, ids, j, slice(None), rows.distances(j), bound)
         expected = [not _dispersed(v, links[j], bound[i]) for i, v in enumerate(links)]
         assert mask.tolist() == expected
 
@@ -639,9 +749,14 @@ def test_dispersion_mask_ties_use_scalar_test(monkeypatch, end):
         else:
             w = Link(id=lid, sender=Point(x, 7.0), receiver=Point(x, 0.0))
         links = (v, w)
-        rows = AffectanceRows(links, P0)
+        rows, ids = AffectanceRows(links, P0), np.arange(2)
         bound = np.array([3.0, 3.0 * w.length])
-        assert bool(_not_dispersed(links, rows, 1, rows.distances(1), bound)[0]) is near
+        mask = _not_dispersed(links, rows, ids, 1, slice(None), rows.distances(1), bound)
+        assert bool(mask[0]) is near
+        ids = np.array([1, 0])
+        frontier, ahead = rows.take(ids), slice(1, None)
+        mask = _not_dispersed(links, frontier, ids, 0, ahead, frontier.distances(0, ahead), bound)
+        assert mask.tolist() == [near]
     assert (0, 1) in calls and (0, 2) in calls
 
 
