@@ -22,6 +22,7 @@ from .core import (
     single_affectance,
 )
 from .io import read_json, write_canonical
+from .oracles import bitmask, peel_lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +177,8 @@ class CorrespondenceReport:
 
 
 EXHAUSTIVE_LIMIT = 20
+# masks per vectorized block of the correspondence check
+CHUNK = 4096
 
 
 def correspondence_check(
@@ -188,11 +191,15 @@ def correspondence_check(
     """Verify that feasibility in the reduction matrix matches independence.
 
     In exhaustive mode every subset is enumerated in ascending bitmask order
-    (vertex k on bit k); sample mode checks ``sample_size`` subsets drawn
-    from a counter-based generator; "auto" picks by ``exhaustive_limit``.
-    The subset comparison runs vectorized; any mismatch is re-verified with
-    the scalar definitions before being reported, so a false alarm in the
-    fast path cannot produce a spurious counterexample.
+    (vertex k on bit k), ``CHUNK`` masks at a time: the incoming sums of a
+    block come from one subset-lattice pass over its low bits, started from
+    the sums of its high bits, and both verdicts are bitmasks (the members
+    over the threshold, and the neighbours of the members, ANDed with the
+    mask). Sample mode checks ``sample_size`` subsets drawn from a
+    counter-based generator; "auto" picks by ``exhaustive_limit``. Any
+    mismatch is re-verified with the scalar definitions before being
+    reported, so a false alarm in the fast path cannot produce a spurious
+    counterexample.
 
     Raises:
         SizeLimitError: in explicit exhaustive mode on a graph above the
@@ -202,16 +209,10 @@ def correspondence_check(
         raise ValueError(f"unknown mode {mode!r}")
     matrix = graph_to_instance(graph)
     n = graph.n
-    adj = graph.adjacency()
     gains = np.asarray(matrix.entries)
 
-    def scan(rows: np.ndarray) -> tuple[int, ...] | None:
-        incoming = rows @ gains
-        conflicts = rows @ adj
-        feas = ~np.any((rows > 0) & (incoming >= matrix.threshold), axis=1)
-        indep = ~np.any((rows > 0) & (conflicts > 0), axis=1)
-        for row in np.nonzero(feas != indep)[0]:
-            subset = tuple(int(v) for v in range(n) if rows[row, v])
+    def first_confirmed(subsets) -> tuple[int, ...] | None:
+        for subset in subsets:
             if abstract_feasible(matrix, subset) != is_independent_set(graph, subset):
                 return subset
         return None
@@ -223,24 +224,44 @@ def correspondence_check(
         )
     exhaustive = mode == "exhaustive" or (mode == "auto" and n <= exhaustive_limit)
     checked = 0
-    chunk = 4096
     if exhaustive:
-        bits = np.arange(n, dtype=np.uint64)
-        total = 1 << n
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            rows = ((masks[:, None] >> bits) & 1).astype(float)
-            bad = scan(rows)
+        neighbours = bitmask(graph.adjacency() > 0)  # bit u of entry v: edge (u, v)
+        low = min(n, CHUNK.bit_length() - 1)
+        # sums and neighbours of every high-bit part, then of every low-bit part
+        high_sums = np.zeros((n, 1 << (n - low)))
+        peel_lattice(high_sums, gains[low:])
+        high_adjacent = np.zeros(1 << (n - low), dtype=np.int64)
+        peel_lattice(high_adjacent, neighbours[low:], np.bitwise_or)
+        low_adjacent = np.zeros(1 << low, dtype=np.int64)
+        peel_lattice(low_adjacent, neighbours[:low], np.bitwise_or)
+        incoming = np.empty((n, 1 << low))
+        for high, start in enumerate(range(0, 1 << n, 1 << low)):
+            masks = np.arange(start, start + (1 << low), dtype=np.int64)
+            incoming[:, 0] = high_sums[:, high]
+            peel_lattice(incoming, gains[:low])
+            feasible = (bitmask(incoming >= matrix.threshold) & masks) == 0
+            independent = ((low_adjacent | high_adjacent[high]) & masks) == 0
+            bad = first_confirmed(
+                tuple(v for v in range(n) if mask >> v & 1)
+                for mask in masks[feasible != independent].tolist()
+            )
             checked += len(masks)
             if bad is not None:
                 return CorrespondenceReport(False, bad, checked)
     else:
+        adj = graph.adjacency()
         rng = np.random.Generator(np.random.Philox(key=seed))
         remaining = sample_size
         while remaining > 0:
-            take = min(chunk, remaining)
+            take = min(CHUNK, remaining)
             rows = rng.integers(0, 2, size=(take, n)).astype(float)
-            bad = scan(rows)
+            members = rows > 0
+            feasible = ~np.any(members & (rows @ gains >= matrix.threshold), axis=1)
+            independent = ~np.any(members & (rows @ adj > 0), axis=1)
+            bad = first_confirmed(
+                tuple(np.flatnonzero(members[row]).tolist())
+                for row in np.flatnonzero(feasible != independent)
+            )
             checked += take
             remaining -= take
             if bad is not None:

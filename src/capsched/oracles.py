@@ -122,32 +122,94 @@ def _member_positions(mask: int) -> list[int]:
     return out
 
 
+def peel_lattice(table: np.ndarray, rows: np.ndarray, op=np.add) -> None:
+    """Fill a subset lattice in place, one strided numpy pass per bit.
+
+    The last axis of ``table`` (C-contiguous, so that the views write
+    through) holds 2^b entries indexed by the masks of b bits, and entry 0
+    is the base the lattice starts from. Each mask whose
+    lowest set bit is k becomes ``op(table[..., mask ^ 1 << k], rows[k])``,
+    for k from high to low, so every entry is the base folded with its
+    members' rows from the highest member down: the float order of peeling
+    masks one lowest bit at a time in ascending mask order. A view of shape
+    (..., -1, 2^(k+1)) puts those masks in column 2^k and the masks they
+    peel to in column 0.
+    """
+    for k in reversed(range(table.shape[-1].bit_length() - 1)):
+        view = table.reshape(*table.shape[:-1], -1, 2 << k)
+        op(view[..., 0], rows[k][..., None], out=view[..., 1 << k])
+
+
+def bitmask(flags: np.ndarray) -> np.ndarray:
+    """Pack each column of a boolean (n, m) array into an int64 (bit j = row j).
+
+    One float matrix product: sums of distinct powers of two are exact
+    below 2^53, and no caller enumerates masks of that many bits.
+    """
+    weights = np.ldexp(1.0, np.arange(flags.shape[0]))
+    return (weights @ flags).astype(np.int64)
+
+
 def _feasible_mask_table(mat: np.ndarray, n: int, threshold: float) -> np.ndarray:
     """For every subset mask: whether all of its members stay within threshold.
 
-    The affectance of mask's members (minus j itself) on link j, affs[mask, j],
-    is filled in by peeling the lowest set bit.
+    affs[j, mask], the affectance of mask's members (minus j itself) on link
+    j, comes from one lattice pass; a mask is feasible when none of its
+    members is over the bound. The empty mask is no set.
     """
     size = 1 << n
-    affs = np.zeros((size, n))
-    feasible = np.zeros(size, dtype=bool)
-    bound = threshold + THRESHOLD_SLACK
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        prev = mask ^ (1 << low)
-        affs[mask] = affs[prev] + mat[low]
-        members = _member_positions(mask)
-        feasible[mask] = bool((affs[mask][members] <= bound).all())
+    affs = np.zeros((n, size))
+    peel_lattice(affs, mat)
+    over = bitmask(~(affs <= threshold + THRESHOLD_SLACK))
+    feasible = (over & np.arange(size)) == 0
+    feasible[0] = False
     return feasible
+
+
+def _subset_transform(values: np.ndarray, op) -> np.ndarray:
+    """Zeta (``np.add``) or Moebius (``np.subtract``) transform over subsets, in place."""
+    for k in range(len(values).bit_length() - 1):
+        view = values.reshape(-1, 2, 1 << k)
+        op(view[:, 1], view[:, 0], out=view[:, 1])
+    return values
+
+
+def _min_covers(feasible: np.ndarray, n: int) -> np.ndarray:
+    """dp[mask]: the fewest feasible sets whose union is mask (n + 1 if none).
+
+    Layered cover by inclusion-exclusion (Bjoerklund, Husfeldt and Koivisto,
+    *Set Partitioning via Inclusion-Exclusion*, SIAM J. Comput. 2009): the
+    masks k sets cover are the union product of those k - 1 sets cover and
+    the feasible family, which a zeta transform of both, a product and a
+    Moebius transform count exactly. Counts are at most 3^n; int64 wraps
+    mod 2^64 on the way, which leaves them exact. What k - 1 sets cover, k
+    sets cover too (one repeats). Feasibility is hereditary (affectances are
+    non-negative, and a float sum of non-negative terms in a fixed order is
+    monotone), so a cover by k sets trims to a partition into at most k: dp
+    is the partition count.
+    """
+    family_zeta = _subset_transform(feasible.astype(np.int64), np.add)
+    dp = np.full(1 << n, n + 1, dtype=np.int64)
+    dp[0] = 0
+    reach = np.zeros(1 << n, dtype=np.int64)
+    reach[0] = 1
+    for k in range(1, n + 1):
+        covered = _subset_transform(
+            _subset_transform(reach, np.add) * family_zeta, np.subtract
+        ) > 0
+        dp[covered & (dp > n)] = k
+        if covered[-1]:
+            break
+        reach = covered.astype(np.int64)
+    return dp
 
 
 def _min_partition(instance: Instance, threshold: float, limits: OracleLimits) -> Schedule:
     """Exact minimum partition into sets meeting the affectance threshold.
 
-    Dynamic program over subsets: dp[mask] is the minimum number of sets
-    covering mask, minimized over admissible subsets that contain mask's
-    lowest link (which some set must). Reconstruction greedily picks the
-    lexicographically smallest slot for the lowest unscheduled id.
+    dp[mask] is the minimum number of admissible sets partitioning mask
+    (``_min_covers``). Reconstruction greedily picks the lexicographically
+    smallest slot for the lowest unscheduled id.
     """
     n = len(instance.links)
     if n > limits.max_links_schedule:
@@ -161,19 +223,8 @@ def _min_partition(instance: Instance, threshold: float, limits: OracleLimits) -
     mat = _id_ordered_matrix(instance)
     feasible = _feasible_mask_table(mat, n, threshold)
     full = (1 << n) - 1
-    infinity = n + 1
-    dp = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        value = infinity
-        sub = mask
-        while sub:
-            if sub & low and feasible[sub]:
-                cand = dp[mask ^ sub] + 1
-                if cand < value:
-                    value = cand
-            sub = (sub - 1) & mask
-        dp[mask] = value
+    dp = _min_covers(feasible, n).tolist()
+    feasible = feasible.tolist()
 
     slots: list[Slot] = []
     remaining = full
@@ -227,6 +278,5 @@ def feasible_subsets(
     links = sorted(instance.links, key=lambda l: l.id)
     mat = _id_ordered_matrix(instance)
     feasible = _feasible_mask_table(mat, n, 1.0 / instance.params.beta)
-    for mask in range(1, 1 << n):
-        if feasible[mask]:
-            yield Slot(frozenset(links[i].id for i in _member_positions(mask)))
+    for mask in np.flatnonzero(feasible).tolist():
+        yield Slot(frozenset(links[i].id for i in _member_positions(mask)))

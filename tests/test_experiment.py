@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from capsched import core, schedulers
 from capsched.core import Schedule, SchedulingError, Slot
 from capsched.experiment import (
     ALGORITHMS,
@@ -208,6 +209,54 @@ def test_run_experiment_wraps_scheduler_errors(monkeypatch):
     with pytest.raises(ExperimentVerificationError) as err:
         run_experiment(cfg)
     assert err.value.schedule is None
+
+
+def counted_is_feasible(monkeypatch) -> list[int]:
+    """Record the slot size of every call of the slot verifier, on every import of it."""
+    calls: list[int] = []
+    real = core.is_feasible
+
+    def counted(members, params):
+        calls.append(len(members))
+        return real(members, params)
+
+    monkeypatch.setattr(core, "is_feasible", counted)
+    monkeypatch.setattr(schedulers, "is_feasible", counted)
+    return calls
+
+
+def test_b_cell_runs_the_slot_verifier_once_per_slot(monkeypatch):
+    # B checks every round on both routes as it ends; the cell adds no second pass
+    cfg = small_config(
+        topology=TopologySpec(family="clustered", n=40, seed=0),
+        algorithms=("B-repeated",),
+        repetitions=2,
+    )
+    calls = counted_is_feasible(monkeypatch)
+    rows, _ = run_experiment(cfg)
+    assert len(calls) == sum(row.slot_count for row in rows)
+    assert len(calls) > len(rows)
+
+
+def test_non_b_cells_pass_the_gate(monkeypatch):
+    cfg = small_config(algorithms=("A-repeated", "first-fit-baseline"), repetitions=1)
+    calls = counted_is_feasible(monkeypatch)
+    rows, _ = run_experiment(cfg)
+    assert len(calls) == sum(row.slot_count for row in rows)
+
+
+def test_b_cell_failing_round_names_algorithm_and_seed(monkeypatch):
+    cfg = small_config(algorithms=("B-repeated",), repetitions=1)
+    real = core.is_feasible
+
+    def refuse(members, params):
+        return dataclasses.replace(real(members, params), sinr_feasible=False)
+
+    monkeypatch.setattr(schedulers, "is_feasible", refuse)
+    with pytest.raises(ExperimentVerificationError, match="not SINR-feasible") as err:
+        run_experiment(cfg)
+    assert str(err.value).startswith("B-repeated failed on seed 11: ")
+    assert err.value.instance is not None
 
 
 def test_verification_error_survives_pickling():
