@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     THRESHOLD_SLACK,
     Instance,
-    SizeLimitError,
     single_affectance,
 )
 from .io import read_json, write_canonical
@@ -176,37 +175,28 @@ class CorrespondenceReport:
     subsets_checked: int
 
 
+# graphs up to this many vertices are checked on every subset; larger ones
+# on SAMPLE_SIZE subsets drawn by Philox with key 0
 EXHAUSTIVE_LIMIT = 20
+SAMPLE_SIZE = 20000
 # masks per vectorized block of the correspondence check
 CHUNK = 4096
 
 
-def correspondence_check(
-    graph: Graph,
-    mode: str = "auto",
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    sample_size: int = 20000,
-    seed: int = 0,
-) -> CorrespondenceReport:
+def correspondence_check(graph: Graph) -> CorrespondenceReport:
     """Verify that feasibility in the reduction matrix matches independence.
 
-    In exhaustive mode every subset is enumerated in ascending bitmask order
-    (vertex k on bit k), ``CHUNK`` masks at a time: the incoming sums of a
-    block come from one subset-lattice pass over its low bits, started from
-    the sums of its high bits, and both verdicts are bitmasks (the members
-    over the threshold, and the neighbours of the members, ANDed with the
-    mask). Sample mode checks ``sample_size`` subsets drawn from a
-    counter-based generator; "auto" picks by ``exhaustive_limit``. Any
+    Up to ``EXHAUSTIVE_LIMIT`` vertices every subset is enumerated in
+    ascending bitmask order (vertex k on bit k), ``CHUNK`` masks at a time:
+    the incoming sums of a block come from one subset-lattice pass over its
+    low bits, started from the sums of its high bits, and both verdicts are
+    bitmasks (the members over the threshold, and the neighbours of the
+    members, ANDed with the mask). Larger graphs are checked on
+    ``SAMPLE_SIZE`` subsets drawn from a counter-based generator. Any
     mismatch is re-verified with the scalar definitions before being
     reported, so a false alarm in the fast path cannot produce a spurious
     counterexample.
-
-    Raises:
-        SizeLimitError: in explicit exhaustive mode on a graph above the
-            limit.
     """
-    if mode not in ("auto", "exhaustive", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
     matrix = graph_to_instance(graph)
     n = graph.n
     gains = np.asarray(matrix.entries)
@@ -217,14 +207,8 @@ def correspondence_check(
                 return subset
         return None
 
-    if mode == "exhaustive" and n > exhaustive_limit:
-        raise SizeLimitError(
-            f"{n} vertices exceed the exhaustive correspondence limit "
-            f"{exhaustive_limit}"
-        )
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n <= exhaustive_limit)
     checked = 0
-    if exhaustive:
+    if n <= EXHAUSTIVE_LIMIT:
         neighbours = bitmask(graph.adjacency() > 0)  # bit u of entry v: edge (u, v)
         low = min(n, CHUNK.bit_length() - 1)
         # sums and neighbours of every high-bit part, then of every low-bit part
@@ -250,8 +234,8 @@ def correspondence_check(
                 return CorrespondenceReport(False, bad, checked)
     else:
         adj = graph.adjacency()
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        remaining = sample_size
+        rng = np.random.Generator(np.random.Philox(key=0))
+        remaining = SAMPLE_SIZE
         while remaining > 0:
             take = min(CHUNK, remaining)
             rows = rng.integers(0, 2, size=(take, n)).astype(float)

@@ -339,7 +339,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     print(f"wrote {len(rows)} rows -> {out}")
     print(f"wrote {len(aggregates)} aggregate rows -> {agg_path}")
     if config.timings:
-        experiment.write_timings_csv(rows, config.timings)
+        experiment.write_results_csv(rows, config.timings, experiment.TIMING_COLUMNS)
         print(f"wrote timings -> {config.timings}")
     return 0
 

@@ -22,9 +22,9 @@ everything here is safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -180,14 +180,10 @@ class Instance:
     Construction validates that ids are distinct and that every link clears the
     noise margin P_vv > beta*N; dead links are rejected here with
     InfeasibleLinkError rather than silently dropped later.
-
-    ``metadata`` carries generator annotations (e.g. cluster assignment); it is
-    not part of the canonical file format and does not affect equality.
     """
 
     params: ModelParams
     links: tuple[Link, ...]
-    metadata: Mapping[str, object] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", tuple(self.links))
@@ -301,8 +297,7 @@ class AffectanceRows:
     kernel of a subsequence of the links, entry for entry the same floats:
     the admission sweeps evaluate ``block`` on such a kernel, and only from
     an admitted link to the live links ahead of it, so they never hold an
-    n x n array and evaluate far fewer than n^2 cells (A's schedule of
-    random n=1000: about 0.24 n^2).
+    n x n array.
 
     Raises SingularityError when a sender coincides with another link's
     receiver, naming the smallest sender index first, then the smallest
@@ -359,9 +354,9 @@ class AffectanceRows:
         out *= ratio
         return out
 
-    def row(self, i: int, dist: np.ndarray | None = None) -> np.ndarray:
-        """Affectance of links[i] on every link, entry i 0; ``dist`` may pass ``distances(i)``."""
-        out = self.block(i, slice(None), self.distances(i) if dist is None else dist)
+    def row(self, i: int) -> np.ndarray:
+        """Affectance of links[i] on every link, entry i 0."""
+        out = self.block(i, slice(None), self.distances(i))
         out[i] = 0.0
         return out
 

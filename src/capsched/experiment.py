@@ -15,7 +15,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     DEFAULT_MODEL_PARAMS,
@@ -26,7 +26,7 @@ from .core import (
     VerificationError,
     verify_schedule,
 )
-from .io import _shown, read_json
+from .io import _number, _shown, _typed, read_json
 from .schedulers import first_fit_baseline, schedule_repeated
 from .topogen import TopologySpec, generate
 
@@ -128,47 +128,87 @@ class AggregateRow:
     reps: int
 
 
-def config_from_obj(obj: dict) -> ExperimentConfig:
-    """Parse the JSON form of a config, rejecting unknown or misplaced keys."""
-    known = {
-        "topology",
-        "params",
-        "sweep",
-        "algorithms",
-        "repetitions",
-        "base_seed",
-        "output",
-        "timings",
-    }
-    unknown = set(obj) - known
+CONFIG_KEYS = {
+    "topology", "params", "sweep", "algorithms", "repetitions", "base_seed", "output", "timings"
+}
+TOPOLOGY_KEYS = {"family", "n", "field_size", "l_max", "n_clusters", "r_cluster"}
+
+
+def _path(obj: dict, key: str) -> str | None:
+    return None if obj.get(key) is None else _typed(obj[key], str, key)
+
+
+def _sweep_axis(pair: Any) -> tuple[str, tuple[float, ...]]:
+    """One ``[name, values]`` sweep entry; swept n values are JSON integers."""
+    if len(pair) != 2:
+        raise ValueError(f"a sweep entry must be [name, values], got {_shown(pair)}")
+    name = _typed(pair[0], str, "a sweep name")
+    values = _typed(pair[1], list, f"sweep values of {_shown(name)}")
+    if name == "n":
+        return name, tuple(_typed(v, int, "a swept n") for v in values)
+    return name, tuple(_number(v, name) for v in values)
+
+
+def config_from_obj(obj: Any) -> ExperimentConfig:
+    """Parse the JSON form of a config, rejecting unknown, misplaced or mistyped values.
+
+    Nothing is coerced: counts and seeds are JSON integers, parameters JSON
+    numbers and paths JSON strings (or null for the default).
+    """
+    _typed(obj, dict, "experiment config")
+    unknown = set(obj) - CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {_shown(sorted(unknown))}")
-    topo_obj = dict(obj["topology"])
+    if "topology" not in obj:
+        raise ValueError("experiment config missing key 'topology'")
+    topo_obj = _typed(obj["topology"], dict, "topology")
     if "seed" in topo_obj:
         raise ValueError(
             "topology template must not carry a seed; seeds come from "
             "base_seed + repetition"
         )
-    topology = TopologySpec(seed=0, **topo_obj)
+    unknown = set(topo_obj) - TOPOLOGY_KEYS
+    if unknown:
+        raise ValueError(f"unknown topology keys: {_shown(sorted(unknown))}")
+    for key in ("family", "n"):
+        if key not in topo_obj:
+            raise ValueError(f"topology missing key {key!r}")
+    clusters = topo_obj.get("n_clusters")
+    topology = TopologySpec(
+        family=_typed(topo_obj["family"], str, "family"),
+        n=_typed(topo_obj["n"], int, "n"),
+        seed=0,
+        n_clusters=None if clusters is None else _typed(clusters, int, "n_clusters"),
+        **{
+            key: _number(topo_obj[key], key)
+            for key in ("field_size", "l_max", "r_cluster")
+            if key in topo_obj
+        },
+    )
     params = DEFAULT_MODEL_PARAMS
     if "params" in obj:
-        params_obj = dict(obj["params"])
+        params_obj = _typed(obj["params"], dict, "params")
         unknown = set(params_obj) - {"alpha", "beta", "noise", "default_power"}
         if unknown:
             raise ValueError(f"unknown params keys: {_shown(sorted(unknown))}")
-        params = dataclasses.replace(DEFAULT_MODEL_PARAMS, **params_obj)
+        params = dataclasses.replace(
+            DEFAULT_MODEL_PARAMS, **{key: _number(v, key) for key, v in params_obj.items()}
+        )
     raw_sweep = obj.get("sweep", [])
-    pairs = raw_sweep.items() if isinstance(raw_sweep, dict) else raw_sweep
-    sweep = tuple((name, tuple(values)) for name, values in pairs)
+    if isinstance(raw_sweep, dict):
+        pairs = list(raw_sweep.items())
+    else:
+        pairs = [_typed(pair, list, "a sweep entry") for pair in _typed(raw_sweep, list, "sweep")]
+    algorithms = _typed(obj.get("algorithms", ["A-repeated"]), list, "algorithms")
     return ExperimentConfig(
         topology=topology,
         params=params,
-        sweep=sweep,
-        algorithms=tuple(obj.get("algorithms", ("A-repeated",))),
-        repetitions=obj.get("repetitions", 1),
-        base_seed=obj.get("base_seed", 0),
-        output=obj.get("output"),
-        timings=obj.get("timings"),
+        sweep=tuple(_sweep_axis(pair) for pair in pairs),
+        algorithms=tuple(_typed(algo, str, "an algorithm") for algo in algorithms),
+        repetitions=_typed(obj.get("repetitions", 1), int, "repetitions"),
+        base_seed=_typed(obj.get("base_seed", 0), int, "base_seed"),
+        output=_path(obj, "output"),
+        timings=_path(obj, "timings"),
     )
 
 
@@ -329,24 +369,19 @@ RESULT_COLUMNS = (
 TIMING_COLUMNS = RESULT_COLUMNS[:-2] + ("wall_time_ms",)
 
 
-def write_results_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
-    """Deterministic results table (wall time deliberately excluded)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(_csv_value(getattr(row, col)) for col in RESULT_COLUMNS) + "\n"
-            )
+def write_results_csv(
+    rows: Sequence[ResultRow], path: str | os.PathLike, columns: Sequence[str] = RESULT_COLUMNS
+) -> None:
+    """One CSV line per row over ``columns``.
 
-
-def write_timings_csv(rows: Sequence[ResultRow], path: str | os.PathLike) -> None:
-    """Wall-time sidecar; inherently non-deterministic across runs."""
+    The default is the deterministic results table (wall time deliberately
+    excluded); ``TIMING_COLUMNS`` gives the wall-time sidecar, which varies
+    across runs.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TIMING_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(_csv_value(getattr(row, col)) for col in TIMING_COLUMNS) + "\n"
-            )
+            fh.write(",".join(_csv_value(getattr(row, col)) for col in columns) + "\n")
 
 
 def write_aggregates(rows: Sequence[AggregateRow], path: str | os.PathLike) -> None:

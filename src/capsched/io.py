@@ -123,15 +123,21 @@ def _number(value: Any, name: str) -> float:
     """A number as written in a file: a JSON integer or float, nothing coerced."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a JSON number, got {_shown(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range: {_shown(value)}") from None
 
 
-_JSON_KINDS = {dict: "object", list: "array"}
+_JSON_KINDS = {dict: "object", list: "array", str: "string", int: "integer"}
 
 
 def _typed(value: Any, kind: type, what: str) -> Any:
-    """``value`` itself if it is a JSON object (dict) or array (list) as ``kind`` asks."""
-    if not isinstance(value, kind):
+    """``value`` itself if it is the JSON object (dict), array, string or integer ``kind`` asks.
+
+    Nothing is coerced: a bool or a float is no JSON integer.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {_shown(value)}")
     return value
 

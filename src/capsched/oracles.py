@@ -7,7 +7,6 @@ exponential and guarded by explicit size limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -21,20 +20,9 @@ from .core import (
     affectance_matrix,
 )
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Hard caps on instance size for the exhaustive solvers."""
-
-    max_links_subset: int = 20
-    max_links_schedule: int = 12
-
-    def __post_init__(self) -> None:
-        if self.max_links_subset < 1 or self.max_links_schedule < 1:
-            raise ValueError("oracle limits must be at least 1")
-
-
-DEFAULT_LIMITS = OracleLimits()
+# Hard caps on instance size: the subset search and the 2^n mask tables
+MAX_LINKS_SUBSET = 20
+MAX_LINKS_SCHEDULE = 12
 
 
 def _id_ordered_matrix(instance: Instance) -> np.ndarray:
@@ -44,7 +32,7 @@ def _id_ordered_matrix(instance: Instance) -> np.ndarray:
     return mat[np.ix_(order, order)]
 
 
-def _max_subset(instance: Instance, threshold: float, limits: OracleLimits) -> Slot:
+def _max_subset(instance: Instance, threshold: float) -> Slot:
     """Maximum set whose internal affectance per member stays <= threshold.
 
     Depth-first search over links in ascending id order, include branch
@@ -55,11 +43,8 @@ def _max_subset(instance: Instance, threshold: float, limits: OracleLimits) -> S
     the lexicographically smallest one.
     """
     n = len(instance.links)
-    if n > limits.max_links_subset:
-        raise SizeLimitError(
-            f"{n} links exceed the subset oracle limit "
-            f"{limits.max_links_subset}"
-        )
+    if n > MAX_LINKS_SUBSET:
+        raise SizeLimitError(f"{n} links exceed the subset oracle limit {MAX_LINKS_SUBSET}")
     if n == 0:
         return Slot()
     links = sorted(instance.links, key=lambda l: l.id)
@@ -92,25 +77,23 @@ def _max_subset(instance: Instance, threshold: float, limits: OracleLimits) -> S
     return Slot(frozenset(links[i].id for i in best))
 
 
-def max_feasible_subset(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Slot:
+def max_feasible_subset(instance: Instance) -> Slot:
     """Exact maximum-cardinality SINR-feasible subset.
 
     Ties are broken towards the lexicographically smallest id set so
     repeated runs and golden files stay stable.
 
     Raises:
-        SizeLimitError: if the instance exceeds limits.max_links_subset.
+        SizeLimitError: if the instance has more than MAX_LINKS_SUBSET links.
     """
-    return _max_subset(instance, 1.0 / instance.params.beta, limits)
+    return _max_subset(instance, 1.0 / instance.params.beta)
 
 
-def max_p_signal_subset(
-    instance: Instance, p: float, limits: OracleLimits = DEFAULT_LIMITS
-) -> Slot:
+def max_p_signal_subset(instance: Instance, p: float) -> Slot:
     """Exact maximum subset whose affectance on every member is <= 1/p."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
-    return _max_subset(instance, 1.0 / p, limits)
+    return _max_subset(instance, 1.0 / p)
 
 
 def _member_positions(mask: int) -> list[int]:
@@ -204,7 +187,12 @@ def _min_covers(feasible: np.ndarray, n: int) -> np.ndarray:
     return dp
 
 
-def _min_partition(instance: Instance, threshold: float, limits: OracleLimits) -> Schedule:
+def _check_schedule_limit(n: int) -> None:
+    if n > MAX_LINKS_SCHEDULE:
+        raise SizeLimitError(f"{n} links exceed the schedule oracle limit {MAX_LINKS_SCHEDULE}")
+
+
+def _min_partition(instance: Instance, threshold: float) -> Schedule:
     """Exact minimum partition into sets meeting the affectance threshold.
 
     dp[mask] is the minimum number of admissible sets partitioning mask
@@ -212,11 +200,7 @@ def _min_partition(instance: Instance, threshold: float, limits: OracleLimits) -
     smallest slot for the lowest unscheduled id.
     """
     n = len(instance.links)
-    if n > limits.max_links_schedule:
-        raise SizeLimitError(
-            f"{n} links exceed the schedule oracle limit "
-            f"{limits.max_links_schedule}"
-        )
+    _check_schedule_limit(n)
     if n == 0:
         return Schedule(())
     links = sorted(instance.links, key=lambda l: l.id)
@@ -245,34 +229,30 @@ def _min_partition(instance: Instance, threshold: float, limits: OracleLimits) -
     return Schedule(tuple(slots))
 
 
-def min_schedule(instance: Instance, limits: OracleLimits = DEFAULT_LIMITS) -> Schedule:
-    """Exact minimum-length SINR-feasible schedule (optimal partition)."""
-    return _min_partition(instance, 1.0 / instance.params.beta, limits)
+def min_schedule(instance: Instance) -> Schedule:
+    """Exact minimum-length SINR-feasible schedule (optimal partition).
+
+    Raises:
+        SizeLimitError: if the instance has more than MAX_LINKS_SCHEDULE links.
+    """
+    return _min_partition(instance, 1.0 / instance.params.beta)
 
 
-def min_p_signal_schedule(
-    instance: Instance, p: float, limits: OracleLimits = DEFAULT_LIMITS
-) -> Schedule:
+def min_p_signal_schedule(instance: Instance, p: float) -> Schedule:
     """Exact minimum-length p-signal schedule."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
-    return _min_partition(instance, 1.0 / p, limits)
+    return _min_partition(instance, 1.0 / p)
 
 
-def feasible_subsets(
-    instance: Instance, limits: OracleLimits = DEFAULT_LIMITS
-) -> Iterator[Slot]:
+def feasible_subsets(instance: Instance) -> Iterator[Slot]:
     """All nonempty SINR-feasible subsets, in ascending bitmask order.
 
     The bitmask follows ascending link id. Guarded by the schedule limit
     since the output itself is exponential.
     """
     n = len(instance.links)
-    if n > limits.max_links_schedule:
-        raise SizeLimitError(
-            f"{n} links exceed the schedule oracle limit "
-            f"{limits.max_links_schedule}"
-        )
+    _check_schedule_limit(n)
     if n == 0:
         return
     links = sorted(instance.links, key=lambda l: l.id)

@@ -8,8 +8,7 @@ All of them admit links through ``_sweep``, which fills one set, and
 ``_first_fit``, which repeats it on the links left (first-fit in that order).
 Both hold O(n) state. A sweep gathers the ``core.AffectanceRows`` kernel of
 its links and computes an admitted link's row only over the live links ahead
-of it: A's schedule of random n=1000 evaluates about 0.24 n^2 kernel cells
-(full rows: n^2), first-fit of clustered n=1000 about 0.51 n^2 (1.19 n^2).
+of it.
 """
 
 from __future__ import annotations
@@ -218,8 +217,7 @@ def _sweep(
     fewer than half of them are live, the kernel is gathered again from the
     members and the live links ahead. With ``guard``, the members'
     accumulators take the guard's ``row_on`` values, the entries their full
-    rows would add. Sets and float sums are those of full rows; A's schedule
-    of random n=1000 evaluates about 0.24 n^2 kernel cells instead of n^2.
+    rows would add. Sets and float sums are those of full rows.
     """
     ids = np.asarray(order, dtype=np.intp)
     kernel = rows.take(ids)
@@ -269,8 +267,7 @@ def _first_fit(
     Sweeping the links left, round after round, gives exactly the sets (and
     float sums) of first-fit with one accumulator per open set, in O(n)
     state. Each round evaluates rows only over the live links ahead of each
-    admitted link: first-fit on clustered n=1000 evaluates about 0.5 n^2
-    kernel cells, the guard's included.
+    admitted link, the guard's included.
     """
     rounds: list[list[int]] = []
     left = list(order)
@@ -297,9 +294,7 @@ def _check_guarded(links: Sequence[Link], chosen: Sequence[int], params: ModelPa
         )
 
 
-def single_shot_greedy(
-    instance: Instance, constants: AlgoConstants | None = None
-) -> Slot:
+def single_shot_greedy(instance: Instance) -> Slot:
     """One-sweep greedy selection of a feasible set, shortest links first.
 
     A link is admitted when the accumulated affectance on it from previously
@@ -312,17 +307,14 @@ def single_shot_greedy(
             instances through schedule_nonuniform instead.
     """
     _require_uniform_power(instance.links, instance.params)
-    if constants is None:
-        constants = compute_constants(instance.params)
+    constants = compute_constants(instance.params)
     links = instance.links
     rows = AffectanceRows(links, instance.params)
     chosen = _sweep(rows, _length_order(links), constants.c)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
-def single_shot_guarded(
-    instance: Instance, constants: AlgoConstants | None = None
-) -> Slot:
+def single_shot_guarded(instance: Instance) -> Slot:
     """Guarded greedy heuristic: affectance cap 2/3 plus a separation test.
 
     Links are swept in non-decreasing length order and admitted when the
@@ -337,8 +329,7 @@ def single_shot_guarded(
         UnsupportedConfigurationError: on non-uniform power.
     """
     _require_uniform_power(instance.links, instance.params)
-    if constants is None:
-        constants = compute_constants(instance.params)
+    constants = compute_constants(instance.params)
     links = instance.links
     rows = AffectanceRows(links, instance.params)
     near = functools.partial(_too_close, links, c_hat=constants.c_hat)

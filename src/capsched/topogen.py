@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point
+from .io import _shown
 
 FAMILIES = ("random", "clustered")
 
@@ -36,7 +37,7 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {_shown(self.family)}")
         if self.n < 1:
             raise ValueError(f"need at least one link, got n={self.n}")
         if not (0 <= self.seed < 2**64):
@@ -99,8 +100,7 @@ def gen_clustered(
     cluster by cluster. Each link draws its sender and then its receiver
     independently and uniformly in the cluster disc (two draws each); both
     endpoints are redrawn if they coincide exactly. Link ids run 0..n-1 in
-    generation order, and the assignment is kept on the instance metadata
-    under "cluster_of" together with the "centers" list.
+    generation order.
     """
     if spec.family != "clustered":
         raise ValueError(f"gen_clustered got family {spec.family!r}")
@@ -114,8 +114,6 @@ def gen_clustered(
     base, extra = divmod(spec.n, k)
     quotas = [base + (1 if c < extra else 0) for c in range(k)]
     links = []
-    cluster_of: dict[int, int] = {}
-    next_id = 0
     for c, (cx, cy) in enumerate(centers):
         for _ in range(quotas[c]):
             while True:
@@ -125,15 +123,12 @@ def gen_clustered(
                     break
             links.append(
                 Link(
-                    id=next_id,
+                    id=len(links),
                     sender=Point(cx + sx, cy + sy),
                     receiver=Point(cx + tx, cy + ty),
                 )
             )
-            cluster_of[next_id] = c
-            next_id += 1
-    metadata = {"family": "clustered", "cluster_of": cluster_of, "centers": tuple(centers)}
-    return Instance(params=params, links=tuple(links), metadata=metadata)
+    return Instance(params=params, links=tuple(links))
 
 
 def generate(

@@ -25,7 +25,7 @@ from capsched.abstract import (
     save_gain_matrix,
     save_graph,
 )
-from capsched.core import Instance, Link, ModelParams, Point, SizeLimitError, is_feasible
+from capsched.core import Instance, Link, ModelParams, Point, is_feasible
 
 P0 = ModelParams(alpha=3.0, beta=1.2, noise=0.0)
 
@@ -192,18 +192,13 @@ def test_correspondence_all_small_graphs():
             assert report.subsets_checked == 1 << n
 
 
-def test_correspondence_exhaustive_limit():
-    with pytest.raises(SizeLimitError):
-        correspondence_check(Graph(n=6), mode="exhaustive", exhaustive_limit=5)
-    with pytest.raises(ValueError):
-        correspondence_check(Graph(n=2), mode="everything")
-
-
 def test_correspondence_sample_mode_deterministic():
-    g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    a = correspondence_check(g, mode="sample", sample_size=500, seed=7)
-    b = correspondence_check(g, mode="sample", sample_size=500, seed=7)
-    assert a == b and a.ok and a.subsets_checked == 500
+    # every subset up to EXHAUSTIVE_LIMIT vertices, SAMPLE_SIZE draws above it
+    assert correspondence_check(Graph(n=20)).subsets_checked == 1 << 20
+    g = Graph.from_edges(21, [(0, 1), (2, 3), (5, 20)])
+    a = correspondence_check(g)
+    b = correspondence_check(g)
+    assert a == b and a.ok and a.subsets_checked == 20000
 
 
 def test_correspondence_matches_scalar_bruteforce():

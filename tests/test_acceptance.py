@@ -113,7 +113,7 @@ def test_criterion_03_single_shot_vs_signal_oracle():
         )
         inst = generate(spec, params)
         constants = compute_constants(params)
-        greedy = single_shot_greedy(inst, constants)
+        greedy = single_shot_greedy(inst)
         witness = max_p_signal_subset(inst, constants.nu)
         assert len(witness) <= 5 * len(greedy)
 
@@ -212,7 +212,7 @@ def test_criterion_08_graph_correspondence():
         graphs = _all_nonisomorphic_graphs(n)
         counts.append(len(graphs))
         for graph in graphs:
-            report = correspondence_check(graph, mode="exhaustive")
+            report = correspondence_check(graph)
             assert report.ok, f"n={n} counterexample={report.counterexample}"
     assert counts == [1, 2, 4, 11, 34]
     rng = np.random.default_rng(88)
@@ -221,7 +221,7 @@ def test_criterion_08_graph_correspondence():
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
         ]
-        report = correspondence_check(Graph.from_edges(n, edges), mode="exhaustive")
+        report = correspondence_check(Graph.from_edges(n, edges))
         assert report.ok
 
 

@@ -21,6 +21,7 @@ from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
 from capsched.core import Schedule, Slot
+from capsched.experiment import ALGORITHMS
 from capsched.schedulers import disperse_slot
 
 
@@ -659,6 +660,24 @@ def test_oracle_size_limit_exit_3(capsys, tmp_path):
     assert "error:" in text
 
 
+@pytest.mark.parametrize(
+    "n, mode, extra, code, message",
+    [
+        (12, "schedule", [], 0, "oracle schedule: slots="),
+        (13, "schedule", [], 3, "error: 13 links exceed the schedule oracle limit 12\n"),
+        (21, "psignal", ["--p", 2], 3, "error: 21 links exceed the subset oracle limit 20\n"),
+    ],
+    ids=["schedule-12", "schedule-13", "psignal-21"],
+)
+def test_oracle_limits_at_the_boundary(capsys, tmp_path, n, mode, extra, code, message):
+    # oracles.MAX_LINKS_SCHEDULE = 12 and oracles.MAX_LINKS_SUBSET = 20
+    inst_path = gen_instance(capsys, tmp_path, n=n, seed=0)
+    out = tmp_path / "oracle.json"
+    got, text = run_cli(capsys, "oracle", inst_path, "--mode", mode, *extra, "--out", out)
+    assert got == code and text.startswith(message), text
+    assert out.exists() == (code == 0)
+
+
 # --- reduce-graph ------------------------------------------------------------
 
 
@@ -692,6 +711,15 @@ def test_reduce_graph_check(capsys, tmp_path):
     code, text = run_cli(capsys, "reduce-graph", graph_path, "--check", "--out", tmp_path / "g.json")
     assert code == 0
     assert "correspondence: ok" in text
+
+
+def test_reduce_graph_check_samples_above_the_limit(capsys, tmp_path):
+    # abstract.EXHAUSTIVE_LIMIT = 20: a 21-vertex graph is checked on 20000 draws
+    graph_path = tmp_path / "g21.txt"
+    graph_path.write_text("21 3\n0 1\n1 2\n5 20\n", encoding="utf-8")
+    code, text = run_cli(capsys, "reduce-graph", graph_path, "--check", "--out", tmp_path / "g.json")
+    assert code == 0
+    assert text.splitlines()[0] == "correspondence: ok subsets=20000"
 
 
 def test_reduce_graph_malformed_exit_2(capsys, tmp_path):
@@ -763,14 +791,50 @@ def test_experiment_bad_config_exit_2(capsys, tmp_path):
         {"sweep": {"x" * 5000: [1]}},
         {"y" * 5000: 1},
         {"params": {"z" * 5000: 1.0}},
+        {"topology": {"family": "f" * 5000, "n": 5}},
     ],
-    ids=["algorithm", "sweep", "config-key", "params-key"],
+    ids=["algorithm", "sweep", "config-key", "params-key", "family"],
 )
 def test_experiment_config_errors_cut_long_names(capsys, tmp_path, overrides):
     cfg_path = write_config(tmp_path, **overrides)
     code, text = run_cli(capsys, "experiment", "--config", cfg_path)
     assert code == 2
     assert text.startswith("error:") and text.count("\n") == 1 and len(text.encode()) < 200
+
+
+MISTYPED_CONFIGS = {
+    "alpha-string": {"params": {"alpha": "3"}},
+    "n-string": {"topology": {"family": "random", "n": "5"}},
+    "repetitions-string": {"repetitions": "2"},
+    "sweep-not-a-list": {"sweep": {"n": 5}},
+    "unknown-topology-key": {"topology": {"family": "random", "n": 5, "bogus": 1}},
+    "top-level-array": None,
+    "output-bool": {"output": True},
+    "timings-int": {"timings": 3},
+    "base-seed-float": {"base_seed": 1.5},
+    "n-bool": {"topology": {"family": "random", "n": True}},
+    "swept-n-float": {"sweep": [["n", [2.7]]]},
+    "long-value": {"repetitions": "r" * 5000},
+    "l_max-overflow": {"topology": {"family": "random", "n": 5, "l_max": 10**400}},
+}
+
+
+@pytest.mark.parametrize(
+    "overrides", list(MISTYPED_CONFIGS.values()), ids=list(MISTYPED_CONFIGS)
+)
+def test_experiment_mistyped_config_exit_2(capsys, tmp_path, monkeypatch, overrides):
+    # these once ended in a TypeError traceback, wrote results.csv to file
+    # descriptor 1 or 3, or ran with the value taken as an integer or cut
+    monkeypatch.chdir(tmp_path)
+    if overrides is None:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[]", encoding="utf-8")
+    else:
+        cfg_path = write_config(tmp_path, **overrides)
+    code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", 1)
+    assert code == 2
+    assert text.startswith("error:") and text.count("\n") == 1 and len(text.encode()) < 200
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_experiment_sweep_row_counts(capsys, tmp_path):
@@ -861,6 +925,60 @@ def schedule_doc(draw):
     return {"slots": slots}
 
 
+# counts drawn small: a valid huge n, cluster count or repetition count only runs long
+small_count = st.integers(min_value=-1, max_value=6)
+mistyped_count = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3), small_count
+)
+
+
+@st.composite
+def experiment_doc(draw):
+    if _rarely(draw):
+        return draw(st.one_of(json_scalar, st.lists(json_scalar, max_size=2)))
+    topology = {
+        "family": _maybe(draw, st.sampled_from(["random", "clustered"])),
+        "n": _maybe(draw, st.integers(1, 6), mistyped_count),
+    }
+    for key, valid in (
+        ("field_size", st.sampled_from([20.0, 50.0])),
+        ("l_max", st.sampled_from([2.0, 5, 20.0])),
+        ("r_cluster", st.sampled_from([3.0, 10.0])),
+    ):
+        if draw(st.booleans()):
+            topology[key] = _maybe(draw, valid)
+    if draw(st.booleans()):
+        topology["n_clusters"] = _maybe(draw, st.integers(1, 3), mistyped_count)
+    if _rarely(draw):
+        topology[draw(st.sampled_from(["seed", "bogus"]))] = 1
+    doc = {"topology": topology}
+    if draw(st.booleans()):
+        doc["params"] = {
+            "alpha": _maybe(draw, st.sampled_from([2.5, 3, 4.0])),
+            "beta": _maybe(draw, st.sampled_from([0.5, 1.2, 3.0])),
+            "noise": _maybe(draw, st.sampled_from([0.0, 1e-6, 0.01])),
+        }
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["n", "alpha", "l_max", "r_cluster"]))
+        value = st.integers(1, 6) if name == "n" else st.sampled_from([2.5, 3.0, 5])
+        bad = mistyped_count if name == "n" else json_scalar
+        values = [_maybe(draw, value, bad) for _ in range(draw(st.integers(0, 2)))]
+        sweep = {name: values} if draw(st.booleans()) else [[name, values]]
+        doc["sweep"] = _maybe(draw, st.just(sweep))
+    doc["algorithms"] = _maybe(
+        draw,
+        st.lists(st.sampled_from(sorted(ALGORITHMS)), min_size=1, max_size=3, unique=True),
+        st.one_of(json_scalar, st.lists(json_scalar, max_size=2)),
+    )
+    doc["repetitions"] = _maybe(draw, st.integers(1, 2), mistyped_count)
+    if draw(st.booleans()):
+        doc["base_seed"] = _maybe(draw, st.integers(0, 100))
+    doc["output"] = _maybe(draw, st.just("results.csv"))
+    if draw(st.booleans()):
+        doc["timings"] = _maybe(draw, st.just("timings.csv"))
+    return doc
+
+
 flag_value = st.sampled_from(["1", "2", "0.5", "0", "-1", "nan", "inf", "1e-300", "1e300"])
 
 
@@ -899,3 +1017,20 @@ def test_exit_codes_hold_for_fuzzed_documents(inst, sched, algo, flags):
             assert _run_main(["verify", inst_path, out_path]) == 0
             event(f"verify emitted exit {_run_main(['verify', inst_path, out_path, *extra])}")
         event(f"verify exit {_run_main(['verify', inst_path, sched_path, *extra])}")
+
+
+@given(experiment_doc())
+@settings(max_examples=150, deadline=None)
+def test_exit_codes_hold_for_fuzzed_experiment_configs(doc):
+    # outputs are relative paths: run in a scratch directory
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("config.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code = _run_main(["experiment", "--config", "config.json", "--workers", "1"])
+        finally:
+            os.chdir(cwd)
+    event(f"experiment exit {code}")
+    assert code in (0, 2)

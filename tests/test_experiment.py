@@ -9,6 +9,7 @@ from capsched import core, schedulers
 from capsched.core import Schedule, SchedulingError, Slot
 from capsched.experiment import (
     ALGORITHMS,
+    TIMING_COLUMNS,
     AggregateRow,
     ExperimentConfig,
     ExperimentVerificationError,
@@ -19,7 +20,6 @@ from capsched.experiment import (
     sweep_points,
     write_aggregates,
     write_results_csv,
-    write_timings_csv,
 )
 from capsched.topogen import DEFAULT_MODEL_PARAMS, TopologySpec
 
@@ -330,10 +330,13 @@ def test_results_csv_exact_bytes(tmp_path):
 
 def test_timings_csv_has_wall_time(tmp_path):
     path = tmp_path / "timings.csv"
-    write_timings_csv([make_row()], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].endswith(",seed,wall_time_ms")
-    assert lines[1].endswith(",0,1.5")
+    write_results_csv([make_row(), make_row(seed=7, slots=2)], path, TIMING_COLUMNS)
+    expected = (
+        "algorithm,family,n,alpha,beta,l_max,r_cluster,seed,wall_time_ms\n"
+        "A-repeated,random,5,3,1.2,20,10,0,1.5\n"
+        "A-repeated,random,5,3,1.2,20,10,7,1.5\n"
+    )
+    assert path.read_bytes().decode("utf-8") == expected
 
 
 def test_aggregate_file_format(tmp_path):

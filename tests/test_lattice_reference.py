@@ -25,7 +25,6 @@ from capsched.core import (
     Instance,
     Link,
     ModelParams,
-    SizeLimitError,
 )
 from capsched.oracles import (
     _feasible_mask_table,
@@ -74,10 +73,11 @@ def reference_dp(feasible, n):
     return dp
 
 
-def reference_correspondence_check(
-    graph, mode="auto", exhaustive_limit=20, sample_size=20000, seed=0
-):
-    """The check as two matrix products per 4096 masks, read through the module's names."""
+def reference_correspondence_check(graph):
+    """The check as two matrix products per 4096 masks, read through the module's names.
+
+    Every subset up to 20 vertices; above that, 20000 Philox draws with key 0.
+    """
     matrix = abstract.graph_to_instance(graph)
     n = graph.n
     adj = graph.adjacency()
@@ -95,12 +95,9 @@ def reference_correspondence_check(
                 return subset
         return None
 
-    if mode == "exhaustive" and n > exhaustive_limit:
-        raise SizeLimitError("over the limit")
-    exhaustive = mode == "exhaustive" or (mode == "auto" and n <= exhaustive_limit)
     checked = 0
     chunk = 4096
-    if exhaustive:
+    if n <= 20:
         bits = np.arange(n, dtype=np.uint64)
         total = 1 << n
         for start in range(0, total, chunk):
@@ -111,8 +108,8 @@ def reference_correspondence_check(
             if bad is not None:
                 return CorrespondenceReport(False, bad, checked)
     else:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        remaining = sample_size
+        rng = np.random.Generator(np.random.Philox(key=0))
+        remaining = 20000
         while remaining > 0:
             take = min(chunk, remaining)
             rows = rng.integers(0, 2, size=(take, n)).astype(float)
@@ -215,8 +212,8 @@ def test_layered_cover_of_a_family_with_no_slot_pairs():
 
 
 @st.composite
-def small_graph(draw, n_max=12):
-    n = draw(st.integers(1, n_max))
+def small_graph(draw, n_max=12, n_min=1):
+    n = draw(st.integers(n_min, n_max))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     density = draw(st.sampled_from([0.0, 0.15, 0.5, 1.0]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -227,9 +224,6 @@ def small_graph(draw, n_max=12):
 @settings(max_examples=60, deadline=None)
 def test_correspondence_check_equals_matrix_scan(graph):
     assert correspondence_check(graph) == reference_correspondence_check(graph)
-    sampled = dict(mode="sample", sample_size=700, seed=3)
-    want = reference_correspondence_check(graph, **sampled)
-    assert correspondence_check(graph, **sampled) == want
 
 
 def encoding(adjacent, other=None):
@@ -257,6 +251,18 @@ BROKEN = {
 def test_broken_encoding_gives_the_reference_counterexample(graph, kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abstract, "graph_to_instance", BROKEN[kind])
+        got = correspondence_check(graph)
+        want = reference_correspondence_check(graph)
+    assert got == want
+
+
+@given(small_graph(n_max=24, n_min=21), st.sampled_from([None, *sorted(BROKEN)]))
+@settings(max_examples=12, deadline=None)
+def test_sampled_correspondence_check_equals_matrix_scan(graph, kind):
+    # above 20 vertices both draw the same 20000 subsets
+    with pytest.MonkeyPatch.context() as mp:
+        if kind is not None:
+            mp.setattr(abstract, "graph_to_instance", BROKEN[kind])
         got = correspondence_check(graph)
         want = reference_correspondence_check(graph)
     assert got == want

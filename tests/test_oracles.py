@@ -20,9 +20,8 @@ from capsched.core import (
     affectance,
     is_feasible,
 )
+from capsched import oracles
 from capsched.oracles import (
-    DEFAULT_LIMITS,
-    OracleLimits,
     feasible_subsets,
     max_feasible_subset,
     max_p_signal_subset,
@@ -131,10 +130,23 @@ def test_max_subset_empty_instance():
     assert max_feasible_subset(inst).members == frozenset()
 
 
-def test_max_subset_size_limit():
-    inst = random_instance(1, 5)
-    with pytest.raises(SizeLimitError):
-        max_feasible_subset(inst, limits=OracleLimits(max_links_subset=4))
+def no_matrix(monkeypatch):
+    """Make building the affectance matrix fail: a size check must come first."""
+
+    def fail(instance):
+        raise AssertionError("the oracle did work before its size check")
+
+    monkeypatch.setattr(oracles, "affectance_matrix", fail)
+
+
+def test_max_subset_size_limit(monkeypatch):
+    no_matrix(monkeypatch)
+    inst = random_instance(1, oracles.MAX_LINKS_SUBSET + 1)
+    message = "21 links exceed the subset oracle limit 20"
+    with pytest.raises(SizeLimitError, match=message):
+        max_feasible_subset(inst)
+    with pytest.raises(SizeLimitError, match=message):
+        max_p_signal_subset(inst, 2.0)
 
 
 def test_p_signal_subset_at_beta_identical():
@@ -223,10 +235,14 @@ def test_psi_p_monotone_in_p():
     assert values[0] == min_schedule(inst).slot_count
 
 
-def test_min_schedule_size_limit():
-    inst = random_instance(5, 6)
-    with pytest.raises(SizeLimitError):
-        min_schedule(inst, limits=OracleLimits(max_links_schedule=5))
+def test_min_schedule_size_limit(monkeypatch):
+    no_matrix(monkeypatch)
+    inst = random_instance(5, oracles.MAX_LINKS_SCHEDULE + 1)
+    message = "13 links exceed the schedule oracle limit 12"
+    with pytest.raises(SizeLimitError, match=message):
+        min_schedule(inst)
+    with pytest.raises(SizeLimitError, match=message):
+        min_p_signal_schedule(inst, 2.0)
 
 
 def test_min_p_signal_schedule_rejects_bad_p():
@@ -265,14 +281,8 @@ def test_feasible_subsets_hereditary():
                 assert smaller in feas
 
 
-def test_feasible_subsets_size_limit():
-    inst = random_instance(7, 6)
-    with pytest.raises(SizeLimitError):
-        list(feasible_subsets(inst, limits=OracleLimits(max_links_schedule=5)))
-
-
-def test_oracle_limits_validation():
-    with pytest.raises(ValueError):
-        OracleLimits(max_links_subset=0)
-    assert DEFAULT_LIMITS.max_links_subset == 20
-    assert DEFAULT_LIMITS.max_links_schedule == 12
+def test_feasible_subsets_size_limit(monkeypatch):
+    no_matrix(monkeypatch)
+    inst = random_instance(7, oracles.MAX_LINKS_SCHEDULE + 1)
+    with pytest.raises(SizeLimitError, match="13 links exceed the schedule oracle limit 12"):
+        list(feasible_subsets(inst))

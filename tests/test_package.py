@@ -1,5 +1,7 @@
 """The package root exports what the README documents and loads only what a command runs."""
 
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -149,3 +151,32 @@ def test_the_benchmark_tracer_finds_and_wraps_every_target(tmp_path):
         "core.is_feasible",
         "core.partition_report",
     } <= set(result["spans"])
+
+
+# --- no test-only options ---------------------------------------------------------
+
+TEST_ONLY_OPTIONS = {
+    "limits", "mode", "exhaustive_limit", "sample_size", "seed", "constants", "dist"
+}
+
+
+def test_entry_points_take_no_test_only_options():
+    # the oracle limits and the correspondence check's sampling are module
+    # constants, and the schedulers derive their constants from the instance
+    from capsched import abstract, core, oracles, schedulers
+
+    entry_points = (
+        oracles.max_feasible_subset,
+        oracles.max_p_signal_subset,
+        oracles.min_schedule,
+        oracles.min_p_signal_schedule,
+        oracles.feasible_subsets,
+        abstract.correspondence_check,
+        schedulers.single_shot_greedy,
+        schedulers.single_shot_guarded,
+        core.AffectanceRows.row,
+    )
+    for fn in entry_points:
+        assert not set(inspect.signature(fn).parameters) & TEST_ONLY_OPTIONS, fn.__qualname__
+    assert "metadata" not in {field.name for field in dataclasses.fields(Instance)}
+    assert not hasattr(oracles, "OracleLimits") and not hasattr(oracles, "DEFAULT_LIMITS")

@@ -628,7 +628,7 @@ def full_row_sweep(rows, order, threshold, near=None, guard=False):
         m += 1
         dist = rows.distances(i)
         if threshold < math.inf:
-            acc += rows.row(i, dist)
+            acc += rows.row(i)
         if near is not None:
             blocked |= near(rows, ids, i, slice(None), dist)
     return members[:m].tolist()

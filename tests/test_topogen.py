@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from capsched.core import ModelParams, distance
@@ -81,15 +82,29 @@ def test_random_receivers_in_field():
         assert link.length <= 20.0
 
 
+def cluster_centers(spec):
+    """The cluster centers by the documented draw order: the first draws, x then y."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    return [
+        (spec.field_size * rng.random(), spec.field_size * rng.random())
+        for _ in range(spec.resolved_clusters)
+    ]
+
+
+def assert_in_clusters(inst, spec, quotas):
+    """Links fill the clusters in id order, ``quotas[c]`` links in cluster c."""
+    centers = cluster_centers(spec)
+    cluster_of = [c for c, quota in enumerate(quotas) for _ in range(quota)]
+    assert [l.id for l in inst.links] == list(range(len(cluster_of)))
+    for link in inst.links:
+        cx, cy = centers[cluster_of[link.id]]
+        for point in (link.sender, link.receiver):
+            assert math.hypot(point.x - cx, point.y - cy) <= spec.r_cluster
+
+
 def test_clustered_one_link_per_cluster():
     spec = TopologySpec(family="clustered", n=6, seed=3, n_clusters=6, r_cluster=10.0)
-    inst = gen_clustered(spec)
-    centers = inst.metadata["centers"]
-    assert len(centers) == 6 and len(inst.links) == 6
-    for link in inst.links:
-        c = centers[inst.metadata["cluster_of"][link.id]]
-        for point in (link.sender, link.receiver):
-            assert math.hypot(point.x - c[0], point.y - c[1]) <= 10.0
+    assert_in_clusters(gen_clustered(spec), spec, [1] * 6)
 
 
 def test_clustered_length_bound():
@@ -101,26 +116,21 @@ def test_clustered_length_bound():
 
 def test_clustered_quota_round_robin():
     spec = TopologySpec(family="clustered", n=10, seed=1, n_clusters=3)
-    inst = gen_clustered(spec)
-    counts = [0, 0, 0]
-    for lid, c in inst.metadata["cluster_of"].items():
-        counts[c] += 1
-    assert counts == [4, 3, 3]
-    assert sorted(inst.metadata["cluster_of"]) == [l.id for l in inst.links]
+    assert_in_clusters(gen_clustered(spec), spec, [4, 3, 3])
 
 
 def test_clustered_deterministic(tmp_path):
     spec = TopologySpec(family="clustered", n=40, seed=77)
     a, b = gen_clustered(spec), gen_clustered(spec)
-    assert a == b  # metadata excluded from comparison, links must match
+    assert a == b
     assert instance_to_obj(a) == instance_to_obj(b)
 
 
 def test_generate_dispatch():
     r = generate(TopologySpec(family="random", n=3, seed=5))
     c = generate(TopologySpec(family="clustered", n=3, seed=5))
-    assert r.metadata is None
-    assert c.metadata["family"] == "clustered"
+    assert r == gen_random(TopologySpec(family="random", n=3, seed=5))
+    assert c == gen_clustered(TopologySpec(family="clustered", n=3, seed=5))
     with pytest.raises(ValueError):
         gen_random(TopologySpec(family="clustered", n=3, seed=5))
     with pytest.raises(ValueError):
