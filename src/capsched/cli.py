@@ -200,11 +200,10 @@ def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
         base = 2.0 if args.regime_base is None else args.regime_base
         strategy = schedulers.PowerStrategy(mode=mode, regime_base=base)
         return schedulers.schedule_nonuniform(instance, strategy)  # ends with the gate
-    if args.algo == "B":
-        # a partition by construction; every round (slot) is verified as it is made
-        return schedulers.schedule_repeated(instance, guarded=True)
-    schedule = schedulers.first_fit_baseline(instance)
-    verify_schedule(instance, schedule)
+    name = "B-repeated" if args.algo == "B" else "first-fit-baseline"
+    schedule = schedulers.ALGORITHMS[name](instance)
+    if name not in schedulers.SELF_GATED:
+        verify_schedule(instance, schedule)
     return schedule
 
 

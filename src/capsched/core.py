@@ -290,14 +290,17 @@ def affectance(members: Iterable[Link], v: Link, params: ModelParams) -> float:
 class AffectanceRows:
     """The affectance kernel of ``links``: the only vectorized affectance formula.
 
-    Holds O(n) per-link arrays: sender and receiver coordinates, powers,
-    lengths d_vv and noise factors c_v. ``block`` is the formula; ``row(i)``
-    (links[i] on every link, in O(n) time and memory), ``row_on``, ``matrix``
-    and the affectance route of ``is_feasible`` read it. ``take`` gathers the
-    kernel of a subsequence of the links, entry for entry the same floats:
-    the admission sweeps evaluate ``block`` on such a kernel, and only from
-    an admitted link to the live links ahead of it, so they never hold an
-    n x n array.
+    Its per-link arrays are the rows of one (7, n) array ``data``: sender and
+    receiver coordinates, powers, lengths d_vv and noise factors c_v.
+    ``block`` is the formula; ``row(i)`` (links[i] on every link, in O(n)),
+    ``matrix`` and the affectance route of ``is_feasible`` read it. ``take``
+    gathers the kernel of a subsequence of the links, the same floats: the
+    sweeps evaluate ``block`` on one, from an admitted link to the live links
+    ahead of it only, so they never hold an n x n array. ``take`` keeps two
+    records made once per kernel: ``unit`` (every c_v 1.0 and every power
+    equal: ``block`` skips its factor c_v (P_w/P_v), exactly 1.0) and
+    ``hypot`` (a coordinate above 1e150 or nonzero below 1e-130, where dx*dx
+    may overflow or leave the normal range: ``norm`` takes ``np.hypot``).
 
     Raises SingularityError when a sender coincides with another link's
     receiver, naming the smallest sender index first, then the smallest
@@ -305,12 +308,12 @@ class AffectanceRows:
     """
 
     def __init__(self, links: Sequence[Link], params: ModelParams):
-        self.sx = np.array([l.sender.x for l in links], dtype=float)
-        self.sy = np.array([l.sender.y for l in links], dtype=float)
-        self.rx = np.array([l.receiver.x for l in links], dtype=float)
-        self.ry = np.array([l.receiver.y for l in links], dtype=float)
-        self.powers = np.array([effective_power(l, params) for l in links], dtype=float)
-        self.alpha = params.alpha
+        self._adopt(np.empty((7, len(links))), params.alpha)
+        self.data[:5] = [
+            [l.sender.x for l in links], [l.sender.y for l in links],
+            [l.receiver.x for l in links], [l.receiver.y for l in links],
+            [effective_power(l, params) for l in links],
+        ]
         # d(s_w, r_v) == 0 exactly when the coordinates are equal (-0.0 == 0.0)
         receivers: dict[tuple[float, float], int] = {}
         for v, point in enumerate(zip(self.rx.tolist(), self.ry.tolist())):
@@ -321,37 +324,45 @@ class AffectanceRows:
                 raise SingularityError(
                     f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
                 )
-        self.lengths = np.hypot(self.sx - self.rx, self.sy - self.ry)
-        self._beta_noise = params.beta * params.noise
+        coords = np.abs(self.data[:4])
+        self.hypot = bool(((coords > 1e150) | ((coords < 1e-130) & (coords > 0))).any())
+        self.lengths[:] = self.norm(self.sx - self.rx, self.sy - self.ry)
+        with np.errstate(all="ignore"):  # a dead link is the caller's error to raise
+            pvv = self.powers / self.lengths**self.alpha
+            self.cv[:] = 1.0 / (1.0 - params.beta * params.noise / pvv)
+        self.unit = bool((self.cv == 1.0).all() and (self.powers == self.powers[:1]).all())
 
-    @cached_property
-    def cv(self) -> np.ndarray:
-        """Noise factor c_v of every link (computed on first use)."""
-        pvv = self.powers / self.lengths**self.alpha
-        return 1.0 / (1.0 - self._beta_noise / pvv)
+    def _adopt(self, data: np.ndarray, alpha: float, unit=False, hypot=False) -> AffectanceRows:
+        self.data, self.alpha, self.unit, self.hypot = data, alpha, unit, hypot
+        self.sx, self.sy, self.rx, self.ry, self.powers, self.lengths, self.cv = data
+        return self
+
+    def with_data(self, data: np.ndarray) -> AffectanceRows:
+        """The kernel whose rows are ``data`` (7 x m), with this kernel's alpha and records."""
+        return object.__new__(AffectanceRows)._adopt(data, self.alpha, self.unit, self.hypot)
 
     def take(self, idx: np.ndarray) -> AffectanceRows:
-        """The kernel of the links at positions ``idx``, in that order.
+        """The kernel of the links at positions ``idx``, in order: one gather, the same floats."""
+        return self.with_data(self.data[:, idx])
 
-        Every array is gathered from this kernel, ``cv`` included, so each
-        ``block`` cell of the result is the same float as here.
-        """
-        sub = object.__new__(AffectanceRows)
-        for name in ("sx", "sy", "rx", "ry", "powers", "lengths", "cv"):
-            setattr(sub, name, getattr(self, name)[idx])
-        sub.alpha, sub._beta_noise = self.alpha, self._beta_noise
-        return sub
+    def norm(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """sqrt(dx*dx + dy*dy) in place in ``dx`` (``np.hypot`` on a ``hypot`` kernel)."""
+        if self.hypot:
+            return np.hypot(dx, dy, out=dx)
+        dx *= dx
+        dx += dy * dy
+        return np.sqrt(dx, out=dx)
 
     def distances(self, w: int | slice, v: slice | np.ndarray = slice(None)) -> np.ndarray:
         """d(s_w, r_v) for the links v (all by default); ``w=slice(None)`` gives the block [w, v]."""
-        return np.hypot(self.sx[w, None] - self.rx[v], self.sy[w, None] - self.ry[v])
+        return self.norm(self.sx[w, None] - self.rx[v], self.sy[w, None] - self.ry[v])
 
     def block(self, w, v, dist: np.ndarray) -> np.ndarray:
         """a_w(v) = c_v (P_w/P_v) (d_vv/d(s_w, r_v))^alpha, w == v kept; w, v, dist broadcast."""
-        ratio = self.cv[v] * (self.powers[w] / self.powers[v])
         out = self.lengths[v] / dist
         out **= self.alpha
-        out *= ratio
+        if not self.unit:
+            out *= self.cv[v] * (self.powers[w] / self.powers[v])
         return out
 
     def row(self, i: int) -> np.ndarray:
@@ -359,10 +370,6 @@ class AffectanceRows:
         out = self.block(i, slice(None), self.distances(i))
         out[i] = 0.0
         return out
-
-    def row_on(self, i: int, idx: np.ndarray) -> np.ndarray:
-        """``row(i)[idx]`` bit for bit, in O(len(idx)) time; ``idx`` must not hold i."""
-        return self.block(i, idx, self.distances(i, idx))
 
     def matrix(self, dist: np.ndarray | None = None) -> np.ndarray:
         """Every a_w(v) as an n x n array [w, v], zero diagonal: row w is ``row(w)`` bit for bit."""
@@ -564,9 +571,9 @@ def is_q_dispersed(members: Sequence[Link], q: float, params: ModelParams) -> bo
     return True
 
 
-# Relative tie band of report_q_dispersed per unit of alpha * c_v: numpy's and
-# math's hypot and power may each differ in the last ulp, which d^alpha scales
-# by alpha and the noise factor c_v = 1/(1 - beta*N/P_vv) by about c_v.
+# Relative tie band of report_q_dispersed per unit of alpha * c_v: the kernel's
+# distance and power may each differ from the scalar math.hypot and ** in the
+# last ulp, which d^alpha scales by alpha and c_v = 1/(1 - beta*N/P_vv) by c_v.
 _Q_TIE = 1e-12
 
 

@@ -15,7 +15,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .core import (
     DEFAULT_MODEL_PARAMS,
@@ -27,19 +27,10 @@ from .core import (
     verify_schedule,
 )
 from .io import _number, _shown, _typed, read_json
-from .schedulers import first_fit_baseline, schedule_repeated
+from .schedulers import ALGORITHMS, SELF_GATED
 from .topogen import TopologySpec, generate
 
 SWEEPABLE = ("n", "alpha", "r_cluster", "l_max")
-
-ALGORITHMS: dict[str, Callable[[Instance], Schedule]] = {
-    "A-repeated": schedule_repeated,
-    "B-repeated": lambda inst: schedule_repeated(inst, guarded=True),
-    "first-fit-baseline": first_fit_baseline,
-}
-# algorithms whose schedules have passed the emission gate's checks as they
-# were made (B verifies every round on both routes), so no second pass runs
-SELF_GATED = frozenset({"B-repeated"})
 
 
 class ExperimentVerificationError(VerificationError):

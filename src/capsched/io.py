@@ -21,6 +21,7 @@ import json
 import math
 import os
 import reprlib
+from json.encoder import encode_basestring
 from typing import Any
 
 from .core import Instance, Link, ModelParams, Point, Schedule, Slot
@@ -50,7 +51,7 @@ def _emit(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
+        parts.append(encode_basestring(obj))
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, dict):
@@ -60,7 +61,7 @@ def _emit(obj: Any, parts: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=False))
+            parts.append(encode_basestring(key))
             parts.append(":")
             _emit(obj[key], parts)
         parts.append("}")
@@ -130,6 +131,8 @@ def _number(value: Any, name: str) -> float:
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", int: "integer"}
+_LINK_KEYS = frozenset(("id", "sx", "sy", "rx", "ry", "power"))
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _typed(value: Any, kind: type, what: str) -> Any:
@@ -163,20 +166,39 @@ def instance_from_obj(obj: Any) -> Instance:
     )
     links = []
     for raw in raw_links:
-        _typed(raw, dict, "a link")
-        unknown = set(raw) - {"id", "sx", "sy", "rx", "ry", "power"}
-        if unknown:
-            raise ValueError(f"unknown link keys: {_shown(sorted(unknown))}")
-        xy = {key: _number(raw[key], key) for key in ("sx", "sy", "rx", "ry")}
-        links.append(
-            Link(
+        link = _plain_link(raw)
+        if link is None:
+            _typed(raw, dict, "a link")
+            unknown = set(raw) - _LINK_KEYS
+            if unknown:
+                raise ValueError(f"unknown link keys: {_shown(sorted(unknown))}")
+            xy = {key: _number(raw[key], key) for key in ("sx", "sy", "rx", "ry")}
+            link = Link(
                 id=_link_id(raw["id"]),
                 sender=Point(xy["sx"], xy["sy"]),
                 receiver=Point(xy["rx"], xy["ry"]),
                 power=_number(raw["power"], "power") if "power" in raw else None,
             )
-        )
+        links.append(link)
     return Instance(params=params, links=tuple(links))
+
+
+def _plain_link(raw: Any) -> Link | None:
+    """The link of ``raw`` if no input check can fail on it, else None: a plain dict of
+    known keys with the five required, an int id and int or float values in float range."""
+    if not (
+        type(raw) is dict
+        and _LINK_KEYS.issuperset(raw)
+        and _NUMBER_TYPES.issuperset(map(type, raw.values()))
+        and type(raw.get("id")) is int
+    ):
+        return None
+    try:
+        sx, sy, rx, ry = float(raw["sx"]), float(raw["sy"]), float(raw["rx"]), float(raw["ry"])
+        power = float(raw["power"]) if "power" in raw else None
+    except (KeyError, OverflowError):
+        return None
+    return Link(id=raw["id"], sender=Point(sx, sy), receiver=Point(rx, ry), power=power)
 
 
 def schedule_to_obj(schedule: Schedule) -> dict:

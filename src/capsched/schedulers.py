@@ -123,8 +123,8 @@ def _separated(v: Link, w: Link, c_hat: float) -> bool:
     return gap > c_hat * v.length
 
 
-# Relative gap below which numpy's hypot (which may differ from math.hypot in
-# the last ulp) does not decide a distance test; such pairs use the scalar test.
+# Relative gap below which a kernel distance (which may differ from math.hypot
+# in the last ulp) does not decide a distance test; such pairs use the scalar test.
 _DISTANCE_TIE = 1e-12
 
 
@@ -153,7 +153,7 @@ def _too_close(
     ``rows`` is the kernel of ``links[ids]``; ``ahead`` selects the
     candidates and ``dist`` is ``rows.distances(j, ahead)``.
     """
-    gap = np.minimum(dist, np.hypot(rows.sx[ahead] - rows.rx[j], rows.sy[ahead] - rows.ry[j]))
+    gap = np.minimum(dist, rows.norm(rows.sx[ahead] - rows.rx[j], rows.sy[ahead] - rows.ry[j]))
     w, v = links[ids[j]], ids[ahead]
     return _tie_band(
         gap, c_hat * rows.lengths[ahead], lambda i: not _separated(links[v[i]], w, c_hat)
@@ -179,7 +179,7 @@ def _not_dispersed(
     Evaluated for the links i = ``ids[ahead]``; ``rows``, ``ahead`` and
     ``dist`` are as for ``_too_close``, and ``bound`` is indexed like ``links``.
     """
-    gap = np.minimum(dist, np.hypot(rows.rx[j] - rows.rx[ahead], rows.ry[j] - rows.ry[ahead]))
+    gap = np.minimum(dist, rows.norm(rows.rx[j] - rows.rx[ahead], rows.ry[j] - rows.ry[ahead]))
     w, v = links[ids[j]], ids[ahead]
     return _tie_band(gap, bound[v], lambda i: not _dispersed(links[v[i]], w, bound[v[i]]))
 
@@ -215,28 +215,32 @@ def _sweep(
     non-negative, so a link over the threshold or blocked is never admitted
     later in the sweep: when at least ``_FRONTIER_MIN`` links lie ahead and
     fewer than half of them are live, the kernel is gathered again from the
-    members and the live links ahead. With ``guard``, the members'
-    accumulators take the guard's ``row_on`` values, the entries their full
-    rows would add. Sets and float sums are those of full rows.
+    live links ahead. With ``guard``, the members and their accumulators sit
+    in admission order in one kernel block; a candidate is written at
+    position m and probed by ``block(m, :m)``, a member in place if admitted.
+    Sets and float sums are those of full rows.
     """
     ids = np.asarray(order, dtype=np.intp)
     kernel = rows.take(ids)
+    if guard:  # the members in admission order, and their accumulators
+        members, member_acc = kernel.with_data(np.empty_like(kernel.data)), np.empty(len(ids))
     bound = threshold + THRESHOLD_SLACK
     acc = np.zeros(len(ids))  # NaN once a near mask blocks the link: it fails every test
-    members = np.empty(len(ids), dtype=np.intp)  # kernel positions
-    m = 0
-    i = -1
+    chosen = np.empty(len(ids), dtype=np.intp)
+    m, i = 0, -1
     while i + 1 < len(ids):
         i += 1
         if not acc[i] <= bound:
             continue
-        if guard and m:
-            admitted = members[:m]
-            on = kernel.row_on(i, admitted)
-            if not (acc[admitted] + on <= bound).all():
+        if guard:
+            members.data[:, m] = kernel.data[:, i]
+            on = members.block(m, slice(m), members.distances(m, slice(m)))
+            admitted = member_acc[:m]
+            if not (admitted + on <= bound).all():
                 continue
-            acc[admitted] += on
-        members[m] = i
+            admitted += on
+            member_acc[m] = acc[i]
+        chosen[m] = ids[i]
         m += 1
         ahead = slice(i + 1, None)
         dist = kernel.distances(i, ahead)
@@ -248,11 +252,10 @@ def _sweep(
             continue
         live = acc[ahead] <= bound
         if 2 * np.count_nonzero(live) < len(live):
-            keep = np.concatenate((members[:m], i + 1 + np.flatnonzero(live)))
+            keep = i + 1 + np.flatnonzero(live)
             kernel, ids, acc = kernel.take(keep), ids[keep], acc[keep]
-            members[:m] = np.arange(m)
-            i = m - 1
-    return ids[members[:m]].tolist()
+            i = -1
+    return chosen[:m].tolist()
 
 
 def _first_fit(
@@ -267,7 +270,7 @@ def _first_fit(
     Sweeping the links left, round after round, gives exactly the sets (and
     float sums) of first-fit with one accumulator per open set, in O(n)
     state. Each round evaluates rows only over the live links ahead of each
-    admitted link, the guard's included.
+    admitted link, and the guard only over the round's members.
     """
     rounds: list[list[int]] = []
     left = list(order)
@@ -362,10 +365,8 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
     single_shot_greedy does (or single_shot_guarded when ``guarded``), and
     fixes the selection as the next slot. Holds O(n) state: the row of a
     link is computed in the round that admits it. Terminates because the
-    first link of every round is admitted. With ``guarded`` every slot
-    passes both routes of ``is_feasible`` as its round ends, so the schedule
-    has passed the checks of ``verify_schedule`` (it partitions by
-    construction) and needs no second pass of the gate.
+    first link of every round is admitted. With ``guarded`` every round is
+    checked on both routes of ``is_feasible`` as it ends (``SELF_GATED``).
 
     Raises:
         HeuristicInfeasibilityError: if a guarded round fails verification.
@@ -524,3 +525,13 @@ def first_fit_baseline(instance: Instance) -> Schedule:
     rows = AffectanceRows(links, instance.params)
     rounds = _first_fit(rows, range(len(links)), 1.0 / instance.params.beta, guard=True)
     return Schedule(_slots(links, rounds))
+
+
+# the whole-schedule algorithms by name; a SELF_GATED one passes the emission
+# gate's checks as it runs (B partitions and verifies each round on both routes)
+ALGORITHMS: dict[str, Callable[[Instance], Schedule]] = {
+    "A-repeated": schedule_repeated,
+    "B-repeated": lambda instance: schedule_repeated(instance, guarded=True),
+    "first-fit-baseline": first_fit_baseline,
+}
+SELF_GATED = frozenset({"B-repeated"})

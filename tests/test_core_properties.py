@@ -228,14 +228,19 @@ def test_fast_verifier_matches_scalar_near_threshold(slot):
 
 
 def _dense_reference(instance):
-    """The n x n broadcast form of the affectance formula, independent of the kernel."""
+    """The n x n broadcast form of the affectance formula, independent of the kernel.
+
+    Distances are sqrt(dx*dx + dy*dy), the kernel's formula for coordinates
+    in [1e-130, 1e150] or 0 (the corpus's).
+    """
     links, params = instance.links, instance.params
     sx = np.array([l.sender.x for l in links])
     sy = np.array([l.sender.y for l in links])
     rx = np.array([l.receiver.x for l in links])
     ry = np.array([l.receiver.y for l in links])
     powers = np.array([effective_power(l, params) for l in links])
-    dist = np.hypot(sx[:, None] - rx[None, :], sy[:, None] - ry[None, :])
+    dx, dy = sx[:, None] - rx[None, :], sy[:, None] - ry[None, :]
+    dist = np.sqrt(dx * dx + dy * dy)
     dvv = dist.diagonal()
     cv = 1.0 / (1.0 - params.beta * params.noise / (powers / dvv**params.alpha))
     mat = cv[None, :] * (powers[:, None] / powers[None, :]) * (dvv[None, :] / dist) ** params.alpha
@@ -270,6 +275,70 @@ def test_kernel_rows_equal_dense_matrix(name, inst):
     links, params = inst.links, inst.params
     for i, j in [(0, 1), (1, 0), (5, 77), (149, 3)]:
         assert math.isclose(mat[i, j], single_affectance(links[i], links[j], params), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name, inst", list(_kernel_corpus()))
+def test_unit_kernel_skips_an_exact_factor(name, inst):
+    # unit: no noise and one power; block equals the ratio form bit for bit
+    rows = AffectanceRows(inst.links, inst.params)
+    assert rows.unit is not name.endswith(("-powers", "-noise"))
+    ids = np.arange(len(inst))
+    dist = rows.distances(slice(None))
+    ratio = rows.cv * (rows.powers[:, None] / rows.powers)
+    ratio_form = (rows.lengths / dist) ** rows.alpha * ratio
+    assert rows.block(ids[:, None], ids, dist).tobytes() == ratio_form.tobytes()
+    # take keeps the record, even where the subset's powers are equal
+    same_power = np.flatnonzero(rows.powers == rows.powers[0])
+    assert rows.take(same_power[::-1]).unit is rows.unit
+
+
+def _scaled(inst, factor):
+    return tuple(
+        Link(
+            id=l.id,
+            sender=Point(l.sender.x * factor, l.sender.y * factor),
+            receiver=Point(l.receiver.x * factor, l.receiver.y * factor),
+        )
+        for l in inst.links
+    )
+
+
+@pytest.mark.parametrize("factor", [1e148, 1e149, 1e150, 1e151, 1e-143, 1e-144, 1e-170])
+def test_kernel_takes_hypot_outside_the_square_safe_range(factor):
+    # coordinates near 1e151-1e154 (dx*dx overflows near 1.3e154) or nonzero
+    # below 1e-140 (dx*dx leaves the normal range): every distance is np.hypot's
+    inst = generate(TopologySpec(family="random", n=40, seed=3), DEFAULT_MODEL_PARAMS)
+    with np.errstate(all="ignore"):
+        rows = AffectanceRows(_scaled(inst, factor), P_KERNEL)
+    sx, sy, rx, ry = rows.data[:4]
+    assert np.abs(rows.data[:4]).max() > 1e150 or np.abs(sx).min() < 1e-140
+    assert rows.hypot
+    want = np.hypot(sx[:, None] - rx, sy[:, None] - ry)
+    assert rows.distances(slice(None)).tobytes() == want.tobytes()
+    assert rows.lengths.tobytes() == np.hypot(sx - rx, sy - ry).tobytes()
+    assert rows.take(np.arange(5)).hypot
+
+
+def test_square_safe_range_bounds():
+    # inside [1e-130, 1e150] or 0 the kernel squares; one ulp outside it does not
+    inst = generate(TopologySpec(family="random", n=40, seed=3), DEFAULT_MODEL_PARAMS)
+    rows = AffectanceRows(inst.links, P_KERNEL)
+    dx = rows.sx[:, None] - rows.rx
+    dy = rows.sy[:, None] - rows.ry
+    assert not rows.hypot
+    assert rows.distances(slice(None)).tobytes() == np.sqrt(dx * dx + dy * dy).tobytes()
+    for x, hypot in [
+        (1e150, False),
+        (-1e150, False),
+        (math.nextafter(1e150, math.inf), True),
+        (1e-130, False),
+        (math.nextafter(1e-130, 0.0), True),
+        (-5e-324, True),
+        (0.0, False),
+    ]:
+        extra = Link(id=99, sender=Point(x, 3.0), receiver=Point(x, 4.0))
+        with np.errstate(all="ignore"):
+            assert AffectanceRows(inst.links + (extra,), P_KERNEL).hypot is hypot, x
 
 
 @pytest.mark.parametrize("name, inst", list(_kernel_corpus()))

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capsched import io
 from capsched.abstract import load_gain_matrix
 from capsched.core import Instance, Link, ModelParams, Point, Schedule, Slot
 from capsched.experiment import load_experiment_config
@@ -213,3 +216,49 @@ def test_json_nested_past_the_parser_limit_is_a_value_error(tmp_path, loader, te
     path.write_text(text)
     with pytest.raises(ValueError, match="nested too deeply"):
         loader(path)
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_canonical_strings_are_json_dumps_text(text):
+    # quotes, backslashes, control characters and non-ASCII included
+    for sample in (text, '"\\' + text + "\x00\x1f\x7f é😀"):
+        assert canonical_dumps(sample) == json.dumps(sample, ensure_ascii=False)
+        assert canonical_dumps({sample: 1}) == "{" + json.dumps(sample, ensure_ascii=False) + ":1}"
+
+
+number = st.one_of(st.floats(), st.integers(min_value=-3, max_value=3))
+odd_value = st.sampled_from([10**400, -(10**400), True, False, None, "1", [1.0], {"x": 1}, 2.0])
+
+
+@st.composite
+def raw_link(draw):
+    """Mostly a link of numbers, now and then a missing, unknown or odd key or value."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.one_of(st.none(), st.lists(number, max_size=2)))
+    keys = {"id", "sx", "sy", "rx", "ry"} | draw(st.sets(st.sampled_from(["power", "extra"])))
+    if draw(st.integers(0, 4)) == 0:
+        keys.discard(draw(st.sampled_from(sorted(keys))))
+    raw = {}
+    for key in sorted(keys):
+        usual = st.integers(0, 9) if key == "id" else number
+        raw[key] = draw(odd_value if draw(st.integers(0, 9)) == 0 else usual)
+    return raw
+
+
+def _outcome(read, raw):
+    try:
+        return read(raw)
+    except Exception as exc:  # the type and message are what must agree
+        return type(exc), str(exc)
+
+
+@given(raw_link())
+@settings(max_examples=400, deadline=None)
+def test_plain_link_path_equals_the_checked_path(raw):
+    # the lean loader builds what the checked reader does, or leaves the link to it
+    doc = {"params": {"alpha": 3.0, "beta": 1.2}, "links": [raw]}
+    lean = _outcome(instance_from_obj, doc)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(io, "_plain_link", lambda raw: None)
+        assert lean == _outcome(instance_from_obj, doc)

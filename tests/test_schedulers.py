@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsched import schedulers
 from capsched.core import (
     THRESHOLD_SLACK,
     AffectanceRows,
@@ -24,6 +25,7 @@ from capsched.core import (
     Point,
     PreconditionError,
     Schedule,
+    SchedulingError,
     Slot,
     UnsupportedConfigurationError,
     affectance,
@@ -33,12 +35,14 @@ from capsched.core import (
     partition_report,
 )
 from capsched.schedulers import (
+    _FRONTIER_MIN,
     AlgoConstants,
     PowerStrategy,
     _dispersed,
     _first_fit,
     _not_dispersed,
     _separated,
+    _sweep,
     _too_close,
     compute_constants,
     disperse,
@@ -622,7 +626,7 @@ def full_row_sweep(rows, order, threshold, near=None, guard=False):
             continue
         if guard and m:
             admitted = members[:m]
-            if not (acc[admitted] + rows.row_on(i, admitted) <= bound).all():
+            if not (acc[admitted] + rows.row(i)[admitted] <= bound).all():
                 continue
         members[m] = i
         m += 1
@@ -712,12 +716,96 @@ def test_sweep_evaluates_live_cells_only(monkeypatch, family, seed, schedule, sh
     assert cells[0] <= share * n * n
 
 
-def test_row_on_equals_the_full_row():
-    inst = random_instance(5, 80, power_range=(0.5, 4.0))
+def gathered_guard_sweep(rows, order, threshold):
+    """The guarded sweep with gathered members, and the members' accumulators.
+
+    The reference for ``_sweep``'s member block (``near`` omitted): each
+    probe gathers the members from the frontier kernel and evaluates the
+    candidate's row on them, and the members' accumulators live in the
+    frontier's ``acc``.
+    """
+    ids = np.asarray(order, dtype=np.intp)
+    kernel = rows.take(ids)
+    bound = threshold + THRESHOLD_SLACK
+    acc = np.zeros(len(ids))
+    members = np.empty(len(ids), dtype=np.intp)
+    m = 0
+    i = -1
+    while i + 1 < len(ids):
+        i += 1
+        if not acc[i] <= bound:
+            continue
+        if m:
+            admitted = members[:m]
+            on = kernel.block(i, admitted, kernel.distances(i, admitted))
+            if not (acc[admitted] + on <= bound).all():
+                continue
+            acc[admitted] += on
+        members[m] = i
+        m += 1
+        ahead = slice(i + 1, None)
+        acc[ahead] += kernel.block(i, ahead, kernel.distances(i, ahead))
+        if len(ids) - i - 1 < _FRONTIER_MIN:
+            continue
+        live = acc[ahead] <= bound
+        if 2 * np.count_nonzero(live) < len(live):
+            keep = np.concatenate((members[:m], i + 1 + np.flatnonzero(live)))
+            kernel, ids, acc = kernel.take(keep), ids[keep], acc[keep]
+            members[:m] = np.arange(m)
+            i = m - 1
+    return ids[members[:m]].tolist(), acc[members[:m]]
+
+
+class _RecordingNumpy:
+    """numpy for ``schedulers``, keeping every array its ``np.empty`` makes."""
+
+    def __init__(self):
+        self.made = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.made.append(np.empty(*args, **kwargs))
+        return self.made[-1]
+
+
+@given(
+    st.sampled_from(("random", "clustered")),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+    st.sampled_from((0.0, 1e-6)),
+    st.randoms(use_true_random=False),
+    st.sampled_from((1 / 1.2, 0.2, 0.02)),
+)
+@settings(max_examples=150, deadline=None)
+def test_guard_member_block_equals_gathered_guard(
+    family, n, seed, per_link, noise, rnd, threshold
+):
+    # same sets, and the members' accumulators bit for bit
+    inst = generate(TopologySpec(family=family, n=n, seed=seed), DEFAULT_MODEL_PARAMS)
+    links = inst.links
+    if per_link:
+        links = tuple(
+            Link(id=l.id, sender=l.sender, receiver=l.receiver, power=rnd.choice((1.0, 2.0, 8.0)))
+            for l in links
+        )
+    try:
+        inst = Instance(params=ModelParams(alpha=3.0, beta=1.2, noise=noise), links=links)
+    except SchedulingError:
+        return  # a link too long for this noise
     rows = AffectanceRows(inst.links, inst.params)
-    for i in range(0, 80, 9):
-        idx = np.array([v for v in range(0, 80, 3) if v != i], dtype=np.intp)
-        assert np.array_equal(rows.row_on(i, idx), rows.row(i)[idx])
+    order = list(range(n))
+    rnd.shuffle(order)
+    recording = _RecordingNumpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedulers, "np", recording)
+        chosen = _sweep(rows, order, threshold, guard=True)
+    want, want_acc = gathered_guard_sweep(rows, order, threshold)
+    assert chosen == want
+    (member_acc,) = [a for a in recording.made if a.dtype == np.float64]
+    assert member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
 
 
 def test_dispersion_mask_matches_scalar_test():
