@@ -18,10 +18,10 @@ import numpy as np
 from .core import (
     THRESHOLD_SLACK,
     Instance,
+    SizeLimitError,
     single_affectance,
 )
 from .io import read_json, write_canonical
-from .oracles import bitmask, peel_lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,82 +175,43 @@ class CorrespondenceReport:
     subsets_checked: int
 
 
-# graphs up to this many vertices are checked on every subset; larger ones
-# on SAMPLE_SIZE subsets drawn by Philox with key 0
+# a graph whose reduction matrix the certificate cannot vouch for is
+# enumerated on every subset up to this many vertices
 EXHAUSTIVE_LIMIT = 20
-SAMPLE_SIZE = 20000
-# masks per vectorized block of the correspondence check
-CHUNK = 4096
 
 
 def correspondence_check(graph: Graph) -> CorrespondenceReport:
     """Verify that feasibility in the reduction matrix matches independence.
 
-    Up to ``EXHAUSTIVE_LIMIT`` vertices every subset is enumerated in
-    ascending bitmask order (vertex k on bit k), ``CHUNK`` masks at a time:
-    the incoming sums of a block come from one subset-lattice pass over its
-    low bits, started from the sums of its high bits, and both verdicts are
-    bitmasks (the members over the threshold, and the neighbours of the
-    members, ANDed with the mask). Larger graphs are checked on
-    ``SAMPLE_SIZE`` subsets drawn from a counter-based generator. Any
-    mismatch is re-verified with the scalar definitions before being
-    reported, so a false alarm in the fast path cannot produce a spurious
-    counterexample.
+    The entries are non-negative, so two tests certify every subset at once.
+    Each edge carries an entry of at least the threshold in one direction,
+    so any set holding it is infeasible. Each vertex's entries from all its
+    non-neighbours, added in id order from 0.0, stay below the threshold, so
+    every independent set is feasible: a float sum of non-negative terms
+    never exceeds the same-order sum of a supersequence. When the
+    certificate fails, every subset up to ``EXHAUSTIVE_LIMIT`` vertices is
+    checked with the scalar definitions in ascending bitmask order (vertex
+    k on bit k), and the first mismatch is reported.
     """
     matrix = graph_to_instance(graph)
-    n = graph.n
-    gains = np.asarray(matrix.entries)
-
-    def first_confirmed(subsets) -> tuple[int, ...] | None:
-        for subset in subsets:
-            if abstract_feasible(matrix, subset) != is_independent_set(graph, subset):
-                return subset
-        return None
-
-    checked = 0
-    if n <= EXHAUSTIVE_LIMIT:
-        neighbours = bitmask(graph.adjacency() > 0)  # bit u of entry v: edge (u, v)
-        low = min(n, CHUNK.bit_length() - 1)
-        # sums and neighbours of every high-bit part, then of every low-bit part
-        high_sums = np.zeros((n, 1 << (n - low)))
-        peel_lattice(high_sums, gains[low:])
-        high_adjacent = np.zeros(1 << (n - low), dtype=np.int64)
-        peel_lattice(high_adjacent, neighbours[low:], np.bitwise_or)
-        low_adjacent = np.zeros(1 << low, dtype=np.int64)
-        peel_lattice(low_adjacent, neighbours[:low], np.bitwise_or)
-        incoming = np.empty((n, 1 << low))
-        for high, start in enumerate(range(0, 1 << n, 1 << low)):
-            masks = np.arange(start, start + (1 << low), dtype=np.int64)
-            incoming[:, 0] = high_sums[:, high]
-            peel_lattice(incoming, gains[:low])
-            feasible = (bitmask(incoming >= matrix.threshold) & masks) == 0
-            independent = ((low_adjacent | high_adjacent[high]) & masks) == 0
-            bad = first_confirmed(
-                tuple(v for v in range(n) if mask >> v & 1)
-                for mask in masks[feasible != independent].tolist()
-            )
-            checked += len(masks)
-            if bad is not None:
-                return CorrespondenceReport(False, bad, checked)
-    else:
-        adj = graph.adjacency()
-        rng = np.random.Generator(np.random.Philox(key=0))
-        remaining = SAMPLE_SIZE
-        while remaining > 0:
-            take = min(CHUNK, remaining)
-            rows = rng.integers(0, 2, size=(take, n)).astype(float)
-            members = rows > 0
-            feasible = ~np.any(members & (rows @ gains >= matrix.threshold), axis=1)
-            independent = ~np.any(members & (rows @ adj > 0), axis=1)
-            bad = first_confirmed(
-                tuple(np.flatnonzero(members[row]).tolist())
-                for row in np.flatnonzero(feasible != independent)
-            )
-            checked += take
-            remaining -= take
-            if bad is not None:
-                return CorrespondenceReport(False, bad, checked)
-    return CorrespondenceReport(True, None, checked)
+    n, gains, threshold = graph.n, matrix.entries, matrix.threshold
+    adjacent = graph.adjacency() > 0
+    incoming = np.zeros(n)
+    for w in range(n):
+        incoming += np.where(adjacent[w], 0.0, gains[w])
+    weak_edges = adjacent & (gains < threshold) & (gains.T < threshold)
+    if not weak_edges.any() and (incoming < threshold).all():
+        return CorrespondenceReport(True, None, 1 << n)
+    if n > EXHAUSTIVE_LIMIT:
+        raise SizeLimitError(
+            f"{n} vertices exceed the correspondence enumeration limit "
+            f"{EXHAUSTIVE_LIMIT}, and the certificate does not hold"
+        )
+    for mask in range(1 << n):
+        subset = tuple(v for v in range(n) if mask >> v & 1)
+        if abstract_feasible(matrix, subset) != is_independent_set(graph, subset):
+            return CorrespondenceReport(False, subset, mask + 1)
+    return CorrespondenceReport(True, None, 1 << n)
 
 
 def export_gain_matrix(instance: Instance) -> GainMatrix:

@@ -221,8 +221,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.theta is not None and not args.theta > 0:
-        raise ValueError(f"--theta must be positive, got {args.theta}")
+    for flag in ("p", "q", "theta"):
+        value = getattr(args, flag)
+        if value is not None and not value > 0:
+            raise ValueError(f"--{flag} must be positive, got {value}")
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     report = partition_report(instance, schedule)
@@ -400,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SizeLimitError as exc:
+    except (SizeLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (VerificationError, PreconditionError) as exc:

@@ -192,13 +192,13 @@ def test_correspondence_all_small_graphs():
             assert report.subsets_checked == 1 << n
 
 
-def test_correspondence_sample_mode_deterministic():
-    # every subset up to EXHAUSTIVE_LIMIT vertices, SAMPLE_SIZE draws above it
-    assert correspondence_check(Graph(n=20)).subsets_checked == 1 << 20
-    g = Graph.from_edges(21, [(0, 1), (2, 3), (5, 20)])
-    a = correspondence_check(g)
-    b = correspondence_check(g)
-    assert a == b and a.ok and a.subsets_checked == 20000
+@pytest.mark.parametrize("n", [21, 64, 200])
+def test_correspondence_certified_above_the_enumeration_limit(n):
+    # the certificate covers every subset at any n, EXHAUSTIVE_LIMIT = 20 or not
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.1]
+    report = correspondence_check(Graph.from_edges(n, pairs))
+    assert report == CorrespondenceReport(True, None, 2**n)
 
 
 def test_correspondence_matches_scalar_bruteforce():

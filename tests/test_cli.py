@@ -352,6 +352,21 @@ def test_verify_q_nonuniform_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--p", -1), ("--p", 0), ("--q", -1), ("--q", "nan"), ("--theta", 0)]
+)
+def test_verify_rejects_non_positive_levels(capsys, tmp_path, flag, value):
+    # rejected up front: no partition or slot line is printed first
+    inst_path = spread_instance(tmp_path)
+    sched_path = tmp_path / "s.json"
+    save_schedule(Schedule((Slot(frozenset({0, 1, 2, 3})),)), sched_path)
+    code = main(["verify", str(inst_path), str(sched_path), flag, str(value)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be positive, got {float(value)}\n"
+
+
 def test_verify_theta_after_strengthen(capsys, tmp_path):
     inst_path = gen_instance(capsys, tmp_path, n=20, seed=4)
     sched_path = tmp_path / "s.json"
@@ -713,13 +728,25 @@ def test_reduce_graph_check(capsys, tmp_path):
     assert "correspondence: ok" in text
 
 
-def test_reduce_graph_check_samples_above_the_limit(capsys, tmp_path):
-    # abstract.EXHAUSTIVE_LIMIT = 20: a 21-vertex graph is checked on 20000 draws
+def test_reduce_graph_check_certifies_above_the_limit(capsys, tmp_path):
+    # abstract.EXHAUSTIVE_LIMIT = 20 bounds only the fallback enumeration: the
+    # certificate vouches for all 2^21 subsets of a 21-vertex graph
     graph_path = tmp_path / "g21.txt"
     graph_path.write_text("21 3\n0 1\n1 2\n5 20\n", encoding="utf-8")
     code, text = run_cli(capsys, "reduce-graph", graph_path, "--check", "--out", tmp_path / "g.json")
     assert code == 0
-    assert text.splitlines()[0] == "correspondence: ok subsets=20000"
+    assert text.splitlines()[0] == "correspondence: ok subsets=2097152"
+
+
+def test_reduce_graph_impossible_size_exit_3(capsys, tmp_path):
+    # numpy refuses the 10^18-cell matrix at once: nothing is allocated
+    graph_path = tmp_path / "huge.txt"
+    graph_path.write_text("1000000000 0\n", encoding="utf-8")
+    out = tmp_path / "g.json"
+    code, text = run_cli(capsys, "reduce-graph", graph_path, "--out", out)
+    assert code == 3
+    assert text.startswith("error: ") and "Traceback" not in text
+    assert not out.exists()
 
 
 def test_reduce_graph_malformed_exit_2(capsys, tmp_path):

@@ -1,11 +1,12 @@
-"""The exact oracles' subset-lattice passes against the per-mask loops they replaced.
+"""The exact oracles' fast paths against the per-mask loops they replaced.
 
 The references below are the loops as they ran before the lattice passes:
-the mask table peeled one lowest set bit per mask in Python, the partition
-DP looped over every submask (3^n pairs), and the correspondence check
-compared two matrix products per block of masks. The fast paths must agree
-with them exactly: the same affectance sums bit for bit, the same feasible
-masks, the same dp value on every mask, and the same correspondence report.
+the mask table peeled one lowest set bit per mask in Python, and the
+partition DP looped over every submask (3^n pairs). The correspondence
+check's reference is its definition: the scalar routines on every subset.
+The fast paths must agree with them exactly: the same affectance sums bit
+for bit, the same feasible masks, the same dp value on every mask, and the
+same correspondence report.
 """
 
 import math
@@ -14,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from capsched import abstract
@@ -25,6 +26,7 @@ from capsched.core import (
     Instance,
     Link,
     ModelParams,
+    SizeLimitError,
 )
 from capsched.oracles import (
     _feasible_mask_table,
@@ -74,51 +76,13 @@ def reference_dp(feasible, n):
 
 
 def reference_correspondence_check(graph):
-    """The check as two matrix products per 4096 masks, read through the module's names.
-
-    Every subset up to 20 vertices; above that, 20000 Philox draws with key 0.
-    """
+    """The check by its definition: every subset with the scalar routines, in ascending mask order."""
     matrix = abstract.graph_to_instance(graph)
-    n = graph.n
-    adj = graph.adjacency()
-    gains = np.asarray(matrix.entries)
-
-    def scan(rows):
-        incoming = rows @ gains
-        conflicts = rows @ adj
-        feas = ~np.any((rows > 0) & (incoming >= matrix.threshold), axis=1)
-        indep = ~np.any((rows > 0) & (conflicts > 0), axis=1)
-        for row in np.nonzero(feas != indep)[0]:
-            subset = tuple(int(v) for v in range(n) if rows[row, v])
-            feasible = abstract.abstract_feasible(matrix, subset)
-            if feasible != abstract.is_independent_set(graph, subset):
-                return subset
-        return None
-
-    checked = 0
-    chunk = 4096
-    if n <= 20:
-        bits = np.arange(n, dtype=np.uint64)
-        total = 1 << n
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            rows = ((masks[:, None] >> bits) & 1).astype(float)
-            bad = scan(rows)
-            checked += len(masks)
-            if bad is not None:
-                return CorrespondenceReport(False, bad, checked)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=0))
-        remaining = 20000
-        while remaining > 0:
-            take = min(chunk, remaining)
-            rows = rng.integers(0, 2, size=(take, n)).astype(float)
-            bad = scan(rows)
-            checked += take
-            remaining -= take
-            if bad is not None:
-                return CorrespondenceReport(False, bad, checked)
-    return CorrespondenceReport(True, None, checked)
+    for mask in range(1 << graph.n):
+        subset = tuple(v for v in range(graph.n) if mask >> v & 1)
+        if abstract.abstract_feasible(matrix, subset) != abstract.is_independent_set(graph, subset):
+            return CorrespondenceReport(False, subset, mask + 1)
+    return CorrespondenceReport(True, None, 1 << graph.n)
 
 
 # --- instances ----------------------------------------------------------------------
@@ -256,16 +220,70 @@ def test_broken_encoding_gives_the_reference_counterexample(graph, kind):
     assert got == want
 
 
-@given(small_graph(n_max=24, n_min=21), st.sampled_from([None, *sorted(BROKEN)]))
-@settings(max_examples=12, deadline=None)
-def test_sampled_correspondence_check_equals_matrix_scan(graph, kind):
-    # above 20 vertices both draw the same 20000 subsets
+@st.composite
+def near_threshold_reduction(draw, n_max=10):
+    """A graph and a non-negative matrix whose sums sit on, just under or just over the threshold.
+
+    Non-edges weigh 0 or one level near threshold/k, so a column of about k
+    non-neighbours sums to about the threshold; edges weigh about the
+    threshold in at least one direction, save for a few weak ones. Half the
+    graphs are disjoint cliques, whose independent sets are the largest.
+    """
+    n = draw(st.integers(1, n_max))
+    if draw(st.booleans()):
+        graph = draw(small_graph(n_max=n, n_min=n))
+    else:
+        group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if group[u] == group[v]]
+        graph = Graph.from_edges(n, pairs)
+    threshold = draw(st.sampled_from([1.0, 1 / 1.2, 0.7]))
+    ulp = st.sampled_from([-1, 0, 0, 1])
+
+    def nudged(x, steps):
+        for _ in range(abs(steps)):
+            x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+        return x
+
+    light = nudged(threshold / draw(st.integers(1, max(n - 1, 1))), draw(ulp))
+    heavy = st.sampled_from([threshold, 2 * threshold, threshold / 2]).flatmap(
+        lambda x: ulp.map(lambda steps: nudged(x, steps))
+    )
+    entries = np.zeros((n, n))
+    for u in range(n):
+        for v in range(n):
+            if u != v and not graph.has_edge(u, v):
+                entries[u, v] = draw(st.sampled_from([light, light, light, 0.0]))
+    for u, v in graph.edges:
+        entries[u, v], entries[v, u] = draw(heavy), draw(st.sampled_from([light, 0.0, 2.0]))
+        if draw(st.booleans()):
+            entries[u, v], entries[v, u] = entries[v, u], entries[u, v]
+    return graph, abstract.GainMatrix(entries=entries, threshold=threshold)
+
+
+@given(near_threshold_reduction())
+@settings(max_examples=150, deadline=None)
+def test_certificate_never_vouches_for_a_mismatch(case):
+    # the scalar enumeration runs only when the certificate fails, so every
+    # certified case must match a reference that finds no mismatch
+    graph, matrix = case
+    calls = []
+    real_feasible = abstract.abstract_feasible
     with pytest.MonkeyPatch.context() as mp:
-        if kind is not None:
-            mp.setattr(abstract, "graph_to_instance", BROKEN[kind])
-        got = correspondence_check(graph)
+        mp.setattr(abstract, "graph_to_instance", lambda g: matrix)
         want = reference_correspondence_check(graph)
+        mp.setattr(abstract, "abstract_feasible", lambda m, s: calls.append(s) or real_feasible(m, s))
+        got = correspondence_check(graph)
+    event("certified" if not calls else f"enumerated, ok={got.ok}")
     assert got == want
+
+
+def test_broken_encoding_above_the_limit_raises(monkeypatch):
+    # abstract.EXHAUSTIVE_LIMIT = 20: a failing certificate is not enumerated above it
+    graph = Graph.from_edges(21, [(0, 1), (2, 3), (5, 20)])
+    for kind in sorted(BROKEN):
+        monkeypatch.setattr(abstract, "graph_to_instance", BROKEN[kind])
+        with pytest.raises(SizeLimitError, match="21 vertices exceed"):
+            correspondence_check(graph)
 
 
 def weak_pairs(*pairs):
@@ -282,26 +300,26 @@ def weak_pairs(*pairs):
 
 
 LATER_BLOCKS = {
-    # a weak edge between a low and a high vertex: mask 8193, block 3 of 4096 masks
+    # a weak edge between a low and a high vertex: mask 8193
     "low-high edge": (
         Graph.from_edges(14, [(0, 13), (2, 5), (5, 9), (1, 13)]),
         weak_pairs((0, 13), (1, 13)),
-        CorrespondenceReport(False, (0, 13), 3 * 4096),
+        CorrespondenceReport(False, (0, 13), 8193 + 1),
     ),
-    # a weak edge between two high vertices: mask 12288, block 4
+    # a weak edge between two high vertices: mask 12288
     "high-high edge": (
         Graph.from_edges(14, [(0, 13), (12, 13), (3, 12)]),
         weak_pairs((12, 13)),
-        CorrespondenceReport(False, (12, 13), 4 * 4096),
+        CorrespondenceReport(False, (12, 13), 12288 + 1),
     ),
     # two cliques below bit 12 leave no independent set of four without both
-    # high vertices: the first is {0, 6, 12, 13}, infeasible only with their sums
+    # high vertices: the first is {0, 6, 12, 13}, mask 12353
     "high sums": (
         Graph.from_edges(
             14, [(u, v) for u in range(12) for v in range(u + 1, 12) if (u < 6) == (v < 6)]
         ),
         encoding(2.0, 0.45),
-        CorrespondenceReport(False, (0, 6, 12, 13), 4 * 4096),
+        CorrespondenceReport(False, (0, 6, 12, 13), 12353 + 1),
     ),
 }
 
@@ -317,8 +335,8 @@ def test_broken_encoding_found_in_a_later_block(monkeypatch, case):
 
 def test_false_alarms_are_dropped_by_the_scalar_recheck(monkeypatch):
     # the scalar feasibility is made to agree with independence on subsets of
-    # at most three, so the fast path's mismatches on adjacent pairs and
-    # triples are false alarms; the first confirmed counterexample is an
+    # at most three, so the weak edges that fail the certificate are false
+    # alarms; the first counterexample of the scalar enumeration is an
     # independent set of four, which the broken encoding makes infeasible
     graph = Graph.from_edges(13, [(0, 1), (3, 4), (7, 12)])
     real_feasible = abstract.abstract_feasible
@@ -346,8 +364,8 @@ def traced_peak_mb(fn) -> float:
 
 
 def test_oracle_lattices_stay_small():
-    # a full 2^20 x 20 float table would take 168 MB; the check holds one
-    # block of 4096 masks, and the n=12 oracle one 2^12 x 12 table
+    # a full 2^20 x 20 float table would take 168 MB; the check holds a few
+    # n x n matrices, and the n=12 oracle one 2^12 x 12 table
     rng = random.Random(0)
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20)]
     graph = Graph.from_edges(20, [e for e in pairs if rng.random() < 0.15])

@@ -83,6 +83,7 @@ def _instance_files(tmp_path) -> None:
     )
     save_instance(Instance(params=params, links=links), tmp_path / "inst.json")
     save_schedule(Schedule((Slot(frozenset({0, 1, 2})),)), tmp_path / "sched.json")
+    (tmp_path / "g.txt").write_text("4 2\n0 1\n2 3\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -91,8 +92,9 @@ def _instance_files(tmp_path) -> None:
         (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], []),
         (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], ["topogen"]),
         (["schedule", "inst.json", "--out", "out.json"], ["schedulers"]),
+        (["reduce-graph", "g.txt", "--check"], ["abstract"]),
     ],
-    ids=["verify", "gen", "schedule"],
+    ids=["verify", "gen", "schedule", "reduce-graph"],
 )
 def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, executed):
     _instance_files(tmp_path)
@@ -161,8 +163,8 @@ TEST_ONLY_OPTIONS = {
 
 
 def test_entry_points_take_no_test_only_options():
-    # the oracle limits and the correspondence check's sampling are module
-    # constants, and the schedulers derive their constants from the instance
+    # the oracle limits are module constants, the correspondence check is a
+    # certificate, and the schedulers derive their constants from the instance
     from capsched import abstract, core, oracles, schedulers
 
     entry_points = (
@@ -180,3 +182,4 @@ def test_entry_points_take_no_test_only_options():
         assert not set(inspect.signature(fn).parameters) & TEST_ONLY_OPTIONS, fn.__qualname__
     assert "metadata" not in {field.name for field in dataclasses.fields(Instance)}
     assert not hasattr(oracles, "OracleLimits") and not hasattr(oracles, "DEFAULT_LIMITS")
+    assert not hasattr(abstract, "SAMPLE_SIZE") and not hasattr(abstract, "CHUNK")
