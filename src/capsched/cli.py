@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -287,24 +288,36 @@ def _worst_growth(schedule: Schedule, refined: Schedule) -> int:
     return worst
 
 
+def _ceil(x: float) -> int | float:
+    """ceil(x) of a printed blow-up bound: inf past the float range."""
+    return math.ceil(x) if x <= sys.float_info.max else math.inf
+
+
 def cmd_refine(args: argparse.Namespace) -> int:
+    if args.strengthen is not None:
+        p, p_prime = args.strengthen
+        if not (math.isfinite(p_prime) and 0 < p < p_prime):
+            raise ValueError(f"--strengthen needs finite 0 < P < PPRIME, got {p} {p_prime}")
+    elif not (math.isfinite(args.disperse) and args.disperse > 0):
+        raise ValueError(f"--disperse must be finite and positive, got {args.disperse}")
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     if args.strengthen is not None:
-        p, p_prime = args.strengthen
         refined = schedulers.strengthen(instance, schedule, p, p_prime)
-        bound = math.ceil(2.0 * p_prime / p) ** 2
+        side = _ceil(2.0 * p_prime / p)
         observed = refined.slot_count / max(schedule.slot_count, 1)
         print(
             f"strengthen: slots {schedule.slot_count} -> {refined.slot_count}, "
-            f"blow-up {_fmt(observed)}, bound {bound}"
+            f"blow-up {_fmt(observed)}, bound {_ceil(side * side)}"
         )
     else:
         q = args.disperse
         refined = schedulers.disperse(instance, schedule, q)
-        alpha = instance.params.alpha
-        stated = math.ceil((q + 2.0) ** alpha)
-        counting = math.ceil((q + 2.0) ** alpha / instance.params.beta)
+        try:
+            volume = (q + 2.0) ** instance.params.alpha
+        except OverflowError:
+            volume = math.inf
+        stated, counting = _ceil(volume), _ceil(volume / instance.params.beta)
         growth = _worst_growth(schedule, refined)
         print(
             f"disperse: slots {schedule.slot_count} -> {refined.slot_count}, "
@@ -394,6 +407,19 @@ def cmd_reduce_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+def run() -> None:
+    """The program entry of ``python -m capsched`` and the ``capsched`` script.
+
+    Freezes every object imported so far out of the cyclic collector, whose
+    passes at shutdown over numpy's, the standard library's and capsched's
+    import-time objects cost more than most commands, then exits with
+    ``main()``'s code. Frozen objects are never freed, so ``main``, which
+    runs in processes that live on, leaves the collector alone.
+    """
+    gc.freeze()
+    raise SystemExit(main())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -417,4 +443,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -301,6 +301,9 @@ class AffectanceRows:
     equal: ``block`` skips its factor c_v (P_w/P_v), exactly 1.0) and
     ``hypot`` (a coordinate above 1e150 or nonzero below 1e-130, where dx*dx
     may overflow or leave the normal range: ``norm`` takes ``np.hypot``).
+    ``of_links`` gathers as a kernel built from the gathered links would be,
+    with their own scan and records: ``slot_reports`` reads every slot off
+    one ``unscanned`` kernel of the instance.
 
     Raises SingularityError when a sender coincides with another link's
     receiver, naming the smallest sender index first, then the smallest
@@ -308,12 +311,25 @@ class AffectanceRows:
     """
 
     def __init__(self, links: Sequence[Link], params: ModelParams):
+        self._fill(links, params)
+        self._require_apart(links)
+
+    @classmethod
+    def unscanned(cls, links: Sequence[Link], params: ModelParams) -> AffectanceRows:
+        """The kernel of ``links`` without the singularity scan: a parent for ``of_links``."""
+        return object.__new__(cls)._fill(links, params)
+
+    def _fill(self, links: Sequence[Link], params: ModelParams) -> AffectanceRows:
         self._adopt(np.empty((7, len(links))), params.alpha)
         self.data[:5] = [
             [l.sender.x for l in links], [l.sender.y for l in links],
             [l.receiver.x for l in links], [l.receiver.y for l in links],
             [effective_power(l, params) for l in links],
         ]
+        return self._derive(params)
+
+    def _require_apart(self, links: Sequence[Link]) -> None:
+        """Raise SingularityError if a sender of ``links`` (this kernel's links) sits on a receiver."""
         # d(s_w, r_v) == 0 exactly when the coordinates are equal (-0.0 == 0.0)
         receivers: dict[tuple[float, float], int] = {}
         for v, point in enumerate(zip(self.rx.tolist(), self.ry.tolist())):
@@ -324,12 +340,19 @@ class AffectanceRows:
                 raise SingularityError(
                     f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
                 )
+
+    def _derive(self, params: ModelParams) -> AffectanceRows:
+        """The ``hypot`` record, the lengths, the noise factors and the ``unit`` record."""
         coords = np.abs(self.data[:4])
         self.hypot = bool(((coords > 1e150) | ((coords < 1e-130) & (coords > 0))).any())
         self.lengths[:] = self.norm(self.sx - self.rx, self.sy - self.ry)
         with np.errstate(all="ignore"):  # a dead link is the caller's error to raise
             pvv = self.powers / self.lengths**self.alpha
             self.cv[:] = 1.0 / (1.0 - params.beta * params.noise / pvv)
+        self._unit()
+        return self
+
+    def _unit(self) -> None:
         self.unit = bool((self.cv == 1.0).all() and (self.powers == self.powers[:1]).all())
 
     def _adopt(self, data: np.ndarray, alpha: float, unit=False, hypot=False) -> AffectanceRows:
@@ -344,6 +367,21 @@ class AffectanceRows:
     def take(self, idx: np.ndarray) -> AffectanceRows:
         """The kernel of the links at positions ``idx``, in order: one gather, the same floats."""
         return self.with_data(self.data[:, idx])
+
+    def of_links(self, idx: Sequence[int], links: Sequence[Link], params: ModelParams) -> AffectanceRows:
+        """``AffectanceRows(links, params)``, gathered: ``links`` sit at positions ``idx``.
+
+        The singularity scan and the records are the gathered links' own, as
+        in a kernel built from them: one with no extreme coordinate has this
+        kernel's lengths and noise factors, and any other derives them again.
+        """
+        geo = self.take(idx)
+        geo._require_apart(links)
+        if self.hypot:
+            return geo._derive(params)
+        if not self.unit:
+            geo._unit()
+        return geo
 
     def norm(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """sqrt(dx*dx + dy*dy) in place in ``dx`` (``np.hypot`` on a ``hypot`` kernel)."""
@@ -444,9 +482,13 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
     scalar ``_sinr_ratio`` and ``affectance``. ``feasible`` is route two's verdict.
     """
     ordered = sorted(members, key=lambda l: l.id)
+    return _slot_report(AffectanceRows(ordered, params), ordered, params)
+
+
+def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelParams) -> FeasibilityReport:
+    """``is_feasible`` of the links ``ordered`` (ascending ids), whose kernel is ``geo``."""
     if not ordered:
         return FeasibilityReport(True, True, None, math.inf, math.inf)
-    geo = AffectanceRows(ordered, params)
     dist = geo.distances(slice(None))
     # d^alpha past the float range means a received power of 0, its limit
     with np.errstate(over="ignore"):
@@ -482,9 +524,19 @@ def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityRepo
     One report answers every question asked of a slot: both routes
     (``ok``), the p-signal level (``first_p_violation``), the theta-scaled
     margin (``max_affectance``) and q-dispersion (``report_q_dispersed``).
-    Raises KeyError on ids that do not belong to the instance.
+    Each report is ``is_feasible`` of the slot's links, read off one kernel
+    of the whole instance (``AffectanceRows.of_links``), so the floats are
+    the same. Raises KeyError on ids that do not belong to the instance.
     """
-    return [is_feasible(instance.resolve(slot), instance.params) for slot in schedule.slots]
+    links, params = instance.links, instance.params
+    kernel = AffectanceRows.unscanned(links, params)
+    position = {link.id: i for i, link in enumerate(links)}
+    reports = []
+    for slot in schedule.slots:
+        idx = [position[i] for i in slot.sorted_members]
+        ordered = [links[i] for i in idx]
+        reports.append(_slot_report(kernel.of_links(idx, ordered, params), ordered, params))
+    return reports
 
 
 def verify_schedule(instance: Instance, schedule: Schedule) -> None:

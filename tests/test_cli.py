@@ -325,6 +325,29 @@ def test_schedule_far_apart_links_verify(capsys, tmp_path):
     assert load_schedule(out) == Schedule((Slot(frozenset({0, 1})),))
 
 
+def test_coincident_points_are_checked_per_slot(capsys, tmp_path):
+    # link 0's sender sits on link 1's receiver: a schedulable instance only
+    # with the two in different slots, which verify accepts; the schedulers
+    # build one kernel over every link and refuse the instance
+    params = ModelParams(alpha=3.0, beta=1.2)
+    links = (
+        Link(id=0, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0)),
+        Link(id=1, sender=Point(5.0, 0.0), receiver=Point(0.0, 0.0)),
+    )
+    inst_path, apart, together = tmp_path / "i.json", tmp_path / "a.json", tmp_path / "t.json"
+    save_instance(Instance(params=params, links=links), inst_path)
+    save_schedule(Schedule((Slot({1}), Slot({0}))), apart)
+    save_schedule(Schedule((Slot({0, 1}),)), together)
+    code, text = run_cli(capsys, "verify", inst_path, apart)
+    assert code == 0 and text.endswith("verified=true\n")
+    pair = "sender of link 0 coincides with receiver of link 1"
+    code, text = run_cli(capsys, "verify", inst_path, together)
+    assert (code, text) == (2, f"partition: ok\nerror: {pair}\n")
+    out = tmp_path / "s.json"
+    assert run_cli(capsys, "schedule", inst_path, "--out", out) == (2, f"error: {pair}\n")
+    assert not out.exists()
+
+
 def test_verify_missing_link_exit_1(capsys, tmp_path):
     inst_path = spread_instance(tmp_path, count=3)
     sched_path = tmp_path / "partial.json"
@@ -411,13 +434,13 @@ def test_verify_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypat
     sched_path = tmp_path / "ff.json"
     assert run_cli(capsys, "schedule", inst_path, "--algo", "firstfit", "--out", sched_path)[0] == 0
     calls = []
-    real = core.is_feasible
+    real = core._slot_report
 
-    def counted(members, params):
+    def counted(geo, members, params):
         calls.append(len(members))
-        return real(members, params)
+        return real(geo, members, params)
 
-    monkeypatch.setattr(core, "is_feasible", counted)
+    monkeypatch.setattr(core, "_slot_report", counted)
     code, text = run_cli(
         capsys, "verify", inst_path, sched_path, "--p", 1.2, "--theta", 1.0, "--q", 1.0
     )
@@ -435,13 +458,13 @@ def test_schedule_per_link_power_runs_the_gate_once(capsys, tmp_path, monkeypatc
     power_path = tmp_path / "power.json"
     power_path.write_text(json.dumps(doc))
     calls = []
-    real = core.is_feasible
+    real = core._slot_report
 
-    def counted(members, params):
+    def counted(geo, members, params):
         calls.append(len(members))
-        return real(members, params)
+        return real(geo, members, params)
 
-    monkeypatch.setattr(core, "is_feasible", counted)
+    monkeypatch.setattr(core, "_slot_report", counted)
     for path in (power_path, inst_path):  # per-link powers, then uniform power
         calls.clear()
         code, text = run_cli(capsys, "schedule", path, "--algo", "A", "--out", tmp_path / "s.json")
@@ -453,14 +476,13 @@ def test_schedule_b_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monke
     # B verifies each round as it makes it; the command adds no second pass
     inst_path = gen_instance(capsys, tmp_path, n=40, seed=5)
     calls = []
-    real = core.is_feasible
+    real = core._slot_report
 
-    def counted(members, params):
+    def counted(geo, members, params):
         calls.append(len(members))
-        return real(members, params)
+        return real(geo, members, params)
 
-    monkeypatch.setattr(core, "is_feasible", counted)
-    monkeypatch.setattr(schedulers, "is_feasible", counted)
+    monkeypatch.setattr(core, "_slot_report", counted)
     code, text = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--out", tmp_path / "s.json")
     assert code == 0 and "verified=true" in text
     assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
@@ -570,6 +592,46 @@ def test_refine_requires_exactly_one_mode(capsys, tmp_path):
         capsys, "refine", inst_path, sched_path, "--strengthen", 1, 2, "--disperse", 1
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--disperse", 0), "--disperse must be finite and positive, got 0.0"),
+        (("--disperse", "nan"), "--disperse must be finite and positive, got nan"),
+        (("--disperse", "inf"), "--disperse must be finite and positive, got inf"),
+        (("--strengthen", 0, 2), "--strengthen needs finite 0 < P < PPRIME, got 0.0 2.0"),
+        (("--strengthen", "nan", 2), "--strengthen needs finite 0 < P < PPRIME, got nan 2.0"),
+        (("--strengthen", 2, 1), "--strengthen needs finite 0 < P < PPRIME, got 2.0 1.0"),
+        (("--strengthen", 1, "inf"), "--strengthen needs finite 0 < P < PPRIME, got 1.0 inf"),
+    ],
+    ids=["q-0", "q-nan", "q-inf", "p-0", "p-nan", "p-above-pprime", "pprime-inf"],
+)
+def test_refine_rejects_bad_levels_up_front(capsys, tmp_path, flags, message):
+    # checked before any file is read: the files named here do not exist
+    out = tmp_path / "r.json"
+    code = main(["refine", "missing.json", "missing.json", *map(str, flags), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, summary",
+    [
+        (("--disperse", "1e300"), "stated bound inf, counting bound inf\n"),
+        (("--strengthen", "1e-300", "1e300"), "bound inf\n"),
+    ],
+    ids=["disperse", "strengthen"],
+)
+def test_refine_prints_a_bound_past_the_float_range_as_inf(capsys, tmp_path, flags, summary):
+    inst_path = spread_instance(tmp_path)
+    sched_path, out = tmp_path / "s.json", tmp_path / "r.json"
+    save_schedule(Schedule((Slot(frozenset({0, 1, 2, 3})),)), sched_path)
+    code, text = run_cli(capsys, "refine", inst_path, sched_path, *flags, "--out", out)
+    assert code == 0
+    assert text.splitlines()[0].endswith(summary.rstrip("\n"))
+    assert load_schedule(out).slot_count == 4  # every link on its own at these levels
 
 
 def test_refine_precondition_exit_1(capsys, tmp_path):

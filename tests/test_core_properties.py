@@ -341,6 +341,41 @@ def test_square_safe_range_bounds():
             assert AffectanceRows(inst.links + (extra,), P_KERNEL).hypot is hypot, x
 
 
+def _one_far_link():
+    inst = generate(TopologySpec(family="random", n=60, seed=4), DEFAULT_MODEL_PARAMS)
+    far = Link(id=60, sender=Point(3e151, 0.0), receiver=Point(3e151, 2.0), power=2.0)
+    return Instance(params=inst.params, links=inst.links + (far,))
+
+
+@pytest.mark.parametrize(
+    "name, inst", list(_kernel_corpus()) + [("one-far-link", _one_far_link())]
+)
+def test_slot_reports_read_one_kernel(name, inst):
+    # each slot's gathered kernel is the kernel built from its links, bytes and
+    # records, and its report is is_feasible's; one-far-link's instance takes
+    # np.hypot and all but one of its slots do not, and the last slot's links
+    # share one power where the -powers instances do not
+    rng = np.random.default_rng(5)
+    ids = rng.permutation([l.id for l in inst.links])
+    slots = [Slot(frozenset(int(i) for i in part)) for part in np.array_split(ids, 9)]
+    power = inst.links[0].power
+    slots.append(Slot(frozenset(l.id for l in inst.links[:40] if l.power == power)))
+    schedule = Schedule((*slots, Slot()))
+    position = {l.id: i for i, l in enumerate(inst.links)}
+    with np.errstate(all="ignore"):
+        kernel = AffectanceRows.unscanned(inst.links, inst.params)
+        for slot in slots:
+            members = inst.resolve(slot)
+            got = kernel.of_links([position[i] for i in slot.sorted_members], members, inst.params)
+            fresh = AffectanceRows(members, inst.params)
+            assert got.data.tobytes() == fresh.data.tobytes()
+            assert (got.unit, got.hypot) == (fresh.unit, fresh.hypot)
+        want = [is_feasible(inst.resolve(slot), inst.params) for slot in schedule.slots]
+        assert core.slot_reports(inst, schedule) == want
+    assert kernel.hypot is (name == "one-far-link")
+    assert got.unit is not name.endswith("-noise")
+
+
 @pytest.mark.parametrize("name, inst", list(_kernel_corpus()))
 def test_verifier_affectance_route_reads_the_kernel(name, inst):
     # the report's affectances are the id-ordered column sums and the largest

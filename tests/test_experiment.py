@@ -211,17 +211,16 @@ def test_run_experiment_wraps_scheduler_errors(monkeypatch):
     assert err.value.schedule is None
 
 
-def counted_is_feasible(monkeypatch) -> list[int]:
-    """Record the slot size of every call of the slot verifier, on every import of it."""
+def counted_slot_reports(monkeypatch) -> list[int]:
+    """Record the slot size of every report of the slot verifier, by either entry to it."""
     calls: list[int] = []
-    real = core.is_feasible
+    real = core._slot_report
 
-    def counted(members, params):
+    def counted(geo, members, params):
         calls.append(len(members))
-        return real(members, params)
+        return real(geo, members, params)
 
-    monkeypatch.setattr(core, "is_feasible", counted)
-    monkeypatch.setattr(schedulers, "is_feasible", counted)
+    monkeypatch.setattr(core, "_slot_report", counted)
     return calls
 
 
@@ -232,7 +231,7 @@ def test_b_cell_runs_the_slot_verifier_once_per_slot(monkeypatch):
         algorithms=("B-repeated",),
         repetitions=2,
     )
-    calls = counted_is_feasible(monkeypatch)
+    calls = counted_slot_reports(monkeypatch)
     rows, _ = run_experiment(cfg)
     assert len(calls) == sum(row.slot_count for row in rows)
     assert len(calls) > len(rows)
@@ -240,7 +239,7 @@ def test_b_cell_runs_the_slot_verifier_once_per_slot(monkeypatch):
 
 def test_non_b_cells_pass_the_gate(monkeypatch):
     cfg = small_config(algorithms=("A-repeated", "first-fit-baseline"), repetitions=1)
-    calls = counted_is_feasible(monkeypatch)
+    calls = counted_slot_reports(monkeypatch)
     rows, _ = run_experiment(cfg)
     assert len(calls) == sum(row.slot_count for row in rows)
 

@@ -1,6 +1,8 @@
 """The package root exports what the README documents and loads only what a command runs."""
 
 import dataclasses
+import gc
+import importlib
 import inspect
 import json
 import os
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 import capsched
+import capsched.cli
 from capsched.core import Instance, Link, ModelParams, Point, Schedule, Slot
 from capsched.io import save_instance, save_schedule
 
@@ -49,7 +52,7 @@ LAZY = ("abstract", "experiment", "oracles", "schedulers", "topogen")
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
 # lazy modules executed: an unexecuted one still has LazyLoader's module type.
 _COMMAND_PROBE = """
-import json, runpy, sys, types
+import gc, json, runpy, sys, types
 argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 sys.argv = ["capsched", *argv]
 try:
@@ -60,17 +63,21 @@ print(json.dumps({
     "code": code,
     "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
     "futures": "concurrent.futures" in sys.modules,
+    "frozen": gc.get_freeze_count() > 0,
 }))
 """
 
 
-def _fresh_python(script: str, *args: str, cwd) -> str:
-    """Last stdout line of ``script`` run in a new interpreter that imports this capsched."""
+def _python(*args: str, cwd) -> subprocess.CompletedProcess:
+    """A new interpreter, given ``args``, that imports this capsched."""
     src = os.path.dirname(os.path.dirname(capsched.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args], cwd=cwd, env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _fresh_python(script: str, *args: str, cwd) -> str:
+    """Last stdout line of ``script`` run in a new interpreter that imports this capsched."""
+    proc = _python("-c", script, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -100,7 +107,70 @@ def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, executed):
     _instance_files(tmp_path)
     probe = _fresh_python(_COMMAND_PROBE, json.dumps(argv), json.dumps(LAZY), cwd=tmp_path)
     result = json.loads(probe)
-    assert result == {"code": 0, "executed": executed, "futures": False}
+    assert result == {"code": 0, "executed": executed, "futures": False, "frozen": True}
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys, monkeypatch):
+    # only the program entry (cli.run) freezes; main runs in processes that live on
+    _instance_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count()
+    assert capsched.cli.main(["verify", "inst.json", "sched.json"]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out.endswith("verified=true\n")
+
+
+def test_the_console_script_is_the_freezing_entry():
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        target = re.search(r'^capsched = "(.+)"$', fh.read(), re.M).group(1)
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is capsched.cli.run
+
+
+def _contract_files(tmp_path) -> None:
+    """inst.json and sched.json (feasible), a failing pair slot and 13 links for the oracle."""
+    _instance_files(tmp_path)
+    params = ModelParams(alpha=3.0, beta=2.0)
+    pair = tuple(Link(id=i, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0)) for i in range(2))
+    save_instance(Instance(params=params, links=pair), tmp_path / "pair.json")
+    save_schedule(Schedule((Slot(frozenset({0, 1})),)), tmp_path / "pair_sched.json")
+    many = tuple(
+        Link(id=i, sender=Point(50.0 * i, 0.0), receiver=Point(50.0 * i + 1.0, 0.0))
+        for i in range(13)
+    )
+    save_instance(Instance(params=params, links=many), tmp_path / "many.json")
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["verify", "inst.json", "sched.json"], 0, ""),
+        (["verify", "pair.json", "pair_sched.json"], 1, ""),
+        (["verify", "inst.json", "sched.json", "--p", "0"], 2, "error: --p must be positive, got 0.0\n"),
+        (
+            ["oracle", "many.json", "--mode", "schedule"],
+            3,
+            "error: 13 links exceed the schedule oracle limit 12\n",
+        ),
+    ],
+    ids=["0-verified", "1-failing-slot", "2-bad-flag", "3-size-limit"],
+)
+def test_python_m_capsched_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code, err):
+    # the real entry, in a new process, answers as main does in this one
+    _contract_files(tmp_path)
+    proc = _python("-m", "capsched", *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if code == 0:
+        assert proc.stdout.startswith("partition: ok\nslot 0: size=3 ")
+        assert proc.stdout.endswith("verified=true\n")
+    elif code == 1:
+        assert proc.stdout.startswith("partition: ok\nslot 0: size=2 ")
+        assert proc.stdout.endswith(" FAIL\nverified=false\n")
+    else:
+        assert proc.stdout == ""
+    monkeypatch.chdir(tmp_path)
+    assert capsched.cli.main(argv) == code
+    assert capsys.readouterr() == (proc.stdout, proc.stderr)
 
 
 def test_lazy_modules_are_package_attributes_and_registered():
@@ -114,6 +184,7 @@ def test_lazy_modules_are_package_attributes_and_registered():
 
 # The benchmark's tracer (perfbench/tracing.py) imports capsched.cli, looks up
 # sys.modules["capsched.<mod>"] for every target and wraps module attributes.
+# B's rounds call core.is_feasible by the name schedulers imports.
 _TRACER_PROBE = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
@@ -129,6 +200,7 @@ try:
         for argv in (
             ["gen", "--family", "random", "--n", "30", "--seed", "1", "--out", "i.json"],
             ["schedule", "i.json", "--out", "s.json"],
+            ["schedule", "i.json", "--algo", "B", "--out", "b.json"],
             ["verify", "i.json", "s.json"],
         ):
             assert capsched.cli.main(argv) == 0, argv
