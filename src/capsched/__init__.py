@@ -10,26 +10,47 @@ registered in ``sys.modules`` and as package attributes by
 ``importlib.util.LazyLoader``: each executes on its first attribute access,
 so a command loads only the modules it calls into. The entry points that
 live in those modules resolve through the module ``__getattr__`` below.
+
+The cyclic collector is paused while ``core`` imports numpy and itself:
+those imports create tens of thousands of long-lived objects, and the
+collections they would trigger find no garbage. The caller's collector
+state comes back afterwards, also when an import raises, and the objects
+made meanwhile join the oldest generation without a collection.
 """
 
+import gc
 import importlib.util
 import sys
 
-from .core import (
-    HeuristicInfeasibilityError,
-    InfeasibleLinkError,
-    ModelParams,
-    PreconditionError,
-    SchedulingError,
-    SingularityError,
-    SizeLimitError,
-    UnsupportedConfigurationError,
-    VerificationError,
-    is_feasible,
-    is_p_signal,
-    is_q_dispersed,
-    verify_schedule,
-)
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .core import (
+        HeuristicInfeasibilityError,
+        InfeasibleLinkError,
+        ModelParams,
+        PreconditionError,
+        SchedulingError,
+        SingularityError,
+        SizeLimitError,
+        UnsupportedConfigurationError,
+        VerificationError,
+        is_feasible,
+        is_p_signal,
+        is_q_dispersed,
+        verify_schedule,
+    )
+finally:
+    # The paused imports leave generation 0 holding every object they made,
+    # and the first young collection after them would walk them all once.
+    # freeze() then unfreeze() moves them to the oldest generation unwalked,
+    # unless the caller has frozen objects, which unfreeze() would release.
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
+    del _collecting
 
 __version__ = "0.1.0"
 

@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="process count for concurrent cells (results are order-independent)",
+        help="process count for concurrent instances (results are order-independent)",
     )
     exp.set_defaults(func=cmd_experiment)
 
@@ -410,14 +410,23 @@ def cmd_reduce_graph(args: argparse.Namespace) -> int:
 def run() -> None:
     """The program entry of ``python -m capsched`` and the ``capsched`` script.
 
-    Freezes every object imported so far out of the cyclic collector, whose
-    passes at shutdown over numpy's, the standard library's and capsched's
-    import-time objects cost more than most commands, then exits with
-    ``main()``'s code. Frozen objects are never freed, so ``main``, which
-    runs in processes that live on, leaves the collector alone.
+    Freezes every object imported so far out of the cyclic collector, runs
+    ``main()``, flushes stdout and stderr and ends the process with
+    ``os._exit``: the interpreter's teardown, which frees every module and
+    object one by one, would only cost time. If a flush fails (a closed
+    pipe, say), the exit is the interpreter's ordinary one, which reports
+    the failure as it always has. Frozen objects are never freed and
+    ``os._exit`` ends the process, so ``main``, which runs in processes
+    that live on, does neither.
     """
     gc.freeze()
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        raise SystemExit(code) from None
+    os._exit(code)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -303,7 +303,8 @@ class AffectanceRows:
     may overflow or leave the normal range: ``norm`` takes ``np.hypot``).
     ``of_links`` gathers as a kernel built from the gathered links would be,
     with their own scan and records: ``slot_reports`` reads every slot off
-    one ``unscanned`` kernel of the instance.
+    one ``unscanned`` kernel of the instance, and B's round check reads each
+    round off the kernel it swept.
 
     Raises SingularityError when a sender coincides with another link's
     receiver, naming the smallest sender index first, then the smallest
@@ -328,8 +329,8 @@ class AffectanceRows:
         ]
         return self._derive(params)
 
-    def _require_apart(self, links: Sequence[Link]) -> None:
-        """Raise SingularityError if a sender of ``links`` (this kernel's links) sits on a receiver."""
+    def _coincident(self) -> tuple[int, int] | None:
+        """(w, v) of the first sender w on a receiver v (smallest w, then v), or None."""
         # d(s_w, r_v) == 0 exactly when the coordinates are equal (-0.0 == 0.0)
         receivers: dict[tuple[float, float], int] = {}
         for v, point in enumerate(zip(self.rx.tolist(), self.ry.tolist())):
@@ -337,9 +338,17 @@ class AffectanceRows:
         for w, point in enumerate(zip(self.sx.tolist(), self.sy.tolist())):
             v = receivers.get(point)
             if v is not None:
-                raise SingularityError(
-                    f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
-                )
+                return w, v
+        return None
+
+    def _require_apart(self, links: Sequence[Link]) -> None:
+        """Raise SingularityError if a sender of ``links`` (this kernel's links) sits on a receiver."""
+        pair = self._coincident()
+        if pair is not None:
+            w, v = pair
+            raise SingularityError(
+                f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
+            )
 
     def _derive(self, params: ModelParams) -> AffectanceRows:
         """The ``hypot`` record, the lengths, the noise factors and the ``unit`` record."""
@@ -368,15 +377,20 @@ class AffectanceRows:
         """The kernel of the links at positions ``idx``, in order: one gather, the same floats."""
         return self.with_data(self.data[:, idx])
 
-    def of_links(self, idx: Sequence[int], links: Sequence[Link], params: ModelParams) -> AffectanceRows:
+    def of_links(
+        self, idx: Sequence[int], links: Sequence[Link], params: ModelParams, scan: bool = True
+    ) -> AffectanceRows:
         """``AffectanceRows(links, params)``, gathered: ``links`` sit at positions ``idx``.
 
         The singularity scan and the records are the gathered links' own, as
         in a kernel built from them: one with no extreme coordinate has this
         kernel's lengths and noise factors, and any other derives them again.
+        ``scan=False`` skips the scan, for a parent with no sender on a
+        receiver, where no gathered kernel has one either.
         """
         geo = self.take(idx)
-        geo._require_apart(links)
+        if scan:
+            geo._require_apart(links)
         if self.hypot:
             return geo._derive(params)
         if not self.unit:
@@ -518,6 +532,20 @@ def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelPara
     )
 
 
+def gathered_report(
+    kernel: AffectanceRows,
+    idx: Sequence[int],
+    ordered: Sequence[Link],
+    params: ModelParams,
+    scan: bool,
+) -> FeasibilityReport:
+    """``is_feasible(ordered, params)`` read off ``kernel``, where ``ordered`` sit at ``idx``.
+
+    ``ordered`` are in ascending id order. ``scan`` is ``of_links``'.
+    """
+    return _slot_report(kernel.of_links(idx, ordered, params, scan), ordered, params)
+
+
 def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityReport]:
     """The feasibility report of every slot, in slot order: the one slot verifier.
 
@@ -525,17 +553,20 @@ def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityRepo
     (``ok``), the p-signal level (``first_p_violation``), the theta-scaled
     margin (``max_affectance``) and q-dispersion (``report_q_dispersed``).
     Each report is ``is_feasible`` of the slot's links, read off one kernel
-    of the whole instance (``AffectanceRows.of_links``), so the floats are
-    the same. Raises KeyError on ids that do not belong to the instance.
+    of the whole instance (``gathered_report``), so the floats are the
+    same. One singularity scan of the instance stands for every slot's;
+    only when it finds a sender on a receiver is each slot scanned, so that
+    the same slot raises the same SingularityError. Raises KeyError on ids
+    that do not belong to the instance.
     """
     links, params = instance.links, instance.params
     kernel = AffectanceRows.unscanned(links, params)
+    scan = kernel._coincident() is not None
     position = {link.id: i for i, link in enumerate(links)}
     reports = []
     for slot in schedule.slots:
         idx = [position[i] for i in slot.sorted_members]
-        ordered = [links[i] for i in idx]
-        reports.append(_slot_report(kernel.of_links(idx, ordered, params), ordered, params))
+        reports.append(gathered_report(kernel, idx, [links[i] for i in idx], params, scan))
     return reports
 
 

@@ -241,16 +241,13 @@ def _row_sort_key(row: ResultRow):
     )
 
 
-def _run_cell(spec: TopologySpec, params: ModelParams, algo: str) -> ResultRow:
-    """Generate, schedule, and verify one experiment cell.
+def _run_cell(instance: Instance, spec: TopologySpec, params: ModelParams, algo: str) -> ResultRow:
+    """Schedule and verify one experiment cell: ``algo`` on the instance of ``spec``.
 
-    Regenerates the instance from its seed so cells stay independent and
-    picklable; generation is deterministic, so every algorithm at a given
-    (sweep point, repetition) sees the same instance. A ``SELF_GATED``
-    algorithm is its own gate: a failing round raises from the algorithm
-    and is reported like any other scheduling error.
+    ``wall_time_ms`` times the algorithm alone. A ``SELF_GATED`` algorithm
+    is its own gate: a failing round raises from the algorithm and is
+    reported like any other scheduling error.
     """
-    instance = generate(spec, params)
     start = time.perf_counter()
     try:
         schedule = ALGORITHMS[algo](instance)
@@ -285,31 +282,61 @@ def _run_cell(spec: TopologySpec, params: ModelParams, algo: str) -> ResultRow:
     )
 
 
+def _run_instance(
+    spec: TopologySpec, params: ModelParams, algorithms: Sequence[str]
+) -> list[ResultRow]:
+    """Generate the instance of ``spec`` once and run every algorithm's cell on it.
+
+    Cells run in ``algorithms`` order and the first failing one raises.
+    The arguments are small and picklable: a worker process generates the
+    instance itself.
+    """
+    instance = generate(spec, params)
+    return [_run_cell(instance, spec, params, algo) for algo in algorithms]
+
+
+def _run_pooled(
+    instances: list[tuple[TopologySpec, ModelParams]], algorithms: Sequence[str], workers: int
+) -> list[ResultRow]:
+    """``_run_instance`` of every instance in a process pool, rows in ``instances`` order.
+
+    One task per instance, largest n first, so that the longest tasks do
+    not start last. The results are read in ``instances`` order, so the
+    failure raised is that of the first failing instance in that order, as
+    in one process.
+    """
+    largest_first = sorted(range(len(instances)), key=lambda k: -instances[k][0].n)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(instances))) as pool:
+        futures = {k: pool.submit(_run_instance, *instances[k], algorithms) for k in largest_first}
+        return [row for k in range(len(instances)) for row in futures[k].result()]
+
+
 def run_experiment(
     config: ExperimentConfig, workers: int = 1
 ) -> tuple[list[ResultRow], list[AggregateRow]]:
     """Run every (sweep point x repetition x algorithm) cell and verify it.
 
-    Cells are independent; with workers > 1 they run in a process pool.
-    Rows come back canonically sorted either way, so the output does not
-    depend on execution order.
+    Each (sweep point, repetition) instance is generated once and every
+    algorithm runs on it. Instances are independent; with workers > 1 they
+    run in a process pool. Rows come back canonically sorted either way, so
+    the output does not depend on execution order.
 
     Raises:
         ExperimentVerificationError: on a schedule that fails verification,
-            carrying the instance and schedule for dumping.
+            carrying the instance and schedule for dumping. With several
+            failing cells it is the first in cell order (sweep points as
+            listed, then repetitions, then algorithms as configured),
+            whatever the worker count.
     """
-    cells: list[tuple[TopologySpec, ModelParams, str]] = []
+    instances: list[tuple[TopologySpec, ModelParams]] = []
     for point in sweep_points(config):
         spec, params = _apply_point(config, point)
         for rep in range(config.repetitions):
-            seeded = dataclasses.replace(spec, seed=config.base_seed + rep)
-            for algo in config.algorithms:
-                cells.append((seeded, params, algo))
-    if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, *zip(*cells), chunksize=4))
+            instances.append((dataclasses.replace(spec, seed=config.base_seed + rep), params))
+    if workers > 1 and len(instances) > 1:
+        rows = _run_pooled(instances, config.algorithms, workers)
     else:
-        rows = [_run_cell(*cell) for cell in cells]
+        rows = [row for inst in instances for row in _run_instance(*inst, config.algorithms)]
     rows.sort(key=_row_sort_key)
     return rows, aggregate_rows(rows)
 

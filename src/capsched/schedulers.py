@@ -36,7 +36,7 @@ from .core import (
     _require_uniform_power,
     distance,
     effective_power,
-    is_feasible,
+    gathered_report,
     p_signal_violation,
     slot_reports,
     verify_schedule,
@@ -286,9 +286,17 @@ def _slots(links: Sequence[Link], sets: Iterable[Iterable[int]]) -> tuple[Slot, 
     return tuple(Slot(frozenset(links[i].id for i in s)) for s in sets)
 
 
-def _check_guarded(links: Sequence[Link], chosen: Sequence[int], params: ModelParams) -> None:
-    """Re-verify a guarded selection, which carries no feasibility proof."""
-    report = is_feasible([links[i] for i in chosen], params)
+def _check_guarded(
+    rows: AffectanceRows, links: Sequence[Link], chosen: Sequence[int], params: ModelParams
+) -> None:
+    """Re-verify a guarded selection, which carries no feasibility proof.
+
+    The report is ``is_feasible`` of the chosen links, read off ``rows``,
+    the kernel of ``links``, which its construction found free of senders
+    on receivers.
+    """
+    idx = sorted(chosen, key=lambda i: links[i].id)
+    report = gathered_report(rows, idx, [links[i] for i in idx], params, scan=False)
     if not report.ok:
         raise HeuristicInfeasibilityError(
             f"guarded selection is not SINR-feasible (worst link "
@@ -337,7 +345,7 @@ def single_shot_guarded(instance: Instance) -> Slot:
     rows = AffectanceRows(links, instance.params)
     near = functools.partial(_too_close, links, c_hat=constants.c_hat)
     chosen = _sweep(rows, _length_order(links), 2.0 / 3.0, near)
-    _check_guarded(links, chosen, instance.params)
+    _check_guarded(rows, links, chosen, instance.params)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -354,7 +362,7 @@ def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) ->
     rounds = _first_fit(rows, _length_order(links), threshold, near)
     if c_hat is not None:
         for chosen in rounds:
-            _check_guarded(links, chosen, instance.params)
+            _check_guarded(rows, links, chosen, instance.params)
     return Schedule(_slots(links, rounds))
 
 

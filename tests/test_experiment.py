@@ -1,11 +1,13 @@
 """Tests for the experiment runner and its writers."""
 
 import dataclasses
+import hashlib
+import multiprocessing
 import pickle
 
 import pytest
 
-from capsched import core, schedulers
+from capsched import core, experiment
 from capsched.core import Schedule, SchedulingError, Slot
 from capsched.experiment import (
     ALGORITHMS,
@@ -245,13 +247,14 @@ def test_non_b_cells_pass_the_gate(monkeypatch):
 
 
 def test_b_cell_failing_round_names_algorithm_and_seed(monkeypatch):
+    # B's round check reads its report through core._slot_report
     cfg = small_config(algorithms=("B-repeated",), repetitions=1)
-    real = core.is_feasible
+    real = core._slot_report
 
-    def refuse(members, params):
-        return dataclasses.replace(real(members, params), sinr_feasible=False)
+    def refuse(geo, members, params):
+        return dataclasses.replace(real(geo, members, params), sinr_feasible=False)
 
-    monkeypatch.setattr(schedulers, "is_feasible", refuse)
+    monkeypatch.setattr(core, "_slot_report", refuse)
     with pytest.raises(ExperimentVerificationError, match="not SINR-feasible") as err:
         run_experiment(cfg)
     assert str(err.value).startswith("B-repeated failed on seed 11: ")
@@ -271,6 +274,79 @@ def test_verification_error_survives_pickling():
     assert clone.schedule == Schedule(())
     assert str(clone) == "boom"
     assert rows  # runner itself unaffected
+
+
+# --- one instance per (sweep point, repetition) -------------------------------
+
+# results.csv and the aggregate table of this sweep, as recorded when every
+# cell generated its own instance
+SWEEP = ExperimentConfig(
+    topology=TopologySpec(family="clustered", n=20, seed=0, r_cluster=10.0),
+    sweep=(("n", (20, 60)), ("alpha", (3.0, 4.0))),
+    algorithms=("A-repeated", "B-repeated", "first-fit-baseline"),
+    repetitions=2,
+    base_seed=5,
+)
+SWEEP_SHA256 = {
+    "results.csv": "228117c1f0c8d2824dbbd9493773f316fe7bbcab8bbeb2564ac18a0a74662c0b",
+    "results_aggregate.dat": "789f2a4082d6cb784670c1c678ae7daf284911207386afd04b05080d6767d0f7",
+}
+
+# the pool's workers see this process's monkeypatched ALGORITHMS only when forked
+FORKED = pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="worker processes are not forked",
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_outputs_keep_their_bytes(tmp_path, workers):
+    rows, aggregates = run_experiment(SWEEP, workers=workers)
+    write_results_csv(rows, tmp_path / "results.csv")
+    write_aggregates(aggregates, tmp_path / "results_aggregate.dat")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_SHA256
+    }
+    assert digests == SWEEP_SHA256
+
+
+def test_each_instance_is_generated_once(monkeypatch):
+    cfg = small_config(sweep=(("n", (4, 6)), ("alpha", (3.0, 4.0))))
+    calls = []
+    real = experiment.generate
+
+    def counted(spec, params):
+        calls.append((spec, params))
+        return real(spec, params)
+
+    monkeypatch.setattr(experiment, "generate", counted)
+    rows, _ = run_experiment(cfg)
+    assert len(calls) == len(set(calls)) == 4 * cfg.repetitions
+    assert len(rows) == len(calls) * len(cfg.algorithms)
+
+
+def _fails_at(name: str, n: int):
+    real = ALGORITHMS[name]
+
+    def algo(instance):
+        if len(instance) == n:
+            raise SchedulingError(f"synthetic failure at n={n}")
+        return real(instance)
+
+    return algo
+
+
+@pytest.mark.parametrize("workers", [pytest.param(1), pytest.param(2, marks=FORKED)])
+def test_the_first_failing_cell_in_cell_order_raises(monkeypatch, workers):
+    # cell order is (n=4, A), (n=4, first-fit), (n=6, A), (n=6, first-fit);
+    # the second and third fail, and the pool starts the n=6 instance first
+    cfg = small_config(sweep=(("n", (4, 6)),), algorithms=("A-repeated", "first-fit-baseline"), repetitions=1)
+    monkeypatch.setitem(ALGORITHMS, "A-repeated", _fails_at("A-repeated", 6))
+    monkeypatch.setitem(ALGORITHMS, "first-fit-baseline", _fails_at("first-fit-baseline", 4))
+    with pytest.raises(ExperimentVerificationError) as err:
+        run_experiment(cfg, workers=workers)
+    assert str(err.value) == "first-fit-baseline failed on seed 11: synthetic failure at n=4"
+    assert len(err.value.instance) == 4
 
 
 # --- aggregation ------------------------------------------------------------

@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -51,10 +52,14 @@ LAZY = ("abstract", "experiment", "oracles", "schedulers", "topogen")
 
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
 # lazy modules executed: an unexecuted one still has LazyLoader's module type.
+# The entry ends the process with os._exit; here that raises SystemExit instead.
 _COMMAND_PROBE = """
-import gc, json, runpy, sys, types
+import gc, json, os, runpy, sys, types
 argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 sys.argv = ["capsched", *argv]
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 try:
     runpy.run_module("capsched", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -68,11 +73,22 @@ print(json.dumps({
 """
 
 
-def _python(*args: str, cwd) -> subprocess.CompletedProcess:
-    """A new interpreter, given ``args``, that imports this capsched."""
+def _env(buffered: bool | None = None) -> dict[str, str]:
+    """This environment, importing this capsched; ``buffered`` sets or clears PYTHONUNBUFFERED."""
     src = os.path.dirname(os.path.dirname(capsched.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    if buffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _python(*args: str, cwd, buffered: bool | None = None) -> subprocess.CompletedProcess:
+    """A new interpreter, given ``args``, that imports this capsched."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=_env(buffered), capture_output=True, text=True
+    )
 
 
 def _fresh_python(script: str, *args: str, cwd) -> str:
@@ -141,7 +157,7 @@ def _contract_files(tmp_path) -> None:
     save_instance(Instance(params=params, links=many), tmp_path / "many.json")
 
 
-@pytest.mark.parametrize(
+CONTRACT_CASES = pytest.mark.parametrize(
     "argv, code, err",
     [
         (["verify", "inst.json", "sched.json"], 0, ""),
@@ -155,6 +171,9 @@ def _contract_files(tmp_path) -> None:
     ],
     ids=["0-verified", "1-failing-slot", "2-bad-flag", "3-size-limit"],
 )
+
+
+@CONTRACT_CASES
 def test_python_m_capsched_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code, err):
     # the real entry, in a new process, answers as main does in this one
     _contract_files(tmp_path)
@@ -173,6 +192,148 @@ def test_python_m_capsched_keeps_the_exit_code_contract(tmp_path, capsys, monkey
     assert capsys.readouterr() == (proc.stdout, proc.stderr)
 
 
+@CONTRACT_CASES
+def test_the_hard_exit_keeps_the_contract_with_buffered_stdio(tmp_path, capsys, monkeypatch, argv, code, err):
+    # with block-buffered stdout the output is still in the buffer when main
+    # returns: the entry must flush it before os._exit
+    _contract_files(tmp_path)
+    proc = _python("-m", "capsched", *argv, cwd=tmp_path, buffered=True)
+    monkeypatch.chdir(tmp_path)
+    assert capsched.cli.main(argv) == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
+
+
+def _run_to(sink: str, args: list[str], cwd, buffered: bool) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a new interpreter given ``args``.
+
+    Its stdout goes to a file, a pipe, or a pipe whose reading end is
+    closed before it starts ("closed", which reads back as "").
+    """
+    cmd, env = [sys.executable, *args], _env(buffered)
+    if sink == "pipe":
+        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+    if sink == "file":
+        with open(cwd / "stdout.txt", "w", encoding="utf-8") as out:
+            proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=out, stderr=subprocess.PIPE, text=True)
+        return proc.returncode, (cwd / "stdout.txt").read_text(encoding="utf-8"), proc.stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    return proc.returncode, "", proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+def test_the_entry_writes_all_of_stdout(tmp_path, capsys, monkeypatch, sink, buffered):
+    # 300 one-link slots print about 14 kB, more than one stdout buffer
+    params = ModelParams(alpha=3.0, beta=1.2)
+    links = tuple(
+        Link(id=i, sender=Point(10.0 * i, 0.0), receiver=Point(10.0 * i + 1.0, 0.0))
+        for i in range(300)
+    )
+    save_instance(Instance(params=params, links=links), tmp_path / "inst.json")
+    save_schedule(Schedule(tuple(Slot(frozenset({i})) for i in range(300))), tmp_path / "sched.json")
+    argv = ["verify", "inst.json", "sched.json", "--p", "1.2"]
+    result = _run_to(sink, ["-m", "capsched", *argv], tmp_path, buffered)
+    monkeypatch.chdir(tmp_path)
+    assert capsched.cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert len(out) > 8192 and out.endswith("verified=true\n")
+    assert result == (0, out, err)
+
+
+# The entry as it was before the hard exit: the interpreter's own exit with main's code.
+_ORDINARY_EXIT = "import sys; from capsched.cli import main; raise SystemExit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "random", "--n", "5", "--out", "gen.json"],
+        ["verify", "pair.json", "pair_sched.json"],
+    ],
+    ids=["gen", "failing-verify"],
+)
+def test_a_closed_stdout_pipe_ends_as_the_ordinary_exit_does(tmp_path, argv, buffered):
+    # a flush that fails falls back to the interpreter's exit, which reports
+    # the broken pipe (buffered: exit 120) or main already did (unbuffered: exit 2)
+    _contract_files(tmp_path)
+    entry = _run_to("closed", ["-m", "capsched", *argv], tmp_path, buffered)
+    ordinary = _run_to("closed", ["-c", _ORDINARY_EXIT, *argv], tmp_path, buffered)
+    assert entry == ordinary
+    assert entry[0] == (120 if buffered else 2) and "Broken pipe" in entry[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_experiment_with_workers_leaves_no_process_behind(tmp_path):
+    config = {
+        "topology": {"family": "random", "n": 6, "l_max": 5.0, "field_size": 50.0},
+        "sweep": [["n", [6, 8]]],
+        "algorithms": ["A-repeated", "first-fit-baseline"],
+        "repetitions": 2,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = ["experiment", "--config", "config.json", "--workers", "2"]
+    # the command leads a new process group, which its workers join
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "capsched", *argv], cwd=tmp_path, env=_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    proc.wait()
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        left = False
+    else:
+        left = True
+        os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, left) == (0, False)
+    assert len((tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()) == 1 + 8
+
+
+# Imports capsched in a fresh interpreter whose collector is on, off, or on
+# with objects frozen, with numpy importable or not; counts the collections
+# the import ran.
+_GC_PROBE = """
+import gc, json, sys
+if sys.argv[1] == "disabled":
+    gc.disable()
+if sys.argv[1] == "frozen":
+    gc.freeze()
+frozen = gc.get_freeze_count()
+if sys.argv[2] == "raises":
+    sys.modules["numpy"] = None  # `import numpy` in capsched.core raises ImportError
+before = sum(s["collections"] for s in gc.get_stats())
+try:
+    import capsched
+    raised = False
+except ImportError:
+    raised = True
+print(json.dumps({
+    "enabled": gc.isenabled(),
+    "raised": raised,
+    "collections": sum(s["collections"] for s in gc.get_stats()) - before,
+    "same_frozen": gc.get_freeze_count() == frozen,
+}))
+"""
+
+
+@pytest.mark.parametrize("outcome", ["imports", "raises"])
+@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen"])
+def test_import_pauses_the_collector_and_restores_its_state(tmp_path, state, outcome):
+    # with objects frozen by the caller the import's objects stay young, and
+    # the first allocation after it may run one young collection over them
+    result = json.loads(_fresh_python(_GC_PROBE, state, outcome, cwd=tmp_path))
+    assert result["collections"] <= (state == "frozen")
+    del result["collections"]
+    assert result == {"enabled": state != "disabled", "raised": outcome == "raises", "same_frozen": True}
+
+
 def test_lazy_modules_are_package_attributes_and_registered():
     # monkeypatch.setattr("capsched.schedulers....") resolves through the attribute
     for name in LAZY:
@@ -184,7 +345,7 @@ def test_lazy_modules_are_package_attributes_and_registered():
 
 # The benchmark's tracer (perfbench/tracing.py) imports capsched.cli, looks up
 # sys.modules["capsched.<mod>"] for every target and wraps module attributes.
-# B's rounds call core.is_feasible by the name schedulers imports.
+# The oracle command checks its answer with core.is_feasible by the name cli imports.
 _TRACER_PROBE = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
@@ -202,6 +363,8 @@ try:
             ["schedule", "i.json", "--out", "s.json"],
             ["schedule", "i.json", "--algo", "B", "--out", "b.json"],
             ["verify", "i.json", "s.json"],
+            ["gen", "--family", "random", "--n", "8", "--seed", "1", "--out", "o.json"],
+            ["oracle", "o.json", "--mode", "subset", "--out", "subset.json"],
         ):
             assert capsched.cli.main(argv) == 0, argv
 finally:
