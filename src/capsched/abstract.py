@@ -15,12 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    THRESHOLD_SLACK,
-    Instance,
-    SizeLimitError,
-    single_affectance,
-)
+from .core import THRESHOLD_SLACK, Instance, SingularityError, SizeLimitError, id_ordered
 from .io import read_json, write_canonical
 
 
@@ -217,19 +212,19 @@ def correspondence_check(graph: Graph) -> CorrespondenceReport:
 def export_gain_matrix(instance: Instance) -> GainMatrix:
     """Bridge a geometric instance into matrix form.
 
-    Entries are the pairwise affectances computed by the scalar definitions
-    (deliberately not the vectorized matrix routine) and the threshold is
-    1/beta, so non-strict matrix feasibility coincides with the geometric
-    checker on every subset.
+    Entries are the kernel's floats: the instance kernel's matrix in
+    ascending id order, which the exact oracles read too (``core.id_ordered``).
+    The threshold is 1/beta. The geometric checker's affectance route adds
+    the same entries column by column in id order, as ``abstract_affectance``
+    does, so non-strict matrix feasibility coincides with it on every
+    subset, bit for bit.
+
+    Raises SingularityError when a sender sits on another link's receiver.
     """
-    links = sorted(instance.links, key=lambda l: l.id)
-    n = len(links)
-    entries = np.zeros((n, n))
-    for i, w in enumerate(links):
-        for j, v in enumerate(links):
-            if i != j:
-                entries[i, j] = single_affectance(w, v, instance.params)
-    return GainMatrix(entries=entries, threshold=1.0 / instance.params.beta)
+    if instance.kernel.coincident is not None:  # as single_affectance raises, in received_power
+        raise SingularityError("received power undefined at distance 0")
+    _, kernel = id_ordered(instance)
+    return GainMatrix(entries=kernel.matrix(), threshold=1.0 / instance.params.beta)
 
 
 # --- plain-text formats -------------------------------------------------------

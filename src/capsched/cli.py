@@ -9,7 +9,8 @@ Every schedule or oracle answer passes the slot verifier once before it
 is written and the command exits 0: schedules through the emission gate
 ``core.verify_schedule`` (a partition, and both routes: direct SINR and
 affectance), except B's, whose rounds ``schedulers.schedule_repeated``
-verifies as it makes them; oracle slots through ``core.is_feasible`` (at
+checks with the same slot verifier, ``core.slot_reports``; an oracle
+schedule through the gate, an oracle slot through ``core.is_feasible`` (at
 level p for psignal). All outputs are deterministic for fixed inputs; wall
 times are written only on opt-in.
 """
@@ -34,6 +35,7 @@ from .core import (
     SizeLimitError,
     THRESHOLD_SLACK,
     VerificationError,
+    _require_uniform_power,
     first_p_violation,
     is_feasible,
     partition_report,
@@ -224,13 +226,16 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     for flag in ("p", "q", "theta"):
         value = getattr(args, flag)
-        if value is not None and not value > 0:
-            raise ValueError(f"--{flag} must be positive, got {value}")
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"--{flag} must be {'finite' if value > 0 else 'positive'}, got {value}")
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     report = partition_report(instance, schedule)
     if report.dangling:
         raise ValueError(f"schedule references unknown link ids: {list(report.dangling)}")
+    if args.q is not None:  # dispersion needs one power per slot
+        for slot in schedule.slots:
+            _require_uniform_power(instance.resolve(slot), instance.params)
     ok = True
     if not report.is_partition:
         ok = False

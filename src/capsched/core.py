@@ -15,8 +15,13 @@ Conventions used throughout:
   (``THRESHOLD_SLACK``); verifiers report margins so borderline cases are
   visible instead of silently flipping.
 
-All types are immutable after construction and every function is pure, so
-everything here is safe for concurrent use.
+Each instance has one affectance kernel, ``Instance.kernel``: built on first
+use, read-only, and read by the schedulers, the slot verifier, the refiners
+and the oracles alike.
+
+All types are immutable after construction (an instance caches only values
+derived from its fields) and every function is pure, so everything here is
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -200,12 +205,29 @@ class Instance:
         return {link.id: link for link in self.links}
 
     @cached_property
+    def position(self) -> dict[int, int]:
+        """The index in ``links`` of each link id."""
+        return {link.id: i for i, link in enumerate(self.links)}
+
+    @cached_property
     def has_uniform_power(self) -> bool:
         powers = {effective_power(link, self.params) for link in self.links}
         return len(powers) <= 1
 
+    @cached_property
+    def kernel(self) -> AffectanceRows:
+        """The affectance kernel of ``links``, in their order: built once, read-only, unscanned.
+
+        Every stage reads it or gathers from it (``gather``).
+        """
+        return AffectanceRows(self.links, self.params)
+
     def __len__(self) -> int:
         return len(self.links)
+
+    def __getstate__(self) -> dict:
+        # the cached properties derive from the fields: a pickle carries the fields only
+        return {"params": self.params, "links": self.links}
 
     def resolve(self, slot: Slot) -> tuple[Link, ...]:
         """Member links of ``slot`` in ascending id order.
@@ -213,6 +235,15 @@ class Instance:
         Raises KeyError on ids that do not belong to this instance.
         """
         return tuple(self.by_id[i] for i in slot.sorted_members)
+
+    def gather(self, ids: Iterable[int]) -> tuple[tuple[Link, ...], AffectanceRows]:
+        """The links ``ids``, in that order, and their kernel read off ``kernel`` (``of_links``).
+
+        Raises KeyError on ids that do not belong to this instance.
+        """
+        idx = [self.position[i] for i in ids]
+        links = tuple(self.links[i] for i in idx)
+        return links, self.kernel.of_links(idx, links, self.params)
 
 
 def distance(p: Point, q: Point) -> float:
@@ -290,8 +321,12 @@ def affectance(members: Iterable[Link], v: Link, params: ModelParams) -> float:
 class AffectanceRows:
     """The affectance kernel of ``links``: the only vectorized affectance formula.
 
-    Its per-link arrays are the rows of one (7, n) array ``data``: sender and
-    receiver coordinates, powers, lengths d_vv and noise factors c_v.
+    An instance has one, ``Instance.kernel``, built once and read-only:
+    the schedulers sweep it, and ``slot_reports``, the refiners and the
+    oracles gather their sets from it (``Instance.gather``). Only
+    ``is_feasible``, which has links and no instance, builds another.
+    Its per-link arrays are the rows of one (7, n) array ``data``: sender
+    and receiver coordinates, powers, lengths d_vv and noise factors c_v.
     ``block`` is the formula; ``row(i)`` (links[i] on every link, in O(n)),
     ``matrix`` and the affectance route of ``is_feasible`` read it. ``take``
     gathers the kernel of a subsequence of the links, the same floats: the
@@ -302,34 +337,32 @@ class AffectanceRows:
     ``hypot`` (a coordinate above 1e150 or nonzero below 1e-130, where dx*dx
     may overflow or leave the normal range: ``norm`` takes ``np.hypot``).
     ``of_links`` gathers as a kernel built from the gathered links would be,
-    with their own scan and records: ``slot_reports`` reads every slot off
-    one ``unscanned`` kernel of the instance, and B's round check reads each
-    round off the kernel it swept.
+    with their own records.
 
-    Raises SingularityError when a sender coincides with another link's
-    receiver, naming the smallest sender index first, then the smallest
-    receiver index.
+    The singularity rule lives here. Building a kernel scans nothing;
+    ``apart`` raises SingularityError when a sender coincides with another
+    link's receiver, naming the smallest sender index first, then the
+    smallest receiver index. The scan (``coincident``) runs once per
+    kernel, and ``of_links`` scans a gathered set only when its parent
+    holds such a pair.
     """
 
     def __init__(self, links: Sequence[Link], params: ModelParams):
         self._fill(links, params)
-        self._require_apart(links)
 
-    @classmethod
-    def unscanned(cls, links: Sequence[Link], params: ModelParams) -> AffectanceRows:
-        """The kernel of ``links`` without the singularity scan: a parent for ``of_links``."""
-        return object.__new__(cls)._fill(links, params)
-
-    def _fill(self, links: Sequence[Link], params: ModelParams) -> AffectanceRows:
-        self._adopt(np.empty((7, len(links))), params.alpha)
-        self.data[:5] = [
+    def _fill(self, links: Sequence[Link], params: ModelParams) -> None:
+        data = np.empty((7, len(links)))
+        data[:5] = [
             [l.sender.x for l in links], [l.sender.y for l in links],
             [l.receiver.x for l in links], [l.receiver.y for l in links],
             [effective_power(l, params) for l in links],
         ]
-        return self._derive(params)
+        self._adopt(data, params.alpha)._derive(params)
+        data.flags.writeable = False
+        self._adopt(data, self.alpha, self.unit, self.hypot)  # read-only row views
 
-    def _coincident(self) -> tuple[int, int] | None:
+    @cached_property
+    def coincident(self) -> tuple[int, int] | None:
         """(w, v) of the first sender w on a receiver v (smallest w, then v), or None."""
         # d(s_w, r_v) == 0 exactly when the coordinates are equal (-0.0 == 0.0)
         receivers: dict[tuple[float, float], int] = {}
@@ -341,14 +374,14 @@ class AffectanceRows:
                 return w, v
         return None
 
-    def _require_apart(self, links: Sequence[Link]) -> None:
-        """Raise SingularityError if a sender of ``links`` (this kernel's links) sits on a receiver."""
-        pair = self._coincident()
-        if pair is not None:
-            w, v = pair
+    def apart(self, links: Sequence[Link]) -> AffectanceRows:
+        """This kernel of ``links``, after raising SingularityError if a sender sits on a receiver."""
+        if self.coincident is not None:
+            w, v = self.coincident
             raise SingularityError(
                 f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
             )
+        return self
 
     def _derive(self, params: ModelParams) -> AffectanceRows:
         """The ``hypot`` record, the lengths, the noise factors and the ``unit`` record."""
@@ -377,20 +410,18 @@ class AffectanceRows:
         """The kernel of the links at positions ``idx``, in order: one gather, the same floats."""
         return self.with_data(self.data[:, idx])
 
-    def of_links(
-        self, idx: Sequence[int], links: Sequence[Link], params: ModelParams, scan: bool = True
-    ) -> AffectanceRows:
-        """``AffectanceRows(links, params)``, gathered: ``links`` sit at positions ``idx``.
+    def of_links(self, idx: Sequence[int], links: Sequence[Link], params: ModelParams) -> AffectanceRows:
+        """``AffectanceRows(links, params).apart(links)``, gathered: ``links`` sit at positions ``idx``.
 
-        The singularity scan and the records are the gathered links' own, as
-        in a kernel built from them: one with no extreme coordinate has this
-        kernel's lengths and noise factors, and any other derives them again.
-        ``scan=False`` skips the scan, for a parent with no sender on a
-        receiver, where no gathered kernel has one either.
+        The records are the gathered links' own, as in a kernel built from
+        them: one with no extreme coordinate has this kernel's lengths and
+        noise factors, and any other derives them again. The gathered links
+        are scanned only when this kernel holds a sender on a receiver: a
+        subset of a kernel without one has none either.
         """
         geo = self.take(idx)
-        if scan:
-            geo._require_apart(links)
+        if self.coincident is not None:
+            geo.apart(links)
         if self.hypot:
             return geo._derive(params)
         if not self.unit:
@@ -432,17 +463,27 @@ class AffectanceRows:
 
 
 def affectance_matrix(instance: Instance) -> np.ndarray:
-    """Pairwise single-link affectances: ``AffectanceRows.matrix``, read-only.
+    """Pairwise single-link affectances: the instance kernel's ``matrix``, read-only.
 
     Entry [i, j] is the affectance of links[i] on links[j] (indices follow
     instance.links order); the diagonal is zero. One kernel call over the
     whole distance block; it agrees with single_affectance entrywise up to
     float rounding. Schedulers and refiners read rows on demand instead; the
-    full array is built only for the exact oracles and in tests.
+    exact oracles read the same floats in id order (``id_ordered``).
     """
-    mat = AffectanceRows(instance.links, instance.params).matrix()
+    mat = instance.kernel.apart(instance.links).matrix()
     mat.flags.writeable = False
     return mat
+
+
+def id_ordered(instance: Instance) -> tuple[tuple[Link, ...], AffectanceRows]:
+    """The links in ascending id order and their kernel, one gather of ``instance.kernel``.
+
+    Raises SingularityError as ``affectance_matrix`` does, naming the pair
+    in instance order.
+    """
+    instance.kernel.apart(instance.links)
+    return instance.gather(sorted(instance.position))
 
 
 @dataclass(frozen=True)
@@ -496,7 +537,7 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
     scalar ``_sinr_ratio`` and ``affectance``. ``feasible`` is route two's verdict.
     """
     ordered = sorted(members, key=lambda l: l.id)
-    return _slot_report(AffectanceRows(ordered, params), ordered, params)
+    return _slot_report(AffectanceRows(ordered, params).apart(ordered), ordered, params)
 
 
 def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelParams) -> FeasibilityReport:
@@ -532,41 +573,23 @@ def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelPara
     )
 
 
-def gathered_report(
-    kernel: AffectanceRows,
-    idx: Sequence[int],
-    ordered: Sequence[Link],
-    params: ModelParams,
-    scan: bool,
-) -> FeasibilityReport:
-    """``is_feasible(ordered, params)`` read off ``kernel``, where ``ordered`` sit at ``idx``.
-
-    ``ordered`` are in ascending id order. ``scan`` is ``of_links``'.
-    """
-    return _slot_report(kernel.of_links(idx, ordered, params, scan), ordered, params)
-
-
 def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityReport]:
     """The feasibility report of every slot, in slot order: the one slot verifier.
 
     One report answers every question asked of a slot: both routes
     (``ok``), the p-signal level (``first_p_violation``), the theta-scaled
     margin (``max_affectance``) and q-dispersion (``report_q_dispersed``).
-    Each report is ``is_feasible`` of the slot's links, read off one kernel
-    of the whole instance (``gathered_report``), so the floats are the
-    same. One singularity scan of the instance stands for every slot's;
-    only when it finds a sender on a receiver is each slot scanned, so that
-    the same slot raises the same SingularityError. Raises KeyError on ids
-    that do not belong to the instance.
+    Each report is ``is_feasible`` of the slot's links, the same floats,
+    read off the instance kernel (``Instance.gather``), whose one scan
+    stands for every slot's: only when it finds a sender on a receiver is
+    each slot scanned, so that the same slot raises the same
+    SingularityError. Raises KeyError on ids that do not belong to the
+    instance.
     """
-    links, params = instance.links, instance.params
-    kernel = AffectanceRows.unscanned(links, params)
-    scan = kernel._coincident() is not None
-    position = {link.id: i for i, link in enumerate(links)}
     reports = []
     for slot in schedule.slots:
-        idx = [position[i] for i in slot.sorted_members]
-        reports.append(gathered_report(kernel, idx, [links[i] for i in idx], params, scan))
+        links, kernel = instance.gather(slot.sorted_members)
+        reports.append(_slot_report(kernel, links, instance.params))
     return reports
 
 

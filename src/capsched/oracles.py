@@ -11,25 +11,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (
-    THRESHOLD_SLACK,
-    Instance,
-    Schedule,
-    SizeLimitError,
-    Slot,
-    affectance_matrix,
-)
+from .core import THRESHOLD_SLACK, Instance, Schedule, SizeLimitError, Slot, id_ordered
 
 # Hard caps on instance size: the subset search and the 2^n mask tables
 MAX_LINKS_SUBSET = 20
 MAX_LINKS_SCHEDULE = 12
-
-
-def _id_ordered_matrix(instance: Instance) -> np.ndarray:
-    """Affectance matrix reindexed so that axis order is ascending link id."""
-    mat = affectance_matrix(instance)
-    order = sorted(range(len(instance.links)), key=lambda i: instance.links[i].id)
-    return mat[np.ix_(order, order)]
 
 
 def _max_subset(instance: Instance, threshold: float) -> Slot:
@@ -47,8 +33,8 @@ def _max_subset(instance: Instance, threshold: float) -> Slot:
         raise SizeLimitError(f"{n} links exceed the subset oracle limit {MAX_LINKS_SUBSET}")
     if n == 0:
         return Slot()
-    links = sorted(instance.links, key=lambda l: l.id)
-    mat = _id_ordered_matrix(instance)
+    links, kernel = id_ordered(instance)
+    mat = kernel.matrix()
     bound = threshold + THRESHOLD_SLACK
     best: list[int] = []
 
@@ -203,9 +189,8 @@ def _min_partition(instance: Instance, threshold: float) -> Schedule:
     _check_schedule_limit(n)
     if n == 0:
         return Schedule(())
-    links = sorted(instance.links, key=lambda l: l.id)
-    mat = _id_ordered_matrix(instance)
-    feasible = _feasible_mask_table(mat, n, threshold)
+    links, kernel = id_ordered(instance)
+    feasible = _feasible_mask_table(kernel.matrix(), n, threshold)
     full = (1 << n) - 1
     dp = _min_covers(feasible, n).tolist()
     feasible = feasible.tolist()
@@ -255,8 +240,7 @@ def feasible_subsets(instance: Instance) -> Iterator[Slot]:
     _check_schedule_limit(n)
     if n == 0:
         return
-    links = sorted(instance.links, key=lambda l: l.id)
-    mat = _id_ordered_matrix(instance)
-    feasible = _feasible_mask_table(mat, n, 1.0 / instance.params.beta)
+    links, kernel = id_ordered(instance)
+    feasible = _feasible_mask_table(kernel.matrix(), n, 1.0 / instance.params.beta)
     for mask in np.flatnonzero(feasible).tolist():
         yield Slot(frozenset(links[i].id for i in _member_positions(mask)))

@@ -6,9 +6,12 @@ repeated application for full schedules, two schedule refinement passes
 and a first-fit baseline for comparisons.
 All of them admit links through ``_sweep``, which fills one set, and
 ``_first_fit``, which repeats it on the links left (first-fit in that order).
-Both hold O(n) state. A sweep gathers the ``core.AffectanceRows`` kernel of
-its links and computes an admitted link's row only over the live links ahead
-of it.
+Both hold O(n) state. They read the instance's one kernel,
+``Instance.kernel``: the whole-instance schedulers sweep it, and the
+refiners gather a slot's links from it (``Instance.gather``). A sweep
+computes an admitted link's row only over the live links ahead of it.
+Every re-verification (B's rounds, the guarded single shot, the refiners'
+preconditions) reads ``core.slot_reports``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .core import (
     _require_uniform_power,
     distance,
     effective_power,
-    gathered_report,
     p_signal_violation,
     slot_reports,
     verify_schedule,
@@ -286,23 +288,15 @@ def _slots(links: Sequence[Link], sets: Iterable[Iterable[int]]) -> tuple[Slot, 
     return tuple(Slot(frozenset(links[i].id for i in s)) for s in sets)
 
 
-def _check_guarded(
-    rows: AffectanceRows, links: Sequence[Link], chosen: Sequence[int], params: ModelParams
-) -> None:
-    """Re-verify a guarded selection, which carries no feasibility proof.
-
-    The report is ``is_feasible`` of the chosen links, read off ``rows``,
-    the kernel of ``links``, which its construction found free of senders
-    on receivers.
-    """
-    idx = sorted(chosen, key=lambda i: links[i].id)
-    report = gathered_report(rows, idx, [links[i] for i in idx], params, scan=False)
-    if not report.ok:
-        raise HeuristicInfeasibilityError(
-            f"guarded selection is not SINR-feasible (worst link "
-            f"{report.worst_link}, margin {report.margin:.3e})",
-            link_id=report.worst_link,
-        )
+def _check_guarded(instance: Instance, schedule: Schedule) -> None:
+    """Re-verify guarded selections, which carry no feasibility proof, on both routes."""
+    for report in slot_reports(instance, schedule):
+        if not report.ok:
+            raise HeuristicInfeasibilityError(
+                f"guarded selection is not SINR-feasible (worst link "
+                f"{report.worst_link}, margin {report.margin:.3e})",
+                link_id=report.worst_link,
+            )
 
 
 def single_shot_greedy(instance: Instance) -> Slot:
@@ -320,8 +314,7 @@ def single_shot_greedy(instance: Instance) -> Slot:
     _require_uniform_power(instance.links, instance.params)
     constants = compute_constants(instance.params)
     links = instance.links
-    rows = AffectanceRows(links, instance.params)
-    chosen = _sweep(rows, _length_order(links), constants.c)
+    chosen = _sweep(instance.kernel.apart(links), _length_order(links), constants.c)
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -342,11 +335,11 @@ def single_shot_guarded(instance: Instance) -> Slot:
     _require_uniform_power(instance.links, instance.params)
     constants = compute_constants(instance.params)
     links = instance.links
-    rows = AffectanceRows(links, instance.params)
     near = functools.partial(_too_close, links, c_hat=constants.c_hat)
-    chosen = _sweep(rows, _length_order(links), 2.0 / 3.0, near)
-    _check_guarded(rows, links, chosen, instance.params)
-    return Slot(frozenset(links[i].id for i in chosen))
+    chosen = _sweep(instance.kernel.apart(links), _length_order(links), 2.0 / 3.0, near)
+    slot = Slot(frozenset(links[i].id for i in chosen))
+    _check_guarded(instance, Schedule((slot,)))
+    return slot
 
 
 def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) -> Schedule:
@@ -357,13 +350,12 @@ def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) ->
     With ``c_hat`` each round is the guarded heuristic and is re-verified.
     """
     links = instance.links
-    rows = AffectanceRows(links, instance.params)
     near = None if c_hat is None else functools.partial(_too_close, links, c_hat=c_hat)
-    rounds = _first_fit(rows, _length_order(links), threshold, near)
+    rounds = _first_fit(instance.kernel.apart(links), _length_order(links), threshold, near)
+    schedule = Schedule(_slots(links, rounds))
     if c_hat is not None:
-        for chosen in rounds:
-            _check_guarded(rows, links, chosen, instance.params)
-    return Schedule(_slots(links, rounds))
+        _check_guarded(instance, schedule)
+    return schedule
 
 
 def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
@@ -374,7 +366,7 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
     fixes the selection as the next slot. Holds O(n) state: the row of a
     link is computed in the round that admits it. Terminates because the
     first link of every round is admitted. With ``guarded`` every round is
-    checked on both routes of ``is_feasible`` as it ends (``SELF_GATED``).
+    checked on both routes of ``slot_reports`` (``SELF_GATED``).
 
     Raises:
         HeuristicInfeasibilityError: if a guarded round fails verification.
@@ -398,8 +390,7 @@ def strengthen_slot(
     of an output set is then at most 1/(2p') from longer links (pass one)
     plus 1/(2p') from shorter ones (pass two).
     """
-    links = instance.resolve(slot)
-    rows = AffectanceRows(links, instance.params)
+    links, rows = instance.gather(slot.sorted_members)
     threshold = 1.0 / (2.0 * p_prime)
     decreasing = sorted(range(len(links)), key=lambda i: (-links[i].length, links[i].id))
     out: list[Slot] = []
@@ -445,8 +436,7 @@ def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
     in the set. Output sets are q-dispersed, and remain feasible because
     affectance only shrinks on subsets.
     """
-    links = instance.resolve(slot)
-    rows = AffectanceRows(links, instance.params)
+    links, rows = instance.gather(slot.sorted_members)
     bound = (q * rows.cv ** (1.0 / rows.alpha) + 2.0) * rows.lengths
     near = functools.partial(_not_dispersed, links, bound=bound)
     return _slots(links, _first_fit(rows, _length_order(links), math.inf, near))
@@ -530,7 +520,7 @@ def first_fit_baseline(instance: Instance) -> Schedule:
     after the addition, else it opens a new slot.
     """
     links = instance.links
-    rows = AffectanceRows(links, instance.params)
+    rows = instance.kernel.apart(links)
     rounds = _first_fit(rows, range(len(links)), 1.0 / instance.params.beta, guard=True)
     return Schedule(_slots(links, rounds))
 

@@ -25,7 +25,16 @@ from capsched.abstract import (
     save_gain_matrix,
     save_graph,
 )
-from capsched.core import Instance, Link, ModelParams, Point, is_feasible
+from capsched.core import (
+    Instance,
+    Link,
+    ModelParams,
+    Point,
+    SingularityError,
+    affectance_matrix,
+    is_feasible,
+)
+from capsched.topogen import TopologySpec, generate
 
 P0 = ModelParams(alpha=3.0, beta=1.2, noise=0.0)
 
@@ -240,6 +249,46 @@ def test_export_bridge_agrees_with_geometric_feasibility():
                 geo = is_feasible([links[i] for i in combo], P0).feasible
                 abs_ = abstract_feasible(matrix, combo, strict=False)
                 assert geo == abs_, f"seed {seed}, subset {combo}"
+
+
+def _shuffled(inst, seed, **params):
+    """``inst`` with its links in a random order and ``params`` replaced."""
+    order = np.random.default_rng(seed).permutation(len(inst.links))
+    model = ModelParams(**{**vars(inst.params), **params})
+    return Instance(params=model, links=tuple(inst.links[i] for i in order))
+
+
+def _export_corpus():
+    for seed in range(3):
+        inst = generate(TopologySpec(family="clustered", n=40, seed=seed), P0)
+        yield f"{seed}", _shuffled(inst, seed)
+        yield f"{seed}-noise", _shuffled(inst, seed, noise=1e-6)
+        powers = tuple(
+            Link(l.id, l.sender, l.receiver, power=1.0 + l.id % 3) for l in inst.links
+        )
+        yield f"{seed}-powers", _shuffled(Instance(params=P0, links=powers), seed)
+    far = Link(id=99, sender=Point(3e151, 0.0), receiver=Point(3e151, 2.0))
+    yield "one-far-link", _shuffled(Instance(params=P0, links=inst.links + (far,)), 7)
+
+
+@pytest.mark.parametrize("name, inst", list(_export_corpus()))
+def test_export_entries_are_the_kernel_matrix_in_id_order(name, inst):
+    # instance order is not id order here; the entries are the floats of
+    # affectance_matrix, reindexed by id, bit for bit
+    order = sorted(range(len(inst.links)), key=lambda i: inst.links[i].id)
+    assert order != list(range(len(order)))
+    with np.errstate(all="ignore"):
+        want = affectance_matrix(inst)[np.ix_(order, order)]
+        assert export_gain_matrix(inst).entries.tobytes() == want.tobytes()
+
+
+def test_export_of_a_sender_on_a_receiver_raises_the_scalar_message():
+    links = (
+        Link(id=0, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0)),
+        Link(id=1, sender=Point(5.0, 0.0), receiver=Point(0.0, 0.0)),
+    )
+    with pytest.raises(SingularityError, match="^received power undefined at distance 0$"):
+        export_gain_matrix(Instance(params=P0, links=links))
 
 
 # --- text formats -------------------------------------------------------------------

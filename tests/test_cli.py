@@ -390,6 +390,38 @@ def test_verify_rejects_non_positive_levels(capsys, tmp_path, flag, value):
     assert captured.err == f"error: {flag} must be positive, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("flag", ["--p", "--q", "--theta"])
+@pytest.mark.parametrize("value, wanted", [("inf", "finite"), ("-inf", "positive")])
+def test_verify_rejects_non_finite_levels(capsys, tmp_path, flag, value, wanted):
+    # rejected before any line: a slot line would print theta_margin=-inf on
+    # the three-link slot and theta_margin=nan (inf * 0) on the one-link slot
+    inst_path = spread_instance(tmp_path)
+    sched_path = tmp_path / "s.json"
+    save_schedule(Schedule((Slot({0, 1, 2}), Slot({3}))), sched_path)
+    code = main(["verify", str(inst_path), str(sched_path), f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {flag} must be {wanted}, got {float(value)}\n"
+
+
+def test_verify_q_on_a_mixed_power_slot_prints_no_line(capsys, tmp_path):
+    # first-fit packs links of powers 1 and 2 into shared slots: a valid
+    # schedule, on which dispersion is undefined
+    inst_path = gen_instance(capsys, tmp_path, n=30, seed=0)
+    doc = json.loads(inst_path.read_text())
+    for i, link in enumerate(doc["links"]):
+        link["power"] = 1.0 + i % 2
+    inst_path.write_text(json.dumps(doc))
+    sched_path = tmp_path / "ff.json"
+    assert run_cli(capsys, "schedule", inst_path, "--algo", "firstfit", "--out", sched_path)[0] == 0
+    code, text = run_cli(capsys, "verify", inst_path, sched_path)
+    assert code == 0 and text.startswith("partition: ok\n")
+    code = main(["verify", str(inst_path), str(sched_path), "--q", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: dispersion predicates require uniform power across the set\n"
+
+
 def test_verify_theta_after_strengthen(capsys, tmp_path):
     inst_path = gen_instance(capsys, tmp_path, n=20, seed=4)
     sched_path = tmp_path / "s.json"
@@ -486,6 +518,44 @@ def test_schedule_b_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monke
     code, text = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--out", tmp_path / "s.json")
     assert code == 0 and "verified=true" in text
     assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
+
+
+def counted_kernel_builds(monkeypatch) -> list[int]:
+    """Record the link count of every kernel built from links."""
+    calls: list[int] = []
+    real = core.AffectanceRows._fill
+
+    def counted(self, links, params):
+        calls.append(len(links))
+        return real(self, links, params)
+
+    monkeypatch.setattr(core.AffectanceRows, "_fill", counted)
+    return calls
+
+
+def test_each_command_builds_one_kernel(capsys, tmp_path, monkeypatch):
+    # the instance kernel is built once and read by the schedulers, the gate,
+    # the refiners, the verifier and the oracle
+    inst = gen_instance(capsys, tmp_path, n=60, seed=2, family="clustered")
+    small = gen_instance(capsys, tmp_path, n=12, seed=0, family="clustered")
+    ff = tmp_path / "ff.json"
+    builds = counted_kernel_builds(monkeypatch)
+    commands = [
+        ("schedule", inst, "--algo", "A", "--out", tmp_path / "a.json"),
+        ("schedule", inst, "--algo", "B", "--out", tmp_path / "b.json"),
+        ("schedule", inst, "--algo", "firstfit", "--out", ff),
+        ("refine", inst, ff, "--strengthen", 1.2, 2.4, "--out", tmp_path / "strong.json"),
+        ("refine", inst, ff, "--disperse", 2, "--out", tmp_path / "spread.json"),
+        ("verify", inst, ff, "--p", 1.2, "--theta", 1.0, "--q", 2),
+    ]
+    for argv in commands:
+        builds.clear()
+        assert run_cli(capsys, *argv)[0] in (0, 1)
+        assert builds == [60], argv
+    assert load_schedule(ff).slot_count > 1
+    builds.clear()
+    assert run_cli(capsys, "oracle", small, "--mode", "schedule", "--out", tmp_path / "o.json")[0] == 0
+    assert builds == [12]
 
 
 def test_schedule_b_failing_round_exit_1(capsys, tmp_path):

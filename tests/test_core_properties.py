@@ -34,9 +34,13 @@ from capsched.core import (
 )
 from capsched.schedulers import (
     compute_constants,
+    disperse,
+    disperse_slot,
     first_fit_baseline,
     schedule_repeated,
     single_shot_greedy,
+    strengthen,
+    strengthen_slot,
 )
 from capsched.topogen import DEFAULT_MODEL_PARAMS, TopologySpec, generate
 
@@ -361,17 +365,17 @@ def test_slot_reports_read_one_kernel(name, inst):
     power = inst.links[0].power
     slots.append(Slot(frozenset(l.id for l in inst.links[:40] if l.power == power)))
     schedule = Schedule((*slots, Slot()))
-    position = {l.id: i for i, l in enumerate(inst.links)}
     with np.errstate(all="ignore"):
-        kernel = AffectanceRows.unscanned(inst.links, inst.params)
+        kernel = inst.kernel
         for slot in slots:
-            members = inst.resolve(slot)
-            got = kernel.of_links([position[i] for i in slot.sorted_members], members, inst.params)
+            members, got = inst.gather(slot.sorted_members)
+            assert members == inst.resolve(slot)
             fresh = AffectanceRows(members, inst.params)
             assert got.data.tobytes() == fresh.data.tobytes()
             assert (got.unit, got.hypot) == (fresh.unit, fresh.hypot)
         want = [is_feasible(inst.resolve(slot), inst.params) for slot in schedule.slots]
         assert core.slot_reports(inst, schedule) == want
+    assert inst.kernel is kernel and kernel.coincident is None
     assert kernel.hypot is (name == "one-far-link")
     assert got.unit is not name.endswith("-noise")
 
@@ -398,6 +402,25 @@ def test_verifier_affectance_route_reads_the_kernel(name, inst):
         assert report.max_pair_affectance == sub.max()
 
 
+def test_instance_kernel_is_cached_and_read_only():
+    inst = generate(TopologySpec(family="clustered", n=80, seed=2), DEFAULT_MODEL_PARAMS)
+    kernel = inst.kernel
+    assert inst.kernel is kernel
+    views = ("sx", "sy", "rx", "ry", "powers", "lengths", "cv")
+    for array in (kernel.data, *(getattr(kernel, name) for name in views)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # the stages gather copies: every one of them leaves the cached floats as they were
+    before = kernel.data.tobytes()
+    schedule = first_fit_baseline(inst)
+    schedule_repeated(inst, guarded=True)
+    strengthen(inst, schedule, 1.2, 2.4)
+    disperse(inst, schedule, 2.0)
+    affectance_matrix(inst)
+    assert inst.kernel is kernel and kernel.data.tobytes() == before
+
+
 def _link(lid, sx, sy, rx, ry):
     return Link(id=lid, sender=Point(sx, sy), receiver=Point(rx, ry))
 
@@ -407,7 +430,9 @@ def test_kernel_rejects_sender_on_receiver(zero):
     # link 11's sender sits on link 10's receiver, -0.0 and 0.0 alike
     links = (_link(10, 5.0, 3.0, -0.0, 3.0), _link(11, zero, 3.0, zero, 9.0))
     with pytest.raises(SingularityError, match="sender of link 11 .* receiver of link 10"):
-        AffectanceRows(links, P_KERNEL)
+        AffectanceRows(links, P_KERNEL).apart(links)
+    with pytest.raises(SingularityError, match="sender of link 11 .* receiver of link 10"):
+        is_feasible(links, P_KERNEL)
     with pytest.raises(SingularityError):
         affectance_matrix(Instance(params=P_KERNEL, links=links))
 
@@ -420,8 +445,30 @@ def test_kernel_names_first_coincident_pair():
         _link(20, 2.0, 0.0, 3.0, 0.0),
         _link(10, 1.0, 5.0, 1.0, 0.0),
     )
-    with pytest.raises(SingularityError, match="sender of link 30 coincides with receiver of link 40"):
-        AffectanceRows(links, P_KERNEL)
+    pair = "sender of link 30 coincides with receiver of link 40"
+    with pytest.raises(SingularityError, match=pair):
+        AffectanceRows(links, P_KERNEL).apart(links)
+    with pytest.raises(SingularityError, match=pair):
+        affectance_matrix(Instance(params=P_KERNEL, links=links))
+
+
+def test_gathered_sets_are_scanned_only_on_a_singular_instance():
+    # link 0's sender sits on link 1's receiver; link 2 is far from both
+    links = (_link(2, 50.0, 0.0, 51.0, 0.0), _link(1, 5.0, 0.0, 0.0, 0.0), _link(0, 0.0, 0.0, 1.0, 0.0))
+    inst = Instance(params=P_KERNEL, links=links)
+    assert inst.kernel.coincident == (2, 1)
+    pair = "sender of link 0 coincides with receiver of link 1"
+    for call in (
+        lambda: strengthen_slot(inst, Slot({0, 1, 2}), 2.0),
+        lambda: disperse_slot(inst, Slot({0, 1}), 1.0),
+        lambda: core.slot_reports(inst, Schedule((Slot({2}), Slot({1, 0})))),
+    ):
+        with pytest.raises(SingularityError, match=pair):
+            call()
+    assert strengthen_slot(inst, Slot({0, 2}), 2.0) == (Slot({0, 2}),)
+    assert disperse_slot(inst, Slot({1, 2}), 1.0) == (Slot({1, 2}),)
+    reports = core.slot_reports(inst, Schedule((Slot({0, 2}), Slot({1}))))
+    assert all(report.ok for report in reports)
 
 
 def test_singularity_raised_for_a_link_never_admitted():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import multiprocessing
 import pickle
 
@@ -323,6 +324,56 @@ def test_each_instance_is_generated_once(monkeypatch):
     rows, _ = run_experiment(cfg)
     assert len(calls) == len(set(calls)) == 4 * cfg.repetitions
     assert len(rows) == len(calls) * len(cfg.algorithms)
+
+
+def test_each_instance_builds_one_kernel(monkeypatch):
+    # every algorithm and the gate read the kernel cached on the instance
+    cfg = small_config(sweep=(("n", (4, 6)), ("alpha", (3.0, 4.0))))
+    builds = []
+    real = core.AffectanceRows._fill
+
+    def counted(self, links, params):
+        builds.append(len(links))
+        return real(self, links, params)
+
+    monkeypatch.setattr(core.AffectanceRows, "_fill", counted)
+    rows, _ = run_experiment(cfg)
+    assert sorted(builds) == sorted(row.n for row in rows if row.algorithm == "A-repeated")
+    assert len(builds) == 4 * cfg.repetitions
+
+
+def _gate_fails(instance):
+    # a schedule that drops a link, made after A has cached the instance kernel
+    schedule = ALGORITHMS["A-repeated"](instance)
+    assert "kernel" in vars(instance)
+    return Schedule(schedule.slots[1:])
+
+
+@pytest.mark.parametrize("workers", [pytest.param(1), pytest.param(2, marks=FORKED)])
+def test_failed_instance_with_a_cached_kernel_dumps_the_same_bytes(monkeypatch, tmp_path, workers):
+    from capsched.cli import main
+    from capsched.io import save_instance
+    from capsched.topogen import generate
+
+    config = {
+        "topology": {"family": "clustered", "n": 30},
+        "sweep": [["n", [20, 30]]],
+        "algorithms": ["first-fit-baseline"],
+        "base_seed": 11,
+        "output": str(tmp_path / "results.csv"),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.setitem(ALGORITHMS, "first-fit-baseline", _gate_fails)
+    assert main(["experiment", "--config", str(tmp_path / "config.json"), "--workers", str(workers)]) == 1
+    # the first failing cell is n = 20's
+    inst = generate(TopologySpec(family="clustered", n=20, seed=11), DEFAULT_MODEL_PARAMS)
+    save_instance(inst, tmp_path / "want.json")
+    assert (tmp_path / "failed_instance.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    # the pickle carries the fields, not the cached kernel, and rebuilds the same one
+    exc = ExperimentVerificationError("boom", instance=inst, schedule=_gate_fails(inst))
+    clone = pickle.loads(pickle.dumps(exc)).instance
+    assert clone == inst and "kernel" not in vars(clone)
+    assert clone.kernel.data.tobytes() == inst.kernel.data.tobytes()
 
 
 def _fails_at(name: str, n: int):

@@ -27,10 +27,11 @@ from capsched.core import (
     Link,
     ModelParams,
     SizeLimitError,
+    affectance_matrix,
+    id_ordered,
 )
 from capsched.oracles import (
     _feasible_mask_table,
-    _id_ordered_matrix,
     _min_covers,
     min_schedule,
     peel_lattice,
@@ -38,6 +39,17 @@ from capsched.oracles import (
 from capsched.topogen import TopologySpec, generate
 
 # --- references -------------------------------------------------------------------
+
+
+def id_ordered_matrix(inst):
+    """The oracles' matrix, the instance kernel gathered in id order.
+
+    It is the instance-order ``affectance_matrix`` reindexed by id, bit for bit.
+    """
+    mat = id_ordered(inst)[1].matrix()
+    order = sorted(range(len(inst.links)), key=lambda i: inst.links[i].id)
+    assert mat.tobytes() == affectance_matrix(inst)[np.ix_(order, order)].tobytes()
+    return mat
 
 
 def reference_affectance_table(mat, n):
@@ -123,7 +135,7 @@ def fast_affectance_table(mat, n):
 @given(small_instance(), st.floats(0.3, 4.0))
 @settings(max_examples=60, deadline=None)
 def test_mask_table_equals_per_mask_peel(inst, p):
-    mat = _id_ordered_matrix(inst)
+    mat = id_ordered_matrix(inst)
     n = len(inst.links)
     assert np.array_equal(fast_affectance_table(mat, n), reference_affectance_table(mat, n))
     for threshold in thresholds(inst, p):
@@ -136,7 +148,7 @@ def test_mask_table_equals_per_mask_peel(inst, p):
 @settings(max_examples=40, deadline=None)
 def test_mask_table_within_one_ulp_of_the_bound(inst, data):
     # put the bound on one member's sum, and a few ulps to either side of it
-    mat = _id_ordered_matrix(inst)
+    mat = id_ordered_matrix(inst)
     n = len(inst.links)
     affs = reference_affectance_table(mat, n)
     mask = data.draw(st.integers(1, (1 << n) - 1))
@@ -157,7 +169,7 @@ def test_mask_table_within_one_ulp_of_the_bound(inst, data):
 @given(small_instance(), st.floats(0.3, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_layered_cover_equals_submask_dp(inst, p):
-    mat = _id_ordered_matrix(inst)
+    mat = id_ordered_matrix(inst)
     n = len(inst.links)
     for threshold in thresholds(inst, p):
         feasible = _feasible_mask_table(mat, n, threshold)

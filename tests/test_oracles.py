@@ -131,12 +131,12 @@ def test_max_subset_empty_instance():
 
 
 def no_matrix(monkeypatch):
-    """Make building the affectance matrix fail: a size check must come first."""
+    """Make gathering the affectance matrix fail: a size check must come first."""
 
     def fail(instance):
         raise AssertionError("the oracle did work before its size check")
 
-    monkeypatch.setattr(oracles, "affectance_matrix", fail)
+    monkeypatch.setattr(oracles, "id_ordered", fail)
 
 
 def test_max_subset_size_limit(monkeypatch):
