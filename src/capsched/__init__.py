@@ -4,73 +4,85 @@ The package root exports the documented library entry points, the emission
 gate ``verify_schedule`` and the ``SchedulingError`` family; everything else
 is imported from its module (``capsched.core``, ``capsched.schedulers``, ...).
 
-Importing the package executes only ``core``. The heavier modules
-(``abstract``, ``experiment``, ``oracles``, ``schedulers``, ``topogen``) are
-registered in ``sys.modules`` and as package attributes by
-``importlib.util.LazyLoader``: each executes on its first attribute access,
-so a command loads only the modules it calls into. The entry points that
-live in those modules resolve through the module ``__getattr__`` below.
+``core``, the heavier modules (``abstract``, ``experiment``, ``oracles``,
+``schedulers``, ``topogen``) and numpy, unless already imported, are
+registered in ``sys.modules`` unexecuted and execute on first attribute
+access: ``core`` at once, the others when a command calls into them, so
+``gen`` never executes numpy. Entry points of the lazy modules resolve
+through the module ``__getattr__`` below.
 
-The cyclic collector is paused while ``core`` imports numpy and itself:
-those imports create tens of thousands of long-lived objects, and the
-collections they would trigger find no garbage. The caller's collector
-state comes back afterwards, also when an import raises, and the objects
-made meanwhile join the oldest generation without a collection.
+A lazy module executes with the cyclic collector paused and gives the
+caller's state back, also when it raises. If the collector was on, its
+long-lived objects, and those of the lazy modules it executed, go unwalked
+to the oldest generation (``freeze()``, ``unfreeze()``), or join the frozen
+ones of a caller that froze objects after importing the package
+(``cli.run``); objects frozen before the import stay frozen.
 """
 
 import gc
 import importlib.util
 import sys
-
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    from .core import (
-        HeuristicInfeasibilityError,
-        InfeasibleLinkError,
-        ModelParams,
-        PreconditionError,
-        SchedulingError,
-        SingularityError,
-        SizeLimitError,
-        UnsupportedConfigurationError,
-        VerificationError,
-        is_feasible,
-        is_p_signal,
-        is_q_dispersed,
-        verify_schedule,
-    )
-finally:
-    # The paused imports leave generation 0 holding every object they made,
-    # and the first young collection after them would walk them all once.
-    # freeze() then unfreeze() moves them to the oldest generation unwalked,
-    # unless the caller has frozen objects, which unfreeze() would release.
-    if not gc.get_freeze_count():
-        gc.freeze()
-        gc.unfreeze()
-    if _collecting:
-        gc.enable()
-    del _collecting
-
-__version__ = "0.1.0"
+import types
 
 
-def _lazy_module(name: str):
-    """Register submodule ``name`` to execute on its first attribute access."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    loader.exec_module(module)
+class _LazyModule(types.ModuleType):
+    """A registered module that executes, with the collector paused, on its first attribute read."""
+
+    def __getattribute__(self, attr):
+        if attr == "__spec__":  # read by `import numpy as np`, which binds numpy unexecuted
+            return object.__getattribute__(self, attr)
+        self.__class__ = types.ModuleType
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.__spec__.loader.exec_module(self)
+        finally:
+            if collecting:  # off: the caller's choice, or an outer execution's, which moves these too
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
+                elif not _FROZEN_AT_IMPORT:
+                    gc.freeze()
+                gc.enable()
+        return getattr(self, attr)
+
+
+def _lazy(name: str):
+    """Register module ``name`` (``.name``: in this package) to execute on first attribute access."""
+    spec = importlib.util.find_spec(name, __name__)
+    sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     return module
 
 
-abstract = _lazy_module("abstract")
-experiment = _lazy_module("experiment")
-oracles = _lazy_module("oracles")
-schedulers = _lazy_module("schedulers")
-topogen = _lazy_module("topogen")
+_FROZEN_AT_IMPORT = gc.get_freeze_count()
+if "numpy" not in sys.modules and importlib.util.find_spec("numpy") is not None:
+    _lazy("numpy")
+
+core = _lazy(".core")
+from .core import (  # noqa: E402
+    HeuristicInfeasibilityError,
+    InfeasibleLinkError,
+    ModelParams,
+    PreconditionError,
+    SchedulingError,
+    SingularityError,
+    SizeLimitError,
+    UnsupportedConfigurationError,
+    VerificationError,
+    is_feasible,
+    is_p_signal,
+    is_q_dispersed,
+    verify_schedule,
+)
+
+__version__ = "0.1.0"
+
+abstract = _lazy(".abstract")
+experiment = _lazy(".experiment")
+oracles = _lazy(".oracles")
+schedulers = _lazy(".schedulers")
+topogen = _lazy(".topogen")
 
 # entry point -> the lazy module that defines it
 _LAZY_EXPORTS = {

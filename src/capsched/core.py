@@ -201,10 +201,6 @@ class Instance:
             noise_factor(link, self.params)  # raises InfeasibleLinkError on dead links
 
     @cached_property
-    def by_id(self) -> dict[int, Link]:
-        return {link.id: link for link in self.links}
-
-    @cached_property
     def position(self) -> dict[int, int]:
         """The index in ``links`` of each link id."""
         return {link.id: i for i, link in enumerate(self.links)}
@@ -234,7 +230,7 @@ class Instance:
 
         Raises KeyError on ids that do not belong to this instance.
         """
-        return tuple(self.by_id[i] for i in slot.sorted_members)
+        return tuple(self.links[self.position[i]] for i in slot.sorted_members)
 
     def gather(self, ids: Iterable[int]) -> tuple[tuple[Link, ...], AffectanceRows]:
         """The links ``ids``, in that order, and their kernel read off ``kernel`` (``of_links``).
@@ -719,7 +715,7 @@ def partition_report(instance: Instance, schedule: Schedule) -> PartitionReport:
     counts: dict[int, int] = {}
     for i in schedule.all_ids():
         counts[i] = counts.get(i, 0) + 1
-    known = set(instance.by_id)
+    known = instance.position.keys()
     dangling = tuple(sorted(i for i in counts if i not in known))
     duplicated = tuple(sorted(i for i, c in counts.items() if c > 1 and i in known))
     missing = tuple(sorted(i for i in known if i not in counts))

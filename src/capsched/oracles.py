@@ -7,8 +7,6 @@ exponential and guarded by explicit size limits.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .core import THRESHOLD_SLACK, Instance, Schedule, SizeLimitError, Slot, id_ordered
@@ -229,18 +227,3 @@ def min_p_signal_schedule(instance: Instance, p: float) -> Schedule:
         raise ValueError(f"p must be positive, got {p}")
     return _min_partition(instance, 1.0 / p)
 
-
-def feasible_subsets(instance: Instance) -> Iterator[Slot]:
-    """All nonempty SINR-feasible subsets, in ascending bitmask order.
-
-    The bitmask follows ascending link id. Guarded by the schedule limit
-    since the output itself is exponential.
-    """
-    n = len(instance.links)
-    _check_schedule_limit(n)
-    if n == 0:
-        return
-    links, kernel = id_ordered(instance)
-    feasible = _feasible_mask_table(kernel.matrix(), n, 1.0 / instance.params.beta)
-    for mask in np.flatnonzero(feasible).tolist():
-        yield Slot(frozenset(links[i].id for i in _member_positions(mask)))

@@ -1,16 +1,16 @@
 """Seeded topology generators for the two experiment families.
 
-Instances are reproducible across machines: all randomness comes from a
-Philox 4x64 counter-based generator keyed directly with the topology seed, and
-the draw order per entity is fixed and documented on each generator.
+Instances are reproducible across machines: all randomness comes from one
+Philox4x64-10 stream keyed directly with the topology seed (``uniforms``),
+and the draw order per entity is fixed and documented on each generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable, Iterator
 
 from .core import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point
 from .io import _shown
@@ -52,18 +52,46 @@ class TopologySpec:
         return self.n_clusters if self.n_clusters is not None else max(1, self.n // 10)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, *Parallel Random Numbers: As Easy
+# as 1, 2, 3*, SC 2011): the round multipliers and the Weyl increments of the key
+_M0, _M1, _W0, _W1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MASK = (1 << 64) - 1
 
 
-def _disc_offset(rng: np.random.Generator, radius: float) -> tuple[float, float]:
+def _round_keys(seed: int) -> list[tuple[int, int]]:
+    """The ten round keys of the key (seed, 0)."""
+    return [((seed + r * _W0) & _MASK, r * _W1 & _MASK) for r in range(10)]
+
+
+def _block(keys: list[tuple[int, int]], counter: int) -> tuple[int, int, int, int]:
+    """The four 64-bit output words of ten Philox rounds on ``counter`` (256 bits, low word first)."""
+    c0, c1, c2, c3 = counter & _MASK, counter >> 64 & _MASK, counter >> 128 & _MASK, counter >> 192
+    for k0, k1 in keys:
+        p0, p1 = _M0 * c0, _M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+    return c0, c1, c2, c3
+
+
+def uniforms(seed: int) -> Iterator[float]:
+    """numpy's ``Generator(Philox(key=seed)).random()`` stream, bit for bit, in pure Python.
+
+    Key (seed, 0); the 256-bit counter starts at 0 and is incremented before
+    each block; each block's four words, in order, each word u as (u >> 11) * 2^-53.
+    """
+    keys = _round_keys(seed)
+    for counter in itertools.count(1):
+        for word in _block(keys, counter):
+            yield (word >> 11) * 2.0**-53
+
+
+def _disc_offset(random: Callable[[], float], radius: float) -> tuple[float, float]:
     """Uniform point in the disc of the given radius around the origin.
 
     Exactly two draws: r = radius*sqrt(u1), angle = 2*pi*u2. sqrt keeps the
     area density uniform without rejection.
     """
-    r = radius * math.sqrt(rng.random())
-    angle = 2.0 * math.pi * rng.random()
+    r = radius * math.sqrt(random())
+    angle = 2.0 * math.pi * random()
     return r * math.cos(angle), r * math.sin(angle)
 
 
@@ -79,14 +107,14 @@ def gen_random(
     """
     if spec.family != "random":
         raise ValueError(f"gen_random got family {spec.family!r}")
-    rng = _rng(spec.seed)
+    random = uniforms(spec.seed).__next__
     links = []
     for i in range(spec.n):
-        rx = spec.field_size * rng.random()
-        ry = spec.field_size * rng.random()
-        dx, dy = _disc_offset(rng, spec.l_max)
+        rx = spec.field_size * random()
+        ry = spec.field_size * random()
+        dx, dy = _disc_offset(random, spec.l_max)
         while dx == 0.0 and dy == 0.0:
-            dx, dy = _disc_offset(rng, spec.l_max)
+            dx, dy = _disc_offset(random, spec.l_max)
         links.append(Link(id=i, sender=Point(rx + dx, ry + dy), receiver=Point(rx, ry)))
     return Instance(params=params, links=tuple(links))
 
@@ -104,12 +132,12 @@ def gen_clustered(
     """
     if spec.family != "clustered":
         raise ValueError(f"gen_clustered got family {spec.family!r}")
-    rng = _rng(spec.seed)
+    random = uniforms(spec.seed).__next__
     k = spec.resolved_clusters
     centers = []
     for _ in range(k):
-        cx = spec.field_size * rng.random()
-        cy = spec.field_size * rng.random()
+        cx = spec.field_size * random()
+        cy = spec.field_size * random()
         centers.append((cx, cy))
     base, extra = divmod(spec.n, k)
     quotas = [base + (1 if c < extra else 0) for c in range(k)]
@@ -117,8 +145,8 @@ def gen_clustered(
     for c, (cx, cy) in enumerate(centers):
         for _ in range(quotas[c]):
             while True:
-                sx, sy = _disc_offset(rng, spec.r_cluster)
-                tx, ty = _disc_offset(rng, spec.r_cluster)
+                sx, sy = _disc_offset(random, spec.r_cluster)
+                tx, ty = _disc_offset(random, spec.r_cluster)
                 if (sx, sy) != (tx, ty):
                     break
             links.append(

@@ -208,7 +208,7 @@ def test_is_p_signal_thresholds():
     # sanity: the other two links see less than 0.25
     for lid in (1, 2):
         links = inst.resolve(sched.slots[0])
-        assert affectance(links, inst.by_id[lid], P0) < 0.25
+        assert affectance(links, inst.links[inst.position[lid]], P0) < 0.25
     assert is_p_signal(inst, sched, 4.0) is True
     assert is_p_signal(inst, sched, 5.0) is False
     viol = p_signal_violation(inst, sched, 5.0)

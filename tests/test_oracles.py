@@ -18,11 +18,12 @@ from capsched.core import (
     Point,
     SizeLimitError,
     affectance,
+    id_ordered,
     is_feasible,
 )
 from capsched import oracles
 from capsched.oracles import (
-    feasible_subsets,
+    _feasible_mask_table,
     max_feasible_subset,
     max_p_signal_subset,
     min_p_signal_schedule,
@@ -259,30 +260,32 @@ def test_min_schedule_empty_instance():
 # --- feasible subset enumeration ------------------------------------------------
 
 
+def feasible_subsets(instance):
+    """Every nonempty SINR-feasible link set, in id order, in ascending mask order (bit j: j-th smallest id)."""
+    links, kernel = id_ordered(instance)
+    table = _feasible_mask_table(kernel.matrix(), len(links), 1.0 / instance.params.beta)
+    return [
+        tuple(l for j, l in enumerate(links) if mask >> j & 1)
+        for mask in np.flatnonzero(table).tolist()
+    ]
+
+
 def test_feasible_subsets_match_brute_force():
     inst = random_instance(300, 6)
-    got = {slot.members for slot in feasible_subsets(inst)}
-    want = set()
+    want = []
     links = sorted(inst.links, key=lambda l: l.id)
-    for size in range(1, len(links) + 1):
-        for combo in itertools.combinations(links, size):
-            if is_feasible(combo, inst.params).feasible:
-                want.add(frozenset(l.id for l in combo))
-    assert got == want
+    for mask in range(1, 1 << len(links)):
+        combo = tuple(l for j, l in enumerate(links) if mask >> j & 1)
+        if is_feasible(combo, inst.params).feasible:
+            want.append(combo)
+    assert feasible_subsets(inst) == want
 
 
 def test_feasible_subsets_hereditary():
     inst = random_instance(301, 7)
-    feas = {slot.members for slot in feasible_subsets(inst)}
+    feas = {frozenset(l.id for l in links) for links in feasible_subsets(inst)}
     for members in feas:
         for drop in members:
             smaller = members - {drop}
             if smaller:
                 assert smaller in feas
-
-
-def test_feasible_subsets_size_limit(monkeypatch):
-    no_matrix(monkeypatch)
-    inst = random_instance(7, oracles.MAX_LINKS_SCHEDULE + 1)
-    with pytest.raises(SizeLimitError, match="13 links exceed the schedule oracle limit 12"):
-        list(feasible_subsets(inst))

@@ -51,8 +51,9 @@ def test_package_root_exports_the_error_family():
 LAZY = ("abstract", "experiment", "oracles", "schedulers", "topogen")
 
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
-# lazy modules executed: an unexecuted one still has LazyLoader's module type.
-# The entry ends the process with os._exit; here that raises SystemExit instead.
+# lazy modules, numpy among them, executed: an unexecuted one still has the lazy
+# module type. The entry ends the process with os._exit; here that raises
+# SystemExit instead.
 _COMMAND_PROBE = """
 import gc, json, os, runpy, sys, types
 argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -67,6 +68,7 @@ except SystemExit as exc:
 print(json.dumps({
     "code": code,
     "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
+    "numpy": type(sys.modules["numpy"]) is types.ModuleType,
     "futures": "concurrent.futures" in sys.modules,
     "frozen": gc.get_freeze_count() > 0,
 }))
@@ -110,20 +112,26 @@ def _instance_files(tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
-    "argv, executed",
+    "argv, code, executed, numpy",
     [
-        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], []),
-        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], ["topogen"]),
-        (["schedule", "inst.json", "--out", "out.json"], ["schedulers"]),
-        (["reduce-graph", "g.txt", "--check"], ["abstract"]),
+        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], 0, [], True),
+        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, ["topogen"], False),
+        (["schedule", "inst.json", "--out", "out.json"], 0, ["schedulers"], True),
+        (["reduce-graph", "g.txt", "--check"], 0, ["abstract"], True),
+        (["schedule", "inst.json", "--algo", "C"], 2, [], False),
+        (["verify", "inst.json", "sched.json", "--p", "nan"], 2, [], False),
     ],
-    ids=["verify", "gen", "schedule", "reduce-graph"],
+    ids=["verify", "gen", "schedule", "reduce-graph", "argparse-error", "verify-nan"],
 )
-def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, executed):
+def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, code, executed, numpy):
+    # gen draws its instance without numpy, and a command refused on its
+    # arguments stops before anything computes
     _instance_files(tmp_path)
     probe = _fresh_python(_COMMAND_PROBE, json.dumps(argv), json.dumps(LAZY), cwd=tmp_path)
     result = json.loads(probe)
-    assert result == {"code": 0, "executed": executed, "futures": False, "frozen": True}
+    assert result == {
+        "code": code, "executed": executed, "numpy": numpy, "futures": False, "frozen": True
+    }
 
 
 def test_main_leaves_the_collector_unfrozen(tmp_path, capsys, monkeypatch):
@@ -334,6 +342,60 @@ def test_import_pauses_the_collector_and_restores_its_state(tmp_path, state, out
     assert result == {"enabled": state != "disabled", "raised": outcome == "raises", "same_frozen": True}
 
 
+# Imports capsched in a fresh interpreter, which registers numpy unexecuted,
+# with the collector on, off, or on with objects frozen before or after the
+# import; then executes numpy as a command's first computation does, with
+# numpy's core importable or not (numpy 2 names it numpy._core, numpy 1
+# numpy.core); counts the collections and compares the freeze counts.
+_NUMPY_PROBE = """
+import gc, json, sys, types
+state, outcome = sys.argv[1:]
+if state == "disabled":
+    gc.disable()
+if state == "frozen-before":
+    gc.freeze()
+import capsched
+lazy = type(sys.modules["numpy"]) is not types.ModuleType
+if state == "frozen-after":
+    gc.freeze()
+frozen = gc.get_freeze_count()
+if outcome == "raises":
+    sys.modules["numpy._core"] = sys.modules["numpy.core"] = None
+before = sum(s["collections"] for s in gc.get_stats())
+try:
+    capsched.core.np.ndarray
+    raised = False
+except ImportError:
+    raised = True
+print(json.dumps({
+    "lazy": lazy,
+    "enabled": gc.isenabled(),
+    "raised": raised,
+    "collections": sum(s["collections"] for s in gc.get_stats()) - before,
+    "frozen": "same" if gc.get_freeze_count() == frozen else "more",
+}))
+"""
+
+
+@pytest.mark.parametrize("outcome", ["imports", "raises"])
+@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen-before", "frozen-after"])
+def test_numpy_executes_with_the_collector_paused(tmp_path, state, outcome):
+    # numpy's objects go where the eager import left them: unwalked to the
+    # oldest generation, or into the frozen ones of a caller that froze after
+    # importing the package (cli.run does); objects frozen before the import
+    # stay as they are, and numpy's stay young, so the first allocation after
+    # it may collect them once
+    result = json.loads(_fresh_python(_NUMPY_PROBE, state, outcome, cwd=tmp_path))
+    assert result["collections"] <= (state == "frozen-before")
+    del result["collections"]
+    assert result == {
+        "lazy": True,
+        "enabled": state != "disabled",
+        "raised": outcome == "raises",
+        "frozen": "more" if state == "frozen-after" else "same",
+    }
+
+
 def test_lazy_modules_are_package_attributes_and_registered():
     # monkeypatch.setattr("capsched.schedulers....") resolves through the attribute
     for name in LAZY:
@@ -407,7 +469,6 @@ def test_entry_points_take_no_test_only_options():
         oracles.max_p_signal_subset,
         oracles.min_schedule,
         oracles.min_p_signal_schedule,
-        oracles.feasible_subsets,
         abstract.correspondence_check,
         schedulers.single_shot_greedy,
         schedulers.single_shot_guarded,

@@ -1,19 +1,60 @@
-"""Tests for the seeded topology generators."""
+"""Tests for the seeded topology generators.
 
+numpy's Philox is the reference the pure-Python stream ``uniforms`` is
+tested against; the generators themselves never call numpy.
+"""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capsched.core import ModelParams, distance
 from capsched.io import instance_to_obj, save_instance
 from capsched.topogen import (
     DEFAULT_MODEL_PARAMS,
     TopologySpec,
+    _block,
+    _round_keys,
     gen_clustered,
     gen_random,
     generate,
+    uniforms,
 )
+
+
+def numpy_draws(seed, count, counter=None):
+    """The first ``count`` doubles of numpy's Generator(Philox(key=seed, counter=counter))."""
+    bitgen = np.random.Philox(key=seed, counter=counter)
+    return np.random.Generator(bitgen).random(count).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+def test_uniforms_are_numpys_philox_stream(seed):
+    assert list(itertools.islice(uniforms(seed), 10**4)) == numpy_draws(seed, 10**4)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 13))
+@settings(max_examples=200, deadline=None)
+def test_uniforms_match_numpy_for_every_seed(seed, count):
+    # counts that end inside a block as well as on its boundary
+    assert list(itertools.islice(uniforms(seed), count)) == numpy_draws(seed, count)
+
+
+@pytest.mark.parametrize(
+    "words", [[2**64 - 1, 0, 0, 0], [2**64 - 1, 2**64 - 1, 0, 0]], ids=["carry-1", "carry-2"]
+)
+def test_the_counter_carries_across_its_words(words):
+    # numpy would read a plain list holding 2**64 - 1 as floats and silently
+    # start at counter 0, so the words go in as uint64
+    counter = np.array(words, dtype=np.uint64)
+    assert np.random.Philox(key=9, counter=counter).state["state"]["counter"].tolist() == words
+    after = sum(word << (64 * i) for i, word in enumerate(words)) + 1
+    draws = [(word >> 11) * 2.0**-53 for word in _block(_round_keys(9), after)]
+    assert draws == numpy_draws(9, 4, counter)
 
 
 def test_default_params_preset():
@@ -84,9 +125,9 @@ def test_random_receivers_in_field():
 
 def cluster_centers(spec):
     """The cluster centers by the documented draw order: the first draws, x then y."""
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    draws = iter(numpy_draws(spec.seed, 2 * spec.resolved_clusters))
     return [
-        (spec.field_size * rng.random(), spec.field_size * rng.random())
+        (spec.field_size * next(draws), spec.field_size * next(draws))
         for _ in range(spec.resolved_clusters)
     ]
 
