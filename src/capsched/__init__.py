@@ -11,12 +11,12 @@ access: ``core`` at once, the others when a command calls into them, so
 ``gen`` never executes numpy. Entry points of the lazy modules resolve
 through the module ``__getattr__`` below.
 
-A lazy module executes with the cyclic collector paused and gives the
-caller's state back, also when it raises. If the collector was on, its
-long-lived objects, and those of the lazy modules it executed, go unwalked
-to the oldest generation (``freeze()``, ``unfreeze()``), or join the frozen
-ones of a caller that froze objects after importing the package
-(``cli.run``); objects frozen before the import stay frozen.
+The program entry (``cli.run``) turns the cyclic collector off for the
+whole command; the package only pauses it while a lazy module executes and
+gives the caller's state back, also when it raises. If the collector was
+on and nothing is frozen, the long-lived objects of that execution, and of
+the lazy modules it executed, go unwalked to the oldest generation
+(``freeze()``, ``unfreeze()``); a caller's frozen objects stay frozen.
 """
 
 import gc
@@ -41,8 +41,6 @@ class _LazyModule(types.ModuleType):
                 if not gc.get_freeze_count():
                     gc.freeze()
                     gc.unfreeze()
-                elif not _FROZEN_AT_IMPORT:
-                    gc.freeze()
                 gc.enable()
         return getattr(self, attr)
 
@@ -55,7 +53,6 @@ def _lazy(name: str):
     return module
 
 
-_FROZEN_AT_IMPORT = gc.get_freeze_count()
 if "numpy" not in sys.modules and importlib.util.find_spec("numpy") is not None:
     _lazy("numpy")
 
@@ -71,7 +68,6 @@ from .core import (  # noqa: E402
     UnsupportedConfigurationError,
     VerificationError,
     is_feasible,
-    is_p_signal,
     is_q_dispersed,
     verify_schedule,
 )
@@ -127,7 +123,6 @@ __all__ = [
     "export_gain_matrix",
     "generate",
     "is_feasible",
-    "is_p_signal",
     "is_q_dispersed",
     "max_feasible_subset",
     "min_schedule",

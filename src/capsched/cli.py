@@ -415,16 +415,15 @@ def cmd_reduce_graph(args: argparse.Namespace) -> int:
 def run() -> None:
     """The program entry of ``python -m capsched`` and the ``capsched`` script.
 
-    Freezes every object imported so far out of the cyclic collector, runs
-    ``main()``, flushes stdout and stderr and ends the process with
-    ``os._exit``: the interpreter's teardown, which frees every module and
-    object one by one, would only cost time. If a flush fails (a closed
-    pipe, say), the exit is the interpreter's ordinary one, which reports
-    the failure as it always has. Frozen objects are never freed and
-    ``os._exit`` ends the process, so ``main``, which runs in processes
-    that live on, does neither.
+    Turns the cyclic collector off for the whole command, runs ``main()``,
+    flushes stdout and stderr and ends the process with ``os._exit``: a
+    process that ends this way never needs a collection, and the
+    interpreter's teardown, which frees every module and object one by one,
+    would only cost time. If a flush fails (a closed pipe, say), the exit is
+    the interpreter's ordinary one, which reports the failure as it always
+    has. ``main``, which runs in processes that live on, does neither.
     """
-    gc.freeze()
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

@@ -615,11 +615,6 @@ def verify_schedule(instance: Instance, schedule: Schedule) -> None:
             )
 
 
-def is_p_signal(instance: Instance, schedule: Schedule, p: float) -> bool:
-    """True iff in every slot, every member's in-slot affectance is <= 1/p."""
-    return p_signal_violation(instance, schedule, p) is None
-
-
 def p_signal_violation(instance: Instance, schedule: Schedule, p: float) -> tuple[int, int, float] | None:
     """(slot index, worst link id, its affectance) of the first slot above 1/p, or None."""
     return first_p_violation(slot_reports(instance, schedule), p)

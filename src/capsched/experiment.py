@@ -8,7 +8,6 @@ file so reruns stay byte-identical.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -305,6 +304,8 @@ def _run_pooled(
     failure raised is that of the first failing instance in that order, as
     in one process.
     """
+    import concurrent.futures  # only here: a one-worker sweep never pays its import
+
     largest_first = sorted(range(len(instances)), key=lambda k: -instances[k][0].n)
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(instances))) as pool:
         futures = {k: pool.submit(_run_instance, *instances[k], algorithms) for k in largest_first}

@@ -26,9 +26,9 @@ from capsched.core import (
     THRESHOLD_SLACK,
     affectance,
     is_feasible,
-    is_p_signal,
     is_q_dispersed,
     is_q_near,
+    p_signal_violation,
     partition_report,
 )
 from capsched.experiment import ExperimentConfig, run_experiment
@@ -121,11 +121,11 @@ def test_criterion_03_single_shot_vs_signal_oracle():
 def test_criterion_04_strengthen_contract(corpus):
     beta = DEFAULT_MODEL_PARAMS.beta
     for inst, sched in mixed_sample(corpus, 5, 100):
-        assert is_p_signal(inst, sched, beta)
+        assert p_signal_violation(inst, sched, beta) is None
         for p_prime in (2 * beta, 4 * beta):
             bound = math.ceil(2 * p_prime / beta) ** 2
             refined = strengthen(inst, sched, beta, p_prime)
-            assert is_p_signal(inst, refined, p_prime)
+            assert p_signal_violation(inst, refined, p_prime) is None
             assert partition_report(inst, refined).is_partition
             assert refined.slot_count <= bound * sched.slot_count
 

@@ -25,7 +25,6 @@ from capsched.core import (
     distance,
     effective_power,
     is_feasible,
-    is_p_signal,
     is_q_dispersed,
     is_q_near,
     noise_factor,
@@ -209,8 +208,7 @@ def test_is_p_signal_thresholds():
     for lid in (1, 2):
         links = inst.resolve(sched.slots[0])
         assert affectance(links, inst.links[inst.position[lid]], P0) < 0.25
-    assert is_p_signal(inst, sched, 4.0) is True
-    assert is_p_signal(inst, sched, 5.0) is False
+    assert p_signal_violation(inst, sched, 4.0) is None
     viol = p_signal_violation(inst, sched, 5.0)
     assert viol == (0, 0, 0.25)
 
@@ -220,7 +218,7 @@ def test_is_p_signal_singletons():
     inst = Instance(params=P0, links=links)
     sched = Schedule(tuple(Slot(frozenset({l.id})) for l in links))
     for p in (0.5, 1.0, 7.0, 1e9):
-        assert is_p_signal(inst, sched, p)
+        assert p_signal_violation(inst, sched, p) is None
 
 
 def test_beta_feasible_slot_is_beta_signal():
@@ -229,7 +227,7 @@ def test_beta_feasible_slot_is_beta_signal():
     inst = Instance(params=P0, links=(a, b))
     sched = Schedule((Slot(frozenset({0, 1})),))
     assert is_feasible((a, b), P0).feasible
-    assert is_p_signal(inst, sched, P0.beta)
+    assert p_signal_violation(inst, sched, P0.beta) is None
 
 
 def test_q_near_fixture():

@@ -51,9 +51,9 @@ def test_package_root_exports_the_error_family():
 LAZY = ("abstract", "experiment", "oracles", "schedulers", "topogen")
 
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
-# lazy modules, numpy among them, executed: an unexecuted one still has the lazy
-# module type. The entry ends the process with os._exit; here that raises
-# SystemExit instead.
+# lazy modules, numpy among them, executed (an unexecuted one still has the lazy
+# module type) and the collector's state. The entry ends the process with
+# os._exit; here that raises SystemExit instead.
 _COMMAND_PROBE = """
 import gc, json, os, runpy, sys, types
 argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -70,7 +70,8 @@ print(json.dumps({
     "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
     "numpy": type(sys.modules["numpy"]) is types.ModuleType,
     "futures": "concurrent.futures" in sys.modules,
-    "frozen": gc.get_freeze_count() > 0,
+    "collecting": gc.isenabled(),
+    "frozen": gc.get_freeze_count(),
 }))
 """
 
@@ -109,6 +110,10 @@ def _instance_files(tmp_path) -> None:
     save_instance(Instance(params=params, links=links), tmp_path / "inst.json")
     save_schedule(Schedule((Slot(frozenset({0, 1, 2})),)), tmp_path / "sched.json")
     (tmp_path / "g.txt").write_text("4 2\n0 1\n2 3\n", encoding="utf-8")
+    config = {
+        "topology": {"family": "random", "n": 4}, "sweep": [["n", [4, 5]]], "algorithms": ["A-repeated"]
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -118,33 +123,40 @@ def _instance_files(tmp_path) -> None:
         (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, ["topogen"], False),
         (["schedule", "inst.json", "--out", "out.json"], 0, ["schedulers"], True),
         (["reduce-graph", "g.txt", "--check"], 0, ["abstract"], True),
+        (
+            ["experiment", "--config", "config.json", "--workers", "1"], 0,
+            ["experiment", "schedulers", "topogen"], True,
+        ),
         (["schedule", "inst.json", "--algo", "C"], 2, [], False),
         (["verify", "inst.json", "sched.json", "--p", "nan"], 2, [], False),
     ],
-    ids=["verify", "gen", "schedule", "reduce-graph", "argparse-error", "verify-nan"],
+    ids=["verify", "gen", "schedule", "reduce-graph", "experiment-w1", "argparse-error", "verify-nan"],
 )
 def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, code, executed, numpy):
-    # gen draws its instance without numpy, and a command refused on its
-    # arguments stops before anything computes
+    # gen draws its instance without numpy, a one-worker sweep imports no
+    # process pool, a command refused on its arguments stops before anything
+    # computes, and every command runs with the collector off and nothing frozen
     _instance_files(tmp_path)
     probe = _fresh_python(_COMMAND_PROBE, json.dumps(argv), json.dumps(LAZY), cwd=tmp_path)
     result = json.loads(probe)
     assert result == {
-        "code": code, "executed": executed, "numpy": numpy, "futures": False, "frozen": True
+        "code": code, "executed": executed, "numpy": numpy, "futures": False,
+        "collecting": False, "frozen": 0,
     }
 
 
 def test_main_leaves_the_collector_unfrozen(tmp_path, capsys, monkeypatch):
-    # only the program entry (cli.run) freezes; main runs in processes that live on
+    # only the program entry (cli.run) turns the collector off; main runs in
+    # processes that live on
     _instance_files(tmp_path)
     monkeypatch.chdir(tmp_path)
-    before = gc.get_freeze_count()
+    before = gc.isenabled(), gc.get_freeze_count()
     assert capsched.cli.main(["verify", "inst.json", "sched.json"]) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
     assert capsys.readouterr().out.endswith("verified=true\n")
 
 
-def test_the_console_script_is_the_freezing_entry():
+def test_the_console_script_is_the_program_entry():
     with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
         target = re.search(r'^capsched = "(.+)"$', fh.read(), re.M).group(1)
     module, attr = target.split(":")
@@ -380,19 +392,18 @@ print(json.dumps({
 @pytest.mark.parametrize("outcome", ["imports", "raises"])
 @pytest.mark.parametrize("state", ["enabled", "disabled", "frozen-before", "frozen-after"])
 def test_numpy_executes_with_the_collector_paused(tmp_path, state, outcome):
-    # numpy's objects go where the eager import left them: unwalked to the
-    # oldest generation, or into the frozen ones of a caller that froze after
-    # importing the package (cli.run does); objects frozen before the import
-    # stay as they are, and numpy's stay young, so the first allocation after
-    # it may collect them once
+    # with nothing frozen numpy's objects go unwalked to the oldest
+    # generation; a caller's frozen objects stay as they are, before or after
+    # the import, and numpy's stay young, so the first allocation after it may
+    # collect them once
     result = json.loads(_fresh_python(_NUMPY_PROBE, state, outcome, cwd=tmp_path))
-    assert result["collections"] <= (state == "frozen-before")
+    assert result["collections"] <= state.startswith("frozen")
     del result["collections"]
     assert result == {
         "lazy": True,
         "enabled": state != "disabled",
         "raised": outcome == "raises",
-        "frozen": "more" if state == "frozen-after" else "same",
+        "frozen": "same",
     }
 
 

@@ -30,8 +30,8 @@ from capsched.core import (
     UnsupportedConfigurationError,
     affectance,
     is_feasible,
-    is_p_signal,
     is_q_dispersed,
+    p_signal_violation,
     partition_report,
 )
 from capsched.schedulers import (
@@ -381,7 +381,7 @@ def test_strengthen_contract_on_random():
         for p_prime in (2 * p, 4 * p):
             out = strengthen(inst, sched, p, p_prime)
             assert partition_report(inst, out).is_partition
-            assert is_p_signal(inst, out, p_prime)
+            assert p_signal_violation(inst, out, p_prime) is None
             bound = math.ceil(2 * p_prime / p) ** 2
             assert out.slot_count <= bound * sched.slot_count
 
