@@ -58,7 +58,6 @@ if "numpy" not in sys.modules and importlib.util.find_spec("numpy") is not None:
 
 core = _lazy(".core")
 from .core import (  # noqa: E402
-    HeuristicInfeasibilityError,
     InfeasibleLinkError,
     ModelParams,
     PreconditionError,
@@ -108,7 +107,6 @@ def __getattr__(name: str):
 __all__ = [
     "ExperimentConfig",
     "ExperimentVerificationError",
-    "HeuristicInfeasibilityError",
     "InfeasibleLinkError",
     "ModelParams",
     "PreconditionError",

@@ -6,13 +6,12 @@ Exit codes are a fixed contract: 0 success, 1 verification failure,
 2 input error, 3 size limit exceeded.
 
 Every schedule or oracle answer passes the slot verifier once before it
-is written and the command exits 0: schedules through the emission gate
+is written and the command exits 0: every schedule, whatever the
+``--algo``, power mode or oracle, through the emission gate
 ``core.verify_schedule`` (a partition, and both routes: direct SINR and
-affectance), except B's, whose rounds ``schedulers.schedule_repeated``
-checks with the same slot verifier, ``core.slot_reports``; an oracle
-schedule through the gate, an oracle slot through ``core.is_feasible`` (at
-level p for psignal). All outputs are deterministic for fixed inputs; wall
-times are written only on opt-in.
+affectance), since the schedulers return theirs unverified; an oracle slot
+through ``core.is_feasible`` (at level p for psignal). All outputs are
+deterministic for fixed inputs; wall times are written only on opt-in.
 """
 
 from __future__ import annotations
@@ -197,16 +196,16 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
 
 
 def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
-    """The schedule ``--algo`` asks for, after exactly one pass of the slot verifier."""
+    """The schedule ``--algo`` asks for, after exactly one pass of the emission gate."""
     if args.algo == "A":
         mode = args.power_mode or ("uniform" if instance.has_uniform_power else "power-regimes")
         base = 2.0 if args.regime_base is None else args.regime_base
         strategy = schedulers.PowerStrategy(mode=mode, regime_base=base)
-        return schedulers.schedule_nonuniform(instance, strategy)  # ends with the gate
-    name = "B-repeated" if args.algo == "B" else "first-fit-baseline"
-    schedule = schedulers.ALGORITHMS[name](instance)
-    if name not in schedulers.SELF_GATED:
-        verify_schedule(instance, schedule)
+        schedule = schedulers.schedule_nonuniform(instance, strategy)
+    else:
+        name = "B-repeated" if args.algo == "B" else "first-fit-baseline"
+        schedule = schedulers.ALGORITHMS[name](instance)
+    verify_schedule(instance, schedule)
     return schedule
 
 

@@ -70,10 +70,6 @@ class VerificationError(SchedulingError):
         self.slot_index = slot_index
 
 
-class HeuristicInfeasibilityError(VerificationError):
-    """The separation heuristic accepted a set that the verifier rejects."""
-
-
 class SizeLimitError(SchedulingError):
     """Instance exceeds the configured limit for an exhaustive computation."""
 

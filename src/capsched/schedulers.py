@@ -10,8 +10,10 @@ Both hold O(n) state. They read the instance's one kernel,
 ``Instance.kernel``: the whole-instance schedulers sweep it, and the
 refiners gather a slot's links from it (``Instance.gather``). A sweep
 computes an admitted link's row only over the live links ahead of it.
-Every re-verification (B's rounds, the guarded single shot, the refiners'
-preconditions) reads ``core.slot_reports``.
+The schedulers only schedule: what they return is unverified, and the CLI
+and the experiment harness pass it through ``core.verify_schedule`` before
+it leaves the program. Only the refiners' preconditions read
+``core.slot_reports`` here.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .core import (
     THRESHOLD_SLACK,
     AffectanceRows,
-    HeuristicInfeasibilityError,
     Instance,
     Link,
     ModelParams,
@@ -36,12 +37,10 @@ from .core import (
     SchedulingError,
     Slot,
     UnsupportedConfigurationError,
-    _require_uniform_power,
     distance,
     effective_power,
     p_signal_violation,
     slot_reports,
-    verify_schedule,
 )
 
 INTERFERENCE_CONSTANT = 72.0
@@ -288,15 +287,14 @@ def _slots(links: Sequence[Link], sets: Iterable[Iterable[int]]) -> tuple[Slot, 
     return tuple(Slot(frozenset(links[i].id for i in s)) for s in sets)
 
 
-def _check_guarded(instance: Instance, schedule: Schedule) -> None:
-    """Re-verify guarded selections, which carry no feasibility proof, on both routes."""
-    for report in slot_reports(instance, schedule):
-        if not report.ok:
-            raise HeuristicInfeasibilityError(
-                f"guarded selection is not SINR-feasible (worst link "
-                f"{report.worst_link}, margin {report.margin:.3e})",
-                link_id=report.worst_link,
-            )
+def _uniform_constants(instance: Instance, selector: str) -> AlgoConstants:
+    """The constants of ``selector``, which schedules uniform-power instances only."""
+    if not instance.has_uniform_power:
+        raise UnsupportedConfigurationError(
+            f"{selector} requires uniform power across the links; per-link powers "
+            f"are scheduled by --algo A with --power-mode scaled-threshold or power-regimes"
+        )
+    return compute_constants(instance.params)
 
 
 def single_shot_greedy(instance: Instance) -> Slot:
@@ -311,8 +309,7 @@ def single_shot_greedy(instance: Instance) -> Slot:
         UnsupportedConfigurationError: on non-uniform power. Route such
             instances through schedule_nonuniform instead.
     """
-    _require_uniform_power(instance.links, instance.params)
-    constants = compute_constants(instance.params)
+    constants = _uniform_constants(instance, "the greedy selector A")
     links = instance.links
     chosen = _sweep(instance.kernel.apart(links), _length_order(links), constants.c)
     return Slot(frozenset(links[i].id for i in chosen))
@@ -324,22 +321,17 @@ def single_shot_guarded(instance: Instance) -> Slot:
     Links are swept in non-decreasing length order and admitted when the
     accumulated affectance is at most 2/3 and both cross distances
     min(d(s_w, r_v), d(s_v, r_w)) to each admitted link w exceed c_hat times
-    the candidate's length. The heuristic carries no feasibility proof, so
-    the output is always re-verified and an error is raised instead of
-    silently trimming.
+    the candidate's length. The heuristic carries no feasibility proof: the
+    set is returned unverified, and may fail ``core.is_feasible``.
 
     Raises:
-        HeuristicInfeasibilityError: if the selected set fails verification.
         UnsupportedConfigurationError: on non-uniform power.
     """
-    _require_uniform_power(instance.links, instance.params)
-    constants = compute_constants(instance.params)
+    constants = _uniform_constants(instance, "the guarded heuristic B")
     links = instance.links
     near = functools.partial(_too_close, links, c_hat=constants.c_hat)
     chosen = _sweep(instance.kernel.apart(links), _length_order(links), 2.0 / 3.0, near)
-    slot = Slot(frozenset(links[i].id for i in chosen))
-    _check_guarded(instance, Schedule((slot,)))
-    return slot
+    return Slot(frozenset(links[i].id for i in chosen))
 
 
 def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) -> Schedule:
@@ -347,15 +339,12 @@ def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) ->
 
     A round selects what a single shot would on the sub-instance of the
     unscheduled links, whose affectances are those of the full instance.
-    With ``c_hat`` each round is the guarded heuristic and is re-verified.
+    With ``c_hat`` each round is the guarded heuristic.
     """
     links = instance.links
     near = None if c_hat is None else functools.partial(_too_close, links, c_hat=c_hat)
     rounds = _first_fit(instance.kernel.apart(links), _length_order(links), threshold, near)
-    schedule = Schedule(_slots(links, rounds))
-    if c_hat is not None:
-        _check_guarded(instance, schedule)
-    return schedule
+    return Schedule(_slots(links, rounds))
 
 
 def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
@@ -365,15 +354,15 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
     single_shot_greedy does (or single_shot_guarded when ``guarded``), and
     fixes the selection as the next slot. Holds O(n) state: the row of a
     link is computed in the round that admits it. Terminates because the
-    first link of every round is admitted. With ``guarded`` every round is
-    checked on both routes of ``slot_reports`` (``SELF_GATED``).
+    first link of every round is admitted. The schedule is unverified: a
+    guarded round carries no feasibility proof.
 
     Raises:
-        HeuristicInfeasibilityError: if a guarded round fails verification.
         UnsupportedConfigurationError: on non-uniform power.
     """
-    _require_uniform_power(instance.links, instance.params)
-    constants = compute_constants(instance.params)
+    constants = _uniform_constants(
+        instance, "the guarded heuristic B" if guarded else "the greedy selector A"
+    )
     if guarded:
         return _repeat(instance, 2.0 / 3.0, constants.c_hat)
     return _repeat(instance, constants.c)
@@ -456,7 +445,8 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
     """
     if not (q > 0):
         raise PreconditionError(f"dispersion level must be positive, got {q}")
-    _require_uniform_power(instance.links, instance.params)
+    if not instance.has_uniform_power:
+        raise UnsupportedConfigurationError("disperse requires uniform power across the links")
     for idx, report in enumerate(slot_reports(instance, schedule)):
         if not report.ok:
             raise PreconditionError(
@@ -494,23 +484,20 @@ def _schedule_power_regimes(instance: Instance, base: float) -> Schedule:
 def schedule_nonuniform(instance: Instance, strategy: PowerStrategy) -> Schedule:
     """Schedule an instance whose links may transmit at different powers.
 
-    See PowerStrategy for the available modes. Whatever the mode, the
-    returned schedule passes ``verify_schedule`` under the true link powers.
+    See PowerStrategy for the available modes. The schedule is unverified:
+    neither non-uniform mode carries a feasibility proof under the true link
+    powers, so ``verify_schedule`` must pass it before it is used.
 
     Raises:
-        VerificationError: if the produced schedule fails that final check.
         UnsupportedConfigurationError: in uniform mode on non-uniform input.
     """
     if not instance.links:
-        schedule = Schedule(())
-    elif strategy.mode == "uniform":
-        schedule = schedule_repeated(instance)
-    elif strategy.mode == "scaled-threshold":
-        schedule = _schedule_scaled_threshold(instance)
-    else:
-        schedule = _schedule_power_regimes(instance, strategy.regime_base)
-    verify_schedule(instance, schedule)
-    return schedule
+        return Schedule(())
+    if strategy.mode == "uniform":
+        return schedule_repeated(instance)
+    if strategy.mode == "scaled-threshold":
+        return _schedule_scaled_threshold(instance)
+    return _schedule_power_regimes(instance, strategy.regime_base)
 
 
 def first_fit_baseline(instance: Instance) -> Schedule:
@@ -525,11 +512,9 @@ def first_fit_baseline(instance: Instance) -> Schedule:
     return Schedule(_slots(links, rounds))
 
 
-# the whole-schedule algorithms by name; a SELF_GATED one passes the emission
-# gate's checks as it runs (B partitions and verifies each round on both routes)
+# the whole-schedule algorithms by name, each returning an unverified schedule
 ALGORITHMS: dict[str, Callable[[Instance], Schedule]] = {
     "A-repeated": schedule_repeated,
     "B-repeated": lambda instance: schedule_repeated(instance, guarded=True),
     "first-fit-baseline": first_fit_baseline,
 }
-SELF_GATED = frozenset({"B-repeated"})

@@ -5,6 +5,7 @@ and the deterministic summary lines.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from capsched import core, oracles, schedulers
 from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
-from capsched.core import Schedule, Slot
+from capsched.core import Schedule, Slot, partition_report
 from capsched.experiment import ALGORITHMS
 from capsched.schedulers import disperse_slot
 
@@ -184,10 +185,17 @@ def test_schedule_nonuniform_auto_regimes(capsys, tmp_path):
 
 
 def test_schedule_nonuniform_b_rejected(capsys, tmp_path):
+    # the refusal names the scheduler and the power modes that do take per-link powers
     inst_path = nonuniform_instance(tmp_path)
-    code, text = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--out", tmp_path / "s.json")
-    assert code == 2
-    assert "error:" in text
+    hint = "per-link powers are scheduled by --algo A with --power-mode scaled-threshold or power-regimes"
+    for flags, selector in (
+        (("--algo", "B"), "the guarded heuristic B"),
+        (("--power-mode", "uniform"), "the greedy selector A"),
+    ):
+        code, text = run_cli(capsys, "schedule", inst_path, *flags, "--out", tmp_path / "s.json")
+        assert code == 2
+        assert text == f"error: {selector} requires uniform power across the links; {hint}\n"
+        assert not (tmp_path / "s.json").exists()
 
 
 def test_schedule_missing_file_exit_2(capsys, tmp_path):
@@ -465,14 +473,7 @@ def test_verify_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypat
     inst_path = gen_instance(capsys, tmp_path, n=40, seed=5, family="clustered")
     sched_path = tmp_path / "ff.json"
     assert run_cli(capsys, "schedule", inst_path, "--algo", "firstfit", "--out", sched_path)[0] == 0
-    calls = []
-    real = core._slot_report
-
-    def counted(geo, members, params):
-        calls.append(len(members))
-        return real(geo, members, params)
-
-    monkeypatch.setattr(core, "_slot_report", counted)
+    calls = counted_slot_reports(monkeypatch)
     code, text = run_cli(
         capsys, "verify", inst_path, sched_path, "--p", 1.2, "--theta", 1.0, "--q", 1.0
     )
@@ -481,43 +482,45 @@ def test_verify_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypat
     assert len(calls) == load_schedule(sched_path).slot_count
 
 
-def test_schedule_per_link_power_runs_the_gate_once(capsys, tmp_path, monkeypatch):
-    # schedule_nonuniform ends with the emission gate; the command adds no second pass
-    inst_path = gen_instance(capsys, tmp_path, n=40, seed=5)
-    doc = json.loads(inst_path.read_text())
+def counted_slot_reports(monkeypatch) -> list[int]:
+    """Record the slot size of every report of the slot verifier."""
+    calls: list[int] = []
+    real = core._slot_report
+
+    def counted(geo, members, params):
+        calls.append(len(members))
+        return real(geo, members, params)
+
+    monkeypatch.setattr(core, "_slot_report", counted)
+    return calls
+
+
+GATED_COMMANDS = {
+    "A": ("schedule", "{inst}", "--algo", "A"),
+    "A-per-link-power": ("schedule", "{power}", "--algo", "A"),
+    "B": ("schedule", "{inst}", "--algo", "B"),
+    "firstfit": ("schedule", "{inst}", "--algo", "firstfit"),
+    "oracle-schedule": ("oracle", "{small}", "--mode", "schedule"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GATED_COMMANDS.values()), ids=list(GATED_COMMANDS))
+def test_every_schedule_passes_the_gate_once_per_slot(capsys, tmp_path, monkeypatch, argv):
+    # the schedulers and the oracle return unverified schedules; the command's
+    # one emission gate reads each emitted slot once
+    inst = gen_instance(capsys, tmp_path, n=40, seed=5, family="clustered")
+    doc = json.loads(inst.read_text())
     for i, link in enumerate(doc["links"]):
         link["power"] = 2.0 ** (i % 3)
-    power_path = tmp_path / "power.json"
-    power_path.write_text(json.dumps(doc))
-    calls = []
-    real = core._slot_report
-
-    def counted(geo, members, params):
-        calls.append(len(members))
-        return real(geo, members, params)
-
-    monkeypatch.setattr(core, "_slot_report", counted)
-    for path in (power_path, inst_path):  # per-link powers, then uniform power
-        calls.clear()
-        code, text = run_cli(capsys, "schedule", path, "--algo", "A", "--out", tmp_path / "s.json")
-        assert code == 0 and "verified=true" in text
-        assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
-
-
-def test_schedule_b_runs_the_slot_verifier_once_per_slot(capsys, tmp_path, monkeypatch):
-    # B verifies each round as it makes it; the command adds no second pass
-    inst_path = gen_instance(capsys, tmp_path, n=40, seed=5)
-    calls = []
-    real = core._slot_report
-
-    def counted(geo, members, params):
-        calls.append(len(members))
-        return real(geo, members, params)
-
-    monkeypatch.setattr(core, "_slot_report", counted)
-    code, text = run_cli(capsys, "schedule", inst_path, "--algo", "B", "--out", tmp_path / "s.json")
-    assert code == 0 and "verified=true" in text
-    assert len(calls) == load_schedule(tmp_path / "s.json").slot_count
+    power = tmp_path / "power.json"
+    power.write_text(json.dumps(doc))
+    small = gen_instance(capsys, tmp_path, n=10, seed=0, family="clustered")
+    paths = {"inst": inst, "power": power, "small": small}
+    out = tmp_path / "out.json"
+    calls = counted_slot_reports(monkeypatch)
+    code, _ = run_cli(capsys, *(a.format(**paths) for a in argv), "--out", out)
+    assert code == 0
+    assert len(calls) == len(json.loads(out.read_text())["slots"]) > 1
 
 
 def counted_kernel_builds(monkeypatch) -> list[int]:
@@ -1004,6 +1007,24 @@ def test_experiment_sweep_row_counts(capsys, tmp_path):
     assert code == 0
     lines = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 3 * 3
+
+
+def test_experiment_failing_b_cell_dumps_instance_and_schedule(capsys, tmp_path, monkeypatch):
+    # the harness gates B's cells like every other: a refused one dumps its schedule too
+    cfg_path = write_config(tmp_path, algorithms=["B-repeated"], repetitions=1)
+    real = core._slot_report
+
+    def refuse(geo, members, params):
+        return dataclasses.replace(real(geo, members, params), sinr_feasible=False)
+
+    monkeypatch.setattr(core, "_slot_report", refuse)
+    code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", 1)
+    inst_path, sched_path = tmp_path / "failed_instance.json", tmp_path / "failed_schedule.json"
+    assert code == 1
+    assert text.startswith("error: B-repeated on seed 3: slot 0 failed verification ")
+    assert text.endswith(f"(dumped {inst_path}, {sched_path})\n")
+    assert partition_report(load_instance(inst_path), load_schedule(sched_path)).is_partition
+    assert not (tmp_path / "results.csv").exists()
 
 
 # --- top-level ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from capsched import core
 from capsched.core import (
     THRESHOLD_SLACK,
     AffectanceRows,
-    HeuristicInfeasibilityError,
     Instance,
     Link,
     ModelParams,
@@ -567,13 +566,6 @@ SCHEDULERS = {
 }
 
 
-def _outcome(algo, inst):
-    try:
-        return SCHEDULERS[algo](inst)
-    except HeuristicInfeasibilityError:
-        return "refused"
-
-
 @given(
     family=st.sampled_from(("random", "clustered")),
     seed=st.integers(min_value=0, max_value=5),
@@ -599,7 +591,7 @@ def test_schedules_invariant_under_power_of_two_scaling(family, seed, k, alpha):
         ),
     )
     for algo in SCHEDULERS:
-        assert _outcome(algo, scaled) == _outcome(algo, inst), algo
+        assert SCHEDULERS[algo](scaled) == SCHEDULERS[algo](inst), algo
 
 
 @given(
@@ -618,9 +610,10 @@ def test_schedules_follow_id_relabelling(family, seed, noise, perm):
         params=params, links=tuple(dataclasses.replace(l, id=new_id[l.id]) for l in inst.links)
     )
     for algo in SCHEDULERS:
-        want = _outcome(algo, inst)
-        if isinstance(want, Schedule):
-            want = Schedule(
-                tuple(Slot(frozenset(new_id[i] for i in s.members)) for s in want.slots)
+        want = Schedule(
+            tuple(
+                Slot(frozenset(new_id[i] for i in s.members))
+                for s in SCHEDULERS[algo](inst).slots
             )
-        assert _outcome(algo, relabelled) == want, algo
+        )
+        assert SCHEDULERS[algo](relabelled) == want, algo

@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from capsched import core, experiment
-from capsched.core import Schedule, SchedulingError, Slot
+from capsched.core import Schedule, SchedulingError, Slot, partition_report
 from capsched.experiment import (
     ALGORITHMS,
     TIMING_COLUMNS,
@@ -227,11 +227,12 @@ def counted_slot_reports(monkeypatch) -> list[int]:
     return calls
 
 
-def test_b_cell_runs_the_slot_verifier_once_per_slot(monkeypatch):
-    # B checks every round on both routes as it ends; the cell adds no second pass
+@pytest.mark.parametrize("algo", ["A-repeated", "B-repeated", "first-fit-baseline"])
+def test_every_cell_passes_the_gate_once_per_slot(monkeypatch, algo):
+    # the algorithms return unverified schedules; the cell's gate reads each slot once
     cfg = small_config(
         topology=TopologySpec(family="clustered", n=40, seed=0),
-        algorithms=("B-repeated",),
+        algorithms=(algo,),
         repetitions=2,
     )
     calls = counted_slot_reports(monkeypatch)
@@ -240,15 +241,8 @@ def test_b_cell_runs_the_slot_verifier_once_per_slot(monkeypatch):
     assert len(calls) > len(rows)
 
 
-def test_non_b_cells_pass_the_gate(monkeypatch):
-    cfg = small_config(algorithms=("A-repeated", "first-fit-baseline"), repetitions=1)
-    calls = counted_slot_reports(monkeypatch)
-    rows, _ = run_experiment(cfg)
-    assert len(calls) == sum(row.slot_count for row in rows)
-
-
 def test_b_cell_failing_round_names_algorithm_and_seed(monkeypatch):
-    # B's round check reads its report through core._slot_report
+    # the gate refuses a B cell like any other and carries its schedule
     cfg = small_config(algorithms=("B-repeated",), repetitions=1)
     real = core._slot_report
 
@@ -256,10 +250,12 @@ def test_b_cell_failing_round_names_algorithm_and_seed(monkeypatch):
         return dataclasses.replace(real(geo, members, params), sinr_feasible=False)
 
     monkeypatch.setattr(core, "_slot_report", refuse)
-    with pytest.raises(ExperimentVerificationError, match="not SINR-feasible") as err:
+    with pytest.raises(ExperimentVerificationError) as err:
         run_experiment(cfg)
-    assert str(err.value).startswith("B-repeated failed on seed 11: ")
+    assert str(err.value).startswith("B-repeated on seed 11: slot 0 failed verification ")
     assert err.value.instance is not None
+    assert err.value.schedule is not None
+    assert partition_report(err.value.instance, err.value.schedule).is_partition
 
 
 def test_verification_error_survives_pickling():

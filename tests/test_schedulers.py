@@ -18,7 +18,6 @@ from capsched import schedulers
 from capsched.core import (
     THRESHOLD_SLACK,
     AffectanceRows,
-    HeuristicInfeasibilityError,
     Instance,
     Link,
     ModelParams,
@@ -33,6 +32,7 @@ from capsched.core import (
     is_q_dispersed,
     p_signal_violation,
     partition_report,
+    slot_reports,
 )
 from capsched.schedulers import (
     _FRONTIER_MIN,
@@ -290,10 +290,12 @@ def ring_overload_fixture():
 
 
 def test_guarded_genuine_heuristic_failure():
+    # the heuristic returns its set unverified; the slot verifier refuses it
     inst, expected = ring_overload_fixture()
-    with pytest.raises(HeuristicInfeasibilityError) as exc:
-        single_shot_guarded(inst)
-    assert exc.value.link_id == 0
+    slot = single_shot_guarded(inst)
+    assert 0 in slot.members
+    [report] = slot_reports(inst, Schedule((slot,)))
+    assert not report.ok and report.worst_link == 0
     # the same configuration passes the 2/3 admission gate by construction
     shorts = [l for l in inst.links if l.id != 0]
     assert affectance(shorts, inst.links[0], inst.params) == pytest.approx(expected)
@@ -457,7 +459,7 @@ def test_disperse_nonuniform_power_rejected():
         params=P0, links=(unit_link(0, 0, 0, power=1.0), unit_link(1, 90, 0, power=2.0))
     )
     sched = Schedule((Slot(frozenset({0})), Slot(frozenset({1}))))
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(UnsupportedConfigurationError, match="^disperse requires uniform power"):
         disperse(inst, sched, q=1.0)
 
 
