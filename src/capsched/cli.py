@@ -26,8 +26,10 @@ import sys
 from . import abstract, experiment, oracles, schedulers, topogen
 from .core import (
     DEFAULT_MODEL_PARAMS,
+    MODEL_PARAM_NAMES,
     Instance,
     ModelParams,
+    PartitionReport,
     PreconditionError,
     Schedule,
     SchedulingError,
@@ -54,14 +56,11 @@ def _fmt(x: float) -> str:
 
 
 def _add_model_flags(sub: argparse.ArgumentParser, with_defaults: bool) -> None:
-    """Model parameter flags; None defaults mean "keep the file's values"."""
-    d = DEFAULT_MODEL_PARAMS
-    sub.add_argument("--alpha", type=float, default=d.alpha if with_defaults else None)
-    sub.add_argument("--beta", type=float, default=d.beta if with_defaults else None)
-    sub.add_argument("--noise", type=float, default=d.noise if with_defaults else None)
-    sub.add_argument(
-        "--power", type=float, default=d.default_power if with_defaults else None
-    )
+    """One flag per ModelParams field; None defaults mean "keep the file's values"."""
+    flags = {"--alpha": "alpha", "--beta": "beta", "--noise": "noise", "--power": "default_power"}
+    for flag, name in flags.items():
+        default = getattr(DEFAULT_MODEL_PARAMS, name) if with_defaults else None
+        sub.add_argument(flag, type=float, dest=name, metavar=flag[2:].upper(), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,9 +171,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         n_clusters=args.clusters,
         r_cluster=args.rc,
     )
-    params = ModelParams(
-        alpha=args.alpha, beta=args.beta, noise=args.noise, default_power=args.power
-    )
+    params = ModelParams(**{name: getattr(args, name) for name in MODEL_PARAM_NAMES})
     instance = topogen.generate(spec, params)
     save_instance(instance, args.out)
     print(f"generated family={spec.family} n={len(instance)} seed={spec.seed} -> {args.out}")
@@ -182,13 +179,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
-    fields = {
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "noise": args.noise,
-        "default_power": args.power,
-    }
-    overrides = {k: v for k, v in fields.items() if v is not None}
+    given = {name: getattr(args, name) for name in MODEL_PARAM_NAMES}
+    overrides = {name: value for name, value in given.items() if value is not None}
     if not overrides:
         return instance
     params = dataclasses.replace(instance.params, **overrides)
@@ -222,16 +214,22 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    for flag in ("p", "q", "theta"):
-        value = getattr(args, flag)
-        if value is not None and not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"--{flag} must be {'finite' if value > 0 else 'positive'}, got {value}")
+def _load_pair(args: argparse.Namespace) -> tuple[Instance, Schedule, PartitionReport]:
+    """The instance and schedule files of ``args``, refused if the schedule names an unknown id."""
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     report = partition_report(instance, schedule)
     if report.dangling:
         raise ValueError(f"schedule references unknown link ids: {list(report.dangling)}")
+    return instance, schedule, report
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    for flag in ("p", "q", "theta"):
+        value = getattr(args, flag)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"--{flag} must be {'finite' if value > 0 else 'positive'}, got {value}")
+    instance, schedule, report = _load_pair(args)
     if args.q is not None:  # dispersion needs one power per slot
         for slot in schedule.slots:
             _require_uniform_power(instance.resolve(slot), instance.params)
@@ -304,8 +302,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
             raise ValueError(f"--strengthen needs finite 0 < P < PPRIME, got {p} {p_prime}")
     elif not (math.isfinite(args.disperse) and args.disperse > 0):
         raise ValueError(f"--disperse must be finite and positive, got {args.disperse}")
-    instance = load_instance(args.instance)
-    schedule = load_schedule(args.schedule)
+    instance, schedule, _ = _load_pair(args)
     if args.strengthen is not None:
         refined = schedulers.strengthen(instance, schedule, p, p_prime)
         side = _ceil(2.0 * p_prime / p)
@@ -337,6 +334,9 @@ def cmd_refine(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = experiment.load_experiment_config(args.config)
     out = config.output or "results.csv"
+    agg_path = os.path.splitext(out)[0] + "_aggregate.dat"
+    if config.timings and os.path.realpath(config.timings) in map(os.path.realpath, (out, agg_path)):
+        raise ValueError(f"timings must name a file of its own; {config.timings!r} is an output")
     try:
         rows, aggregates = experiment.run_experiment(config, workers=max(args.workers, 1))
     except experiment.ExperimentVerificationError as exc:
@@ -351,8 +351,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"error: {exc} (dumped {', '.join(dumped)})", file=sys.stderr)
         return 1
     experiment.write_results_csv(rows, out)
-    base, _ = os.path.splitext(out)
-    agg_path = base + "_aggregate.dat"
     experiment.write_aggregates(aggregates, agg_path)
     print(f"wrote {len(rows)} rows -> {out}")
     print(f"wrote {len(aggregates)} aggregate rows -> {agg_path}")

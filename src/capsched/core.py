@@ -27,7 +27,7 @@ safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -130,6 +130,7 @@ class ModelParams:
             raise ValueError(f"default_power must be finite and > 0, got {self.default_power}")
 
 
+MODEL_PARAM_NAMES = frozenset(f.name for f in fields(ModelParams))
 DEFAULT_MODEL_PARAMS = ModelParams(alpha=3.0, beta=1.2, noise=0.0, default_power=1.0)
 
 

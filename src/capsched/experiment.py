@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import statistics
 import time
@@ -18,6 +19,7 @@ from typing import Any, Sequence
 
 from .core import (
     DEFAULT_MODEL_PARAMS,
+    MODEL_PARAM_NAMES,
     Instance,
     ModelParams,
     Schedule,
@@ -25,7 +27,7 @@ from .core import (
     VerificationError,
     verify_schedule,
 )
-from .io import _number, _shown, _typed, read_json
+from .io import _number, _refuse_unknown, _shown, _typed, read_json
 from .schedulers import ALGORITHMS
 from .topogen import TopologySpec, generate
 
@@ -44,6 +46,15 @@ class ExperimentVerificationError(VerificationError):
         # default exception reduction drops the keyword state; needed so the
         # error survives the trip back from a worker process
         return (type(self), (self.args[0], self.instance, self.schedule))
+
+
+def _refuse_repeats(items: Sequence, what: str) -> None:
+    """Refuse an item listed twice (3 and 3.0 are one value): each cell runs once."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{what} lists {_shown(item)} twice")
+        seen.add(item)
 
 
 @dataclass(frozen=True)
@@ -72,12 +83,15 @@ class ExperimentConfig:
                 )
             if not values:
                 raise ValueError(f"sweep over {name!r} has no values")
+            _refuse_repeats(values, f"sweep over {name!r}")
+        _refuse_repeats([name for name, _ in self.sweep], "sweep")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(
                     f"unknown algorithm {_shown(algo)}; supported: "
                     f"{', '.join(sorted(ALGORITHMS))}"
                 )
+        _refuse_repeats(self.algorithms, "algorithms")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         if self.repetitions < 1:
@@ -118,10 +132,14 @@ class AggregateRow:
     reps: int
 
 
-CONFIG_KEYS = {
-    "topology", "params", "sweep", "algorithms", "repetitions", "base_seed", "output", "timings"
-}
-TOPOLOGY_KEYS = {"family", "n", "field_size", "l_max", "n_clusters", "r_cluster"}
+def _names(cls: type) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+# a sweep cell: the fields an AggregateRow shares with the ResultRows it aggregates
+_CELL = tuple(name for name in _names(AggregateRow) if name in _names(ResultRow))
+_cell = operator.attrgetter(*_CELL)
 
 
 def _path(obj: dict, key: str) -> str | None:
@@ -146,9 +164,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
     numbers and paths JSON strings (or null for the default).
     """
     _typed(obj, dict, "experiment config")
-    unknown = set(obj) - CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {_shown(sorted(unknown))}")
+    _refuse_unknown(obj, _names(ExperimentConfig), "config keys")
     if "topology" not in obj:
         raise ValueError("experiment config missing key 'topology'")
     topo_obj = _typed(obj["topology"], dict, "topology")
@@ -157,9 +173,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
             "topology template must not carry a seed; seeds come from "
             "base_seed + repetition"
         )
-    unknown = set(topo_obj) - TOPOLOGY_KEYS
-    if unknown:
-        raise ValueError(f"unknown topology keys: {_shown(sorted(unknown))}")
+    _refuse_unknown(topo_obj, _names(TopologySpec), "topology keys")
     for key in ("family", "n"):
         if key not in topo_obj:
             raise ValueError(f"topology missing key {key!r}")
@@ -178,9 +192,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
     params = DEFAULT_MODEL_PARAMS
     if "params" in obj:
         params_obj = _typed(obj["params"], dict, "params")
-        unknown = set(params_obj) - {"alpha", "beta", "noise", "default_power"}
-        if unknown:
-            raise ValueError(f"unknown params keys: {_shown(sorted(unknown))}")
+        _refuse_unknown(params_obj, MODEL_PARAM_NAMES, "params keys")
         params = dataclasses.replace(
             DEFAULT_MODEL_PARAMS, **{key: _number(v, key) for key, v in params_obj.items()}
         )
@@ -219,25 +231,13 @@ def _apply_point(
 ) -> tuple[TopologySpec, ModelParams]:
     spec, params = config.topology, config.params
     for name, value in point.items():
-        if name == "alpha":
-            params = dataclasses.replace(params, alpha=float(value))
+        if name in MODEL_PARAM_NAMES:
+            params = dataclasses.replace(params, **{name: float(value)})
         elif name == "n":
             spec = dataclasses.replace(spec, n=int(value))
         else:
             spec = dataclasses.replace(spec, **{name: float(value)})
     return spec, params
-
-
-def _row_sort_key(row: ResultRow):
-    return (
-        row.algorithm,
-        row.family,
-        row.n,
-        row.alpha,
-        row.l_max,
-        row.r_cluster,
-        row.seed,
-    )
 
 
 def _run_cell(instance: Instance, spec: TopologySpec, params: ModelParams, algo: str) -> ResultRow:
@@ -337,7 +337,7 @@ def run_experiment(
         rows = _run_pooled(instances, config.algorithms, workers)
     else:
         rows = [row for inst in instances for row in _run_instance(*inst, config.algorithms)]
-    rows.sort(key=_row_sort_key)
+    rows.sort(key=lambda row: (_cell(row), row.seed))
     return rows, aggregate_rows(rows)
 
 
@@ -345,8 +345,7 @@ def aggregate_rows(rows: Sequence[ResultRow]) -> list[AggregateRow]:
     """Group rows by sweep cell and compute mean slot count and 95% CI."""
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
-        key = (row.algorithm, row.family, row.n, row.alpha, row.l_max, row.r_cluster)
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(_cell(row), []).append(row)
     out = []
     for key in sorted(groups):
         members = groups[key]
@@ -356,7 +355,8 @@ def aggregate_rows(rows: Sequence[ResultRow]) -> list[AggregateRow]:
             ci = 1.96 * statistics.stdev(counts) / math.sqrt(len(counts))
         else:
             ci = 0.0
-        out.append(AggregateRow(*key, mean_slots=mean, ci95=ci, reps=len(counts)))
+        cell = dict(zip(_CELL, key))
+        out.append(AggregateRow(**cell, mean_slots=mean, ci95=ci, reps=len(counts)))
     return out
 
 
@@ -371,18 +371,7 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-RESULT_COLUMNS = (
-    "algorithm",
-    "family",
-    "n",
-    "alpha",
-    "beta",
-    "l_max",
-    "r_cluster",
-    "seed",
-    "slot_count",
-    "verified",
-)
+RESULT_COLUMNS = tuple(name for name in _names(ResultRow) if name != "wall_time_ms")
 
 TIMING_COLUMNS = RESULT_COLUMNS[:-2] + ("wall_time_ms",)
 
@@ -404,17 +393,7 @@ def write_results_csv(
 
 def write_aggregates(rows: Sequence[AggregateRow], path: str | os.PathLike) -> None:
     """Plot-ready aggregate table (gnuplot-style commented header)."""
-    columns = (
-        "algorithm",
-        "family",
-        "n",
-        "alpha",
-        "l_max",
-        "r_cluster",
-        "mean_slots",
-        "ci95",
-        "reps",
-    )
+    columns = _names(AggregateRow)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + " ".join(columns) + "\n")
         for row in rows:

@@ -17,14 +17,15 @@ Instance file::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import reprlib
 from json.encoder import encode_basestring
-from typing import Any
+from typing import Any, Iterable
 
-from .core import Instance, Link, ModelParams, Point, Schedule, Slot
+from .core import MODEL_PARAM_NAMES, Instance, Link, ModelParams, Point, Schedule, Slot
 
 
 def format_float(x: float) -> str:
@@ -95,16 +96,7 @@ def instance_to_obj(instance: Instance) -> dict:
         if link.power is not None:
             entry["power"] = link.power
         links.append(entry)
-    p = instance.params
-    return {
-        "params": {
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "noise": p.noise,
-            "default_power": p.default_power,
-        },
-        "links": links,
-    }
+    return {"params": dataclasses.asdict(instance.params), "links": links}
 
 
 def _shown(value: Any) -> str:
@@ -145,19 +137,22 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _refuse_unknown(obj: dict, known: Iterable[str], what: str) -> None:
+    """Refuse the keys of ``obj`` that are not in ``known``, naming them in sorted order."""
+    unknown = set(obj).difference(known)
+    if unknown:
+        raise ValueError(f"unknown {what}: {_shown(sorted(unknown))}")
+
+
 def instance_from_obj(obj: Any) -> Instance:
     _typed(obj, dict, "instance document")
-    unknown = set(obj) - {"params", "links"}
-    if unknown:
-        raise ValueError(f"unknown top-level keys in instance file: {_shown(sorted(unknown))}")
+    _refuse_unknown(obj, ("params", "links"), "top-level keys in instance file")
     try:
         raw_params = _typed(obj["params"], dict, "params")
         raw_links = _typed(obj["links"], list, "links")
     except KeyError as exc:
         raise ValueError(f"instance file missing key {exc}") from None
-    unknown = set(raw_params) - {"alpha", "beta", "noise", "default_power"}
-    if unknown:
-        raise ValueError(f"unknown params keys: {_shown(sorted(unknown))}")
+    _refuse_unknown(raw_params, MODEL_PARAM_NAMES, "params keys")
     params = ModelParams(
         alpha=_number(raw_params["alpha"], "alpha"),
         beta=_number(raw_params["beta"], "beta"),
@@ -169,9 +164,7 @@ def instance_from_obj(obj: Any) -> Instance:
         link = _plain_link(raw)
         if link is None:
             _typed(raw, dict, "a link")
-            unknown = set(raw) - _LINK_KEYS
-            if unknown:
-                raise ValueError(f"unknown link keys: {_shown(sorted(unknown))}")
+            _refuse_unknown(raw, _LINK_KEYS, "link keys")
             xy = {key: _number(raw[key], key) for key in ("sx", "sy", "rx", "ry")}
             link = Link(
                 id=_link_id(raw["id"]),
@@ -208,9 +201,7 @@ def schedule_to_obj(schedule: Schedule) -> dict:
 def schedule_from_obj(obj: Any) -> Schedule:
     if not isinstance(obj, dict) or "slots" not in obj:
         raise ValueError("schedule document must be a JSON object with a 'slots' key")
-    unknown = set(obj) - {"slots"}
-    if unknown:
-        raise ValueError(f"unknown top-level keys in schedule file: {_shown(sorted(unknown))}")
+    _refuse_unknown(obj, ("slots",), "top-level keys in schedule file")
     slots = []
     for raw in _typed(obj["slots"], list, "slots"):
         members = [_link_id(i) for i in _typed(raw, list, "a slot")]

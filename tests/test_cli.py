@@ -112,11 +112,11 @@ def test_gen_embeds_model_flags(capsys, tmp_path):
     out = tmp_path / "inst.json"
     code, _ = run_cli(
         capsys, "gen", "--family", "random", "--n", 4, "--out", out,
-        "--alpha", 4.0, "--beta", 2.0, "--noise", 0.0, "--power", 3.0,
+        "--alpha", 4.0, "--beta", 2.0, "--noise", 1e-6, "--power", 3.0,
     )
     assert code == 0
     params = load_instance(out).params
-    assert (params.alpha, params.beta, params.noise, params.default_power) == (4.0, 2.0, 0.0, 3.0)
+    assert (params.alpha, params.beta, params.noise, params.default_power) == (4.0, 2.0, 1e-6, 3.0)
 
 
 def test_gen_bad_family_exit_2(capsys, tmp_path):
@@ -172,6 +172,18 @@ def test_schedule_param_override(capsys, tmp_path):
     code, text = run_cli(capsys, "schedule", inst_path, "--out", out)
     assert code == 0
     assert "slots=2" in text
+
+
+def test_schedule_applies_noise_and_power_overrides(capsys, tmp_path):
+    inst_path = spread_instance(tmp_path)  # unit links at noise 0, power 1, beta 1.2
+    out = tmp_path / "s.json"
+    # at noise 1 a unit link at power 1 receives 1 <= beta * noise: it fails even alone
+    code, text = run_cli(capsys, "schedule", inst_path, "--noise", 1.0, "--out", out)
+    assert code == 2
+    assert text.startswith("error: link 0 is infeasible even alone: received power 1 <= beta*noise")
+    code, text = run_cli(capsys, "schedule", inst_path, "--noise", 1.0, "--power", 2.0, "--out", out)
+    assert code == 0
+    assert "verified=true" in text
 
 
 def test_schedule_nonuniform_auto_regimes(capsys, tmp_path):
@@ -707,6 +719,18 @@ def test_refine_prints_a_bound_past_the_float_range_as_inf(capsys, tmp_path, fla
     assert load_schedule(out).slot_count == 4  # every link on its own at these levels
 
 
+@pytest.mark.parametrize(
+    "flags", [("--strengthen", 1.2, 2.4), ("--disperse", 2)], ids=["strengthen", "disperse"]
+)
+def test_refine_dangling_ids_exit_2(capsys, tmp_path, flags):
+    inst_path = spread_instance(tmp_path)
+    sched_path, out = tmp_path / "s.json", tmp_path / "r.json"
+    save_schedule(Schedule((Slot(frozenset({0, 1, 2, 3, 99})),)), sched_path)
+    code, text = run_cli(capsys, "refine", inst_path, sched_path, *flags, "--out", out)
+    assert (code, text) == (2, "error: schedule references unknown link ids: [99]\n")
+    assert not out.exists()
+
+
 def test_refine_precondition_exit_1(capsys, tmp_path):
     inst_path = colocated_instance(tmp_path, count=2, beta=1.2)
     sched_path = tmp_path / "s.json"
@@ -996,6 +1020,40 @@ def test_experiment_mistyped_config_exit_2(capsys, tmp_path, monkeypatch, overri
     code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", 1)
     assert code == 2
     assert text.startswith("error:") and text.count("\n") == 1 and len(text.encode()) < 200
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"algorithms": ["A-repeated", "A-repeated"]}, "algorithms lists 'A-repeated' twice"),
+        ({"sweep": [["n", [6, 8, 6]]]}, "sweep over 'n' lists 6 twice"),
+        ({"sweep": [["alpha", [3, 3.0]]]}, "sweep over 'alpha' lists 3.0 twice"),
+        ({"sweep": [["n", [6]], ["l_max", [5]], ["n", [8]]]}, "sweep lists 'n' twice"),
+    ],
+    ids=["algorithm", "value", "int-and-float-value", "axis"],
+)
+def test_experiment_refuses_duplicate_cells(capsys, tmp_path, monkeypatch, overrides, message):
+    # each copy of a cell would run again and count as one more repetition
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, **overrides)
+    code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", 1)
+    assert (code, text) == (2, f"error: {message}\n")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "output, timings",
+    [("res.csv", "res.csv"), (None, "./results.csv"), ("res.csv", "res_aggregate.dat")],
+    ids=["results", "default-results", "aggregate"],
+)
+def test_experiment_refuses_timings_on_an_output(capsys, tmp_path, monkeypatch, output, timings):
+    # the sidecar once overwrote the results with wall times, and exited 0
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, output=output, timings=timings)
+    code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", 1)
+    message = f"timings must name a file of its own; {timings!r} is an output"
+    assert (code, text) == (2, f"error: {message}\n")
     assert os.listdir(tmp_path) == ["config.json"]
 
 

@@ -94,6 +94,10 @@ def test_config_sweep_as_mapping():
         {"topology": {"family": "random", "n": 5}, "repetitions": 0},
         {"topology": {"family": "random", "n": 5}, "sweep": [["beta", [1, 2]]]},
         {"topology": {"family": "random", "n": 5}, "sweep": [["n", []]]},
+        # a repeated cell would run again and count as one more repetition
+        {"topology": {"family": "random", "n": 5}, "algorithms": ["A-repeated", "A-repeated"]},
+        {"topology": {"family": "random", "n": 5}, "sweep": [["alpha", [3, 3.0]]]},
+        {"topology": {"family": "random", "n": 5}, "sweep": [["n", [5]], ["n", [6]]]},
     ],
 )
 def test_config_rejects_bad_input(obj):

@@ -55,14 +55,16 @@ def test_canonical_dumps_sorted_and_compact():
 
 
 def test_instance_round_trip(tmp_path):
-    inst = sample_instance()
-    path = tmp_path / "inst.json"
-    save_instance(inst, path)
-    again = load_instance(path)
-    assert again == inst
-    # byte-identical re-save
-    save_instance(again, tmp_path / "b.json")
-    assert (tmp_path / "inst.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # noise and default power off their defaults too: a writer that dropped one fails
+    for params in (P0, ModelParams(alpha=3.5, beta=1.1, noise=1e-3, default_power=2.5)):
+        inst = Instance(params=params, links=sample_instance().links)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        again = load_instance(path)
+        assert again == inst
+        # byte-identical re-save
+        save_instance(again, tmp_path / "b.json")
+        assert path.read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_instance_file_is_valid_json_with_expected_shape(tmp_path):
