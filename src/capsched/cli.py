@@ -19,36 +19,41 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import importlib.util
 import math
 import os
 import sys
 
-from . import abstract, experiment, oracles, schedulers, topogen
-from .core import (
-    DEFAULT_MODEL_PARAMS,
-    MODEL_PARAM_NAMES,
-    Instance,
-    ModelParams,
-    PartitionReport,
-    PreconditionError,
-    Schedule,
-    SchedulingError,
-    SizeLimitError,
-    THRESHOLD_SLACK,
-    VerificationError,
-    _require_uniform_power,
-    first_p_violation,
-    is_feasible,
-    partition_report,
-    report_q_dispersed,
-    slot_reports,
-    verify_schedule,
-)
+from . import topogen
 from .io import load_instance, load_schedule, save_instance, save_schedule, write_canonical
+from .model import (
+    DEFAULT_MODEL_PARAMS, MODEL_PARAM_NAMES, THRESHOLD_SLACK, Instance, ModelParams, PartitionReport,
+    PreconditionError, Schedule, SchedulingError, SizeLimitError, VerificationError, partition_report,
+)
 
-# abstract, experiment, oracles, schedulers and topogen are lazy modules (see
-# capsched/__init__.py): bind no names from them here, call through the module
-# so that each executes only when a command uses it.
+
+def _lazy(name: str):
+    """Module ``capsched.<name>``, registered to execute on its first attribute read.
+
+    The stdlib's ``LazyLoader`` recipe, bound as a package attribute as
+    ``import`` binds it; a module already imported is taken as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# numpy executes with the first of these a command reads: `gen` and a command
+# refused on its arguments read none of them
+abstract, core, experiment, oracles, schedulers = map(
+    _lazy, ("abstract", "core", "experiment", "oracles", "schedulers")
+)
 
 
 def _fmt(x: float) -> str:
@@ -197,7 +202,7 @@ def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
     else:
         name = "B-repeated" if args.algo == "B" else "first-fit-baseline"
         schedule = schedulers.ALGORITHMS[name](instance)
-    verify_schedule(instance, schedule)
+    core.verify_schedule(instance, schedule)
     return schedule
 
 
@@ -232,7 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance, schedule, report = _load_pair(args)
     if args.q is not None:  # dispersion needs one power per slot
         for slot in schedule.slots:
-            _require_uniform_power(instance.resolve(slot), instance.params)
+            core._require_uniform_power(instance.resolve(slot), instance.params)
     ok = True
     if not report.is_partition:
         ok = False
@@ -243,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("partition: ok")
     inv_beta = 1.0 / instance.params.beta
-    reports = slot_reports(instance, schedule)
+    reports = core.slot_reports(instance, schedule)
     for idx, (slot, fr) in enumerate(zip(schedule.slots, reports)):
         slot_ok = fr.ok
         line = (
@@ -259,12 +264,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok = False
         print(line)
     if args.p is not None:
-        p_ok = first_p_violation(reports, args.p) is None
+        p_ok = core.first_p_violation(reports, args.p) is None
         print(f"p-signal(p={_fmt(args.p)}): {'ok' if p_ok else 'FAIL'}")
         ok = ok and p_ok
     if args.q is not None:
         q_ok = all(
-            report_q_dispersed(instance.resolve(slot), fr, args.q, instance.params)
+            core.report_q_dispersed(instance.resolve(slot), fr, args.q, instance.params)
             for slot, fr in zip(schedule.slots, reports)
         )
         print(f"dispersed(q={_fmt(args.q)}): {'ok' if q_ok else 'FAIL'}")
@@ -325,7 +330,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
             f"worst per-slot growth {growth}, stated bound {stated}, "
             f"counting bound {counting}"
         )
-    verify_schedule(instance, refined)
+    core.verify_schedule(instance, refined)
     save_schedule(refined, args.out)
     print(f"refined schedule -> {args.out}")
     return 0
@@ -366,7 +371,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--p is required by --mode psignal and applies to no other mode")
     if args.mode == "schedule":
         schedule = oracles.min_schedule(instance)
-        verify_schedule(instance, schedule)
+        core.verify_schedule(instance, schedule)
         slots = [list(s.sorted_members) for s in schedule.slots]
         obj = {"mode": "schedule", "slot_count": schedule.slot_count, "slots": slots}
         summary = f"oracle schedule: slots={schedule.slot_count}"
@@ -376,8 +381,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else:
             slot = oracles.max_p_signal_subset(instance, args.p)
         # a psignal answer need not be SINR-feasible: p may lie below beta
-        report = is_feasible(instance.resolve(slot), instance.params)
-        if not (report.ok if args.p is None else first_p_violation([report], args.p) is None):
+        report = core.is_feasible(instance.resolve(slot), instance.params)
+        if not (report.ok if args.p is None else core.first_p_violation([report], args.p) is None):
             raise VerificationError(
                 f"oracle {args.mode} answer failed verification (worst link "
                 f"{report.worst_link}, margin {report.margin:.6g})",

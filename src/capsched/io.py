@@ -22,10 +22,11 @@ import json
 import math
 import os
 import reprlib
+from collections import Counter
 from json.encoder import encode_basestring
 from typing import Any, Iterable
 
-from .core import MODEL_PARAM_NAMES, Instance, Link, ModelParams, Point, Schedule, Slot
+from .model import MODEL_PARAM_NAMES, Instance, Link, ModelParams, Point, Schedule, Slot
 
 
 def format_float(x: float) -> str:
@@ -211,11 +212,20 @@ def schedule_from_obj(obj: Any) -> Schedule:
     return Schedule(tuple(slots))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The dict of one JSON object's pairs; a key given twice is an input error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"duplicate key in a JSON object: {_shown(twice)}")
+    return obj
+
+
 def read_json(path: str | os.PathLike) -> Any:
-    """Parse one JSON file; nesting too deep for the parser is an input error."""
+    """Parse one JSON file; a duplicate key, or nesting too deep for the parser, is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{os.fspath(path)}: JSON nested too deeply") from None
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point
+from .model import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point
 from .io import _shown
 
 FAMILIES = ("random", "clustered")

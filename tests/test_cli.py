@@ -283,6 +283,25 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_a_duplicate_json_key_exits_2(capsys, tmp_path):
+    # a sweep naming one axis twice once ran only the last and exited 0
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"topology": {"family": "random", "n": 6}, "algorithms": ["A-repeated"], '
+        '"sweep": {"n": [6], "n": [8]}, "output": ' + json.dumps(str(tmp_path / "res.csv")) + "}"
+    )
+    code, text = run_cli(capsys, "experiment", "--config", config, "--workers", 1)
+    assert (code, text) == (2, "error: duplicate key in a JSON object: 'n'\n")
+    assert not (tmp_path / "res.csv").exists()
+    # a long key is shown cut short
+    inst_path = spread_instance(tmp_path, count=2)
+    key = "k" * 10_000
+    sched_path = tmp_path / "dup.json"
+    sched_path.write_text(f'{{"slots": [[0, 1]], "{key}": 1, "{key}": 2}}')
+    code, text = run_cli(capsys, "verify", inst_path, sched_path)
+    assert code == 2 and text.startswith("error: duplicate key") and len(text) < 120
+
+
 def test_wrongly_typed_values_give_a_short_error(capsys, tmp_path):
     # a 980-deep slot and a 100 000-character coordinate were echoed in full
     inst_path = spread_instance(tmp_path, count=2)

@@ -4,6 +4,8 @@ Every command runs through the CLI on generated instances (random and
 clustered, n=200, seeds 0 and 1) and on a seeded per-link-power copy of each.
 The hashes were recorded before the schedulers and the verifier were folded
 into one sweep and one slot verifier; a change to any emitted byte fails here.
+The instance files are pinned too: `gen` runs without numpy, so its hashes
+check an interpreter that has none byte for byte.
 """
 
 import hashlib
@@ -15,6 +17,14 @@ import pytest
 from capsched.cli import main
 
 CASES = [(family, seed) for family in ("random", "clustered") for seed in (0, 1)]
+
+# (family, seed) -> sha256 of the instance file gen writes
+GOLDEN_INSTANCES: dict[tuple[str, int], str] = {
+    ("random", 0): "0d8cabde7f8053e3ef78212a3048534ebd9576af85c37e16f5b0aa4205334aac",
+    ("random", 1): "69768206188176f1163d6e425ea4c2d7c964ddc1229c26463ea1964a8c2d742f",
+    ("clustered", 0): "b1a9513286df5d15cadfb0ddfc1deff097b7c3da150136dcc8e3bcc8ff510ea6",
+    ("clustered", 1): "b09685b74673d9d69e335df08528d066dd525940a17943c8cd808ce38a0be555",
+}
 
 # (family, seed) -> output file -> sha256 of its bytes
 GOLDEN: dict[tuple[str, int], dict[str, str]] = {
@@ -71,6 +81,10 @@ def _run(*args):
     assert code == 0, args
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def corpus_hashes(tmp_path, family, seed) -> dict[str, str]:
     inst = tmp_path / "inst.json"
     power = tmp_path / "inst_power.json"
@@ -89,10 +103,16 @@ def corpus_hashes(tmp_path, family, seed) -> dict[str, str]:
     for name, args in outputs.items():
         out = tmp_path / name
         _run(*args, "--out", out)
-        hashes[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        hashes[name] = _sha256(out)
     return hashes
 
 
 @pytest.mark.parametrize("family,seed", CASES)
 def test_golden_schedule_hashes(capsys, tmp_path, family, seed):
     assert corpus_hashes(tmp_path, family, seed) == GOLDEN[(family, seed)]
+
+
+@pytest.mark.parametrize("family,seed", CASES)
+def test_golden_instance_hashes(capsys, tmp_path, family, seed):
+    _run("gen", "--family", family, "--n", 200, "--seed", seed, "--out", tmp_path / "inst.json")
+    assert _sha256(tmp_path / "inst.json") == GOLDEN_INSTANCES[(family, seed)]

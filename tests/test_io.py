@@ -220,6 +220,24 @@ def test_json_nested_past_the_parser_limit_is_a_value_error(tmp_path, loader, te
         loader(path)
 
 
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_schedule, '{"slots": [], "slots": [[0]]}'),
+        (load_instance, '{"params": {"alpha": 3.0, "beta": 1.2, "beta": 2.0}, "links": []}'),
+        (load_experiment_config, '{"topology": {"family": "random"}, "sweep": {"n": [6], "n": [8]}}'),
+        (load_gain_matrix, '{"n": 1, "n": 2, "entries": [[0.0]]}'),
+    ],
+    ids=["schedule", "instance", "experiment-config", "gain-matrix"],
+)
+def test_a_duplicate_json_key_is_a_value_error(tmp_path, loader, text):
+    # json.load keeps the last of a duplicated key; every loader refuses the file instead
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"^duplicate key in a JSON object: '(slots|beta|n)'$"):
+        loader(path)
+
+
 @given(st.text())
 @settings(max_examples=300, deadline=None)
 def test_canonical_strings_are_json_dumps_text(text):

@@ -48,12 +48,13 @@ def test_package_root_exports_the_error_family():
 
 # --- lazy submodules ------------------------------------------------------------
 
-LAZY = ("abstract", "experiment", "oracles", "schedulers", "topogen")
+# the modules capsched.cli registers with importlib.util.LazyLoader
+LAZY = ("core", "abstract", "experiment", "oracles", "schedulers")
 
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
-# lazy modules, numpy among them, executed (an unexecuted one still has the lazy
-# module type) and the collector's state. The entry ends the process with
-# os._exit; here that raises SystemExit instead.
+# lazy modules executed (an unexecuted one still has the LazyLoader's module
+# type), whether numpy was imported, and the collector's state. The entry ends
+# the process with os._exit; here that raises SystemExit instead.
 _COMMAND_PROBE = """
 import gc, json, os, runpy, sys, types
 argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -68,7 +69,7 @@ except SystemExit as exc:
 print(json.dumps({
     "code": code,
     "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
-    "numpy": type(sys.modules["numpy"]) is types.ModuleType,
+    "numpy": "numpy" in sys.modules,
     "futures": "concurrent.futures" in sys.modules,
     "collecting": gc.isenabled(),
     "frozen": gc.get_freeze_count(),
@@ -119,13 +120,13 @@ def _instance_files(tmp_path) -> None:
 @pytest.mark.parametrize(
     "argv, code, executed, numpy",
     [
-        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], 0, [], True),
-        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, ["topogen"], False),
-        (["schedule", "inst.json", "--out", "out.json"], 0, ["schedulers"], True),
-        (["reduce-graph", "g.txt", "--check"], 0, ["abstract"], True),
+        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], 0, ["core"], True),
+        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, [], False),
+        (["schedule", "inst.json", "--out", "out.json"], 0, ["core", "schedulers"], True),
+        (["reduce-graph", "g.txt", "--check"], 0, ["core", "abstract"], True),
         (
             ["experiment", "--config", "config.json", "--workers", "1"], 0,
-            ["experiment", "schedulers", "topogen"], True,
+            ["core", "experiment", "schedulers"], True,
         ),
         (["schedule", "inst.json", "--algo", "C"], 2, [], False),
         (["verify", "inst.json", "sched.json", "--p", "nan"], 2, [], False),
@@ -133,7 +134,7 @@ def _instance_files(tmp_path) -> None:
     ids=["verify", "gen", "schedule", "reduce-graph", "experiment-w1", "argparse-error", "verify-nan"],
 )
 def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, code, executed, numpy):
-    # gen draws its instance without numpy, a one-worker sweep imports no
+    # gen draws its instance without core or numpy, a one-worker sweep imports no
     # process pool, a command refused on its arguments stops before anything
     # computes, and every command runs with the collector off and nothing frozen
     _instance_files(tmp_path)
@@ -316,95 +317,28 @@ def test_experiment_with_workers_leaves_no_process_behind(tmp_path):
     assert len((tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()) == 1 + 8
 
 
-# Imports capsched in a fresh interpreter whose collector is on, off, or on
-# with objects frozen, with numpy importable or not; counts the collections
-# the import ran.
-_GC_PROBE = """
-import gc, json, sys
-if sys.argv[1] == "disabled":
-    gc.disable()
-if sys.argv[1] == "frozen":
-    gc.freeze()
-frozen = gc.get_freeze_count()
-if sys.argv[2] == "raises":
-    sys.modules["numpy"] = None  # `import numpy` in capsched.core raises ImportError
-before = sum(s["collections"] for s in gc.get_stats())
-try:
-    import capsched
-    raised = False
-except ImportError:
-    raised = True
-print(json.dumps({
-    "enabled": gc.isenabled(),
-    "raised": raised,
-    "collections": sum(s["collections"] for s in gc.get_stats()) - before,
-    "same_frozen": gc.get_freeze_count() == frozen,
-}))
-"""
+# `python -m capsched` in a fresh interpreter in which `import numpy` raises
+# ImportError, as on an interpreter without numpy
+_NO_NUMPY = (
+    "import runpy, sys; sys.modules['numpy'] = None; "
+    "runpy.run_module('capsched', run_name='__main__', alter_sys=True)"
+)
 
 
-@pytest.mark.parametrize("outcome", ["imports", "raises"])
-@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen"])
-def test_import_pauses_the_collector_and_restores_its_state(tmp_path, state, outcome):
-    # with objects frozen by the caller the import's objects stay young, and
-    # the first allocation after it may run one young collection over them
-    result = json.loads(_fresh_python(_GC_PROBE, state, outcome, cwd=tmp_path))
-    assert result["collections"] <= (state == "frozen")
-    del result["collections"]
-    assert result == {"enabled": state != "disabled", "raised": outcome == "raises", "same_frozen": True}
-
-
-# Imports capsched in a fresh interpreter, which registers numpy unexecuted,
-# with the collector on, off, or on with objects frozen before or after the
-# import; then executes numpy as a command's first computation does, with
-# numpy's core importable or not (numpy 2 names it numpy._core, numpy 1
-# numpy.core); counts the collections and compares the freeze counts.
-_NUMPY_PROBE = """
-import gc, json, sys, types
-state, outcome = sys.argv[1:]
-if state == "disabled":
-    gc.disable()
-if state == "frozen-before":
-    gc.freeze()
-import capsched
-lazy = type(sys.modules["numpy"]) is not types.ModuleType
-if state == "frozen-after":
-    gc.freeze()
-frozen = gc.get_freeze_count()
-if outcome == "raises":
-    sys.modules["numpy._core"] = sys.modules["numpy.core"] = None
-before = sum(s["collections"] for s in gc.get_stats())
-try:
-    capsched.core.np.ndarray
-    raised = False
-except ImportError:
-    raised = True
-print(json.dumps({
-    "lazy": lazy,
-    "enabled": gc.isenabled(),
-    "raised": raised,
-    "collections": sum(s["collections"] for s in gc.get_stats()) - before,
-    "frozen": "same" if gc.get_freeze_count() == frozen else "more",
-}))
-"""
-
-
-@pytest.mark.parametrize("outcome", ["imports", "raises"])
-@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen-before", "frozen-after"])
-def test_numpy_executes_with_the_collector_paused(tmp_path, state, outcome):
-    # with nothing frozen numpy's objects go unwalked to the oldest
-    # generation; a caller's frozen objects stay as they are, before or after
-    # the import, and numpy's stay young, so the first allocation after it may
-    # collect them once
-    result = json.loads(_fresh_python(_NUMPY_PROBE, state, outcome, cwd=tmp_path))
-    assert result["collections"] <= state.startswith("frozen")
-    del result["collections"]
-    assert result == {
-        "lazy": True,
-        "enabled": state != "disabled",
-        "raised": outcome == "raises",
-        "frozen": "same",
-    }
+def test_gen_and_a_refused_command_run_without_numpy(tmp_path, capsys, monkeypatch):
+    _instance_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for family in ("random", "clustered"):
+        argv = ["gen", "--family", family, "--n", "40", "--seed", "3"]
+        proc = _python("-c", _NO_NUMPY, *argv, "--out", "child.json", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert capsched.cli.main([*argv, "--out", "here.json"]) == 0
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+    capsys.readouterr()
+    argv = ["verify", "inst.json", "sched.json", "--p", "nan"]
+    proc = _python("-c", _NO_NUMPY, *argv, cwd=tmp_path)
+    assert capsched.cli.main(argv) == 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, *capsys.readouterr())
 
 
 def test_lazy_modules_are_package_attributes_and_registered():
