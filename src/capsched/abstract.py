@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 from .core import THRESHOLD_SLACK, Instance, SingularityError, SizeLimitError, id_ordered
-from .io import read_json, write_canonical
+from .io import _number, _refuse_unknown, _typed, read_json, write_canonical
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,17 +276,19 @@ def gain_matrix_to_obj(matrix: GainMatrix) -> dict:
     }
 
 
-def gain_matrix_from_obj(obj: dict) -> GainMatrix:
-    unknown = set(obj) - {"n", "threshold", "entries"}
-    if unknown:
-        raise ValueError(f"unknown gain matrix keys: {sorted(unknown)}")
-    n = obj["n"]
-    entries = np.asarray(obj["entries"], dtype=float)
-    if entries.size != n * n:
-        raise ValueError(f"expected {n * n} entries, got {entries.size}")
-    return GainMatrix(
-        entries=entries.reshape(n, n), threshold=float(obj.get("threshold", 1.0))
-    )
+def gain_matrix_from_obj(obj: Any) -> GainMatrix:
+    _typed(obj, dict, "gain matrix document")
+    _refuse_unknown(obj, ("n", "threshold", "entries"), "gain matrix keys")
+    try:
+        n, raw = _typed(obj["n"], int, "n"), _typed(obj["entries"], list, "entries")
+    except KeyError as exc:
+        raise ValueError(f"gain matrix file missing key {exc}") from None
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if len(raw) != n * n:
+        raise ValueError(f"expected {n * n} entries, got {len(raw)}")
+    entries = np.array([_number(x, "a gain matrix entry") for x in raw], dtype=float)
+    return GainMatrix(entries.reshape(n, n), _number(obj.get("threshold", 1.0), "threshold"))
 
 
 def save_gain_matrix(matrix: GainMatrix, path: str | os.PathLike) -> None:

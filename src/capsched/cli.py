@@ -24,7 +24,6 @@ import math
 import os
 import sys
 
-from . import topogen
 from .io import load_instance, load_schedule, save_instance, save_schedule, write_canonical
 from .model import (
     DEFAULT_MODEL_PARAMS, MODEL_PARAM_NAMES, THRESHOLD_SLACK, Instance, ModelParams, PartitionReport,
@@ -49,10 +48,10 @@ def _lazy(name: str):
     return module
 
 
-# numpy executes with the first of these a command reads: `gen` and a command
-# refused on its arguments read none of them
-abstract, core, experiment, oracles, schedulers = map(
-    _lazy, ("abstract", "core", "experiment", "oracles", "schedulers")
+# each executes on a command's first read: numpy with the first of the first five,
+# which `gen` and a command refused on its arguments never read
+abstract, core, experiment, oracles, schedulers, topogen = map(
+    _lazy, ("abstract", "core", "experiment", "oracles", "schedulers", "topogen")
 )
 
 
@@ -269,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = ok and p_ok
     if args.q is not None:
         q_ok = all(
-            core.report_q_dispersed(instance.resolve(slot), fr, args.q, instance.params)
+            core.report_q_dispersed(instance, slot, fr, args.q)
             for slot, fr in zip(schedule.slots, reports)
         )
         print(f"dispersed(q={_fmt(args.q)}): {'ok' if q_ok else 'FAIL'}")

@@ -235,6 +235,30 @@ def id_ordered(instance: Instance) -> tuple[tuple[Link, ...], AffectanceRows]:
     return instance.gather(sorted(instance.position))
 
 
+# Relative band around a distance bound inside which the float verdict does not decide.
+# A kernel distance, or a float multiple of one, lies within a few ulps of its exact
+# value, so outside the band the float verdict is the exact one. An affectance is a
+# distance ratio to the power alpha: its band is alpha times as wide.
+DISTANCE_TIE = 1e-12
+
+
+def exactly_near(
+    p: Sequence[float], r: Sequence[float], factor: float, v: Sequence[float], strict: bool
+) -> bool:
+    """d(p, r) < factor * d(s_v, r_v) (``<=`` unless ``strict``), decided by ``Fraction`` exactly.
+
+    ``p`` and ``r`` are points (x, y); ``v`` is a kernel column (s_v, r_v, ...).
+    """
+    from fractions import Fraction  # on first use: it imports decimal (about 2 ms), and ties are rare
+
+    def squared(x0: float, y0: float, x1: float, y1: float) -> Fraction:
+        dx, dy = Fraction(x0) - Fraction(x1), Fraction(y0) - Fraction(y1)
+        return dx * dx + dy * dy
+
+    gap, bound = squared(*p, *r), Fraction(factor) ** 2 * squared(*v[:4])
+    return gap < bound if strict else gap <= bound
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Verdict and diagnostics of a slot feasibility check.
@@ -421,28 +445,25 @@ def is_q_dispersed(members: Sequence[Link], q: float, params: ModelParams) -> bo
     return True
 
 
-# Relative tie band of report_q_dispersed per unit of alpha * c_v: the kernel's
-# distance and power may each differ from the scalar math.hypot and ** in the
-# last ulp, which d^alpha scales by alpha and c_v = 1/(1 - beta*N/P_vv) by c_v.
-_Q_TIE = 1e-12
+def report_q_dispersed(instance: Instance, slot: Slot, report: FeasibilityReport, q: float) -> bool:
+    """``is_q_dispersed`` of ``slot``'s links, whose report is ``report``, decided exactly.
 
-
-def report_q_dispersed(
-    members: Sequence[Link], report: FeasibilityReport, q: float, params: ModelParams
-) -> bool:
-    """``is_q_dispersed(members, q, params)``, read off the slot's report.
-
-    ``report`` is ``is_feasible(members, params)``. Its
-    ``max_pair_affectance`` decides against q^-alpha wherever it is clear of
-    that bound by more than rounding could move it; the scalar
-    ``is_q_dispersed`` decides the near-ties.
+    The links transmit at one power: w is q-near v iff a_w(v) > q^-alpha, iff
+    d(s_w, r_v) < q c_v^(1/alpha) d_vv. The report's ``max_pair_affectance``
+    decides outside the band of q^-alpha; inside it, the slot is gathered from
+    ``instance.kernel`` and ``exactly_near`` decides each pair in the band.
     """
     if not (q > 0):
         raise ValueError(f"q must be positive, got {q}")
-    _require_uniform_power(members, params)
-    cv_max = max((noise_factor(l, params) for l in members), default=1.0)
+    bound, band = q ** -instance.params.alpha, instance.params.alpha * DISTANCE_TIE
     value = report.max_pair_affectance
-    gap = value - q ** (-params.alpha)
-    if abs(gap) > _Q_TIE * params.alpha * cv_max * value:
-        return gap < 0
-    return is_q_dispersed(members, q, params)
+    if abs(value - bound) > band * value:
+        return value < bound
+    _, geo = instance.gather(slot.sorted_members)
+    mat = geo.matrix()
+    near = mat > bound
+    factor = (q * geo.cv ** (1.0 / geo.alpha)).tolist()
+    cols = geo.data.T.tolist()
+    for w, v in zip(*np.nonzero(~(np.abs(mat - bound) > band * mat))):
+        near[w, v] = w != v and exactly_near(cols[w][:2], cols[v][2:4], factor[v], cols[v], True)
+    return not near.any()

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (
+    DISTANCE_TIE,
     THRESHOLD_SLACK,
     AffectanceRows,
     Instance,
@@ -37,8 +38,8 @@ from .core import (
     SchedulingError,
     Slot,
     UnsupportedConfigurationError,
-    distance,
     effective_power,
+    exactly_near,
     p_signal_violation,
     slot_reports,
 )
@@ -118,71 +119,46 @@ def _length_order(links: Sequence[Link]) -> list[int]:
     return sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
 
 
-def _separated(v: Link, w: Link, c_hat: float) -> bool:
-    """B's symmetric separation test of candidate v against admitted w (scalar reference)."""
-    gap = min(distance(w.sender, v.receiver), distance(v.sender, w.receiver))
-    return gap > c_hat * v.length
-
-
-# Relative gap below which a kernel distance (which may differ from math.hypot
-# in the last ulp) does not decide a distance test; such pairs use the scalar test.
-_DISTANCE_TIE = 1e-12
-
-
-def _tie_band(
-    gap: np.ndarray, bound: np.ndarray, scalar_near: Callable[[int], bool]
-) -> np.ndarray:
-    """Mask of ``gap < bound``; inside the ``_DISTANCE_TIE`` band ``scalar_near(i)`` decides."""
+def _tie_band(gap: np.ndarray, bound: np.ndarray, exact: Callable[[int], bool]) -> np.ndarray:
+    """Mask of ``gap < bound``; inside the ``DISTANCE_TIE`` band ``exact(i)`` decides entry i."""
     near = gap < bound
-    unsure = ~(np.abs(gap - bound) > _DISTANCE_TIE * bound)
-    for i in unsure.nonzero()[0].tolist():
-        near[i] = scalar_near(i)
+    for i in np.flatnonzero(~(np.abs(gap - bound) > DISTANCE_TIE * bound)).tolist():
+        near[i] = exact(i)
     return near
 
 
 def _too_close(
-    links: Sequence[Link],
-    rows: AffectanceRows,
-    ids: np.ndarray,
-    j: int,
-    ahead: slice,
-    dist: np.ndarray,
-    c_hat: float,
+    rows: AffectanceRows, ids: np.ndarray, j: int, ahead: slice, dist: np.ndarray, c_hat: float
 ) -> np.ndarray:
-    """B's mask against admitted link j: ``not _separated(v, links[ids[j]], c_hat)`` for v ahead.
+    """B's mask against admitted link j: min(d(s_j, r_v), d(s_v, r_j)) <= c_hat * d_vv, v ahead.
 
-    ``rows`` is the kernel of ``links[ids]``; ``ahead`` selects the
-    candidates and ``dist`` is ``rows.distances(j, ahead)``.
+    ``rows`` is the sweep's kernel, ``ahead`` selects the candidates and
+    ``dist`` is ``rows.distances(j, ahead)``; near-ties are decided exactly.
     """
     gap = np.minimum(dist, rows.norm(rows.sx[ahead] - rows.rx[j], rows.sy[ahead] - rows.ry[j]))
-    w, v = links[ids[j]], ids[ahead]
-    return _tie_band(
-        gap, c_hat * rows.lengths[ahead], lambda i: not _separated(links[v[i]], w, c_hat)
-    )
 
+    def exact(i: int) -> bool:
+        w, v = rows.data[:, j].tolist(), rows.data[:, ahead][:, i].tolist()
+        return any(exactly_near(p, r, c_hat, v, False) for p, r in ((w[:2], v[2:4]), (v[:2], w[2:4])))
 
-def _dispersed(v: Link, w: Link, bound: float) -> bool:
-    """Disperse's test of candidate v against set member w (scalar reference)."""
-    return distance(w.sender, v.receiver) >= bound and distance(w.receiver, v.receiver) >= bound
+    return _tie_band(gap, c_hat * rows.lengths[ahead], exact)
 
 
 def _not_dispersed(
-    links: Sequence[Link],
-    rows: AffectanceRows,
-    ids: np.ndarray,
-    j: int,
-    ahead: slice,
-    dist: np.ndarray,
-    bound: np.ndarray,
+    rows: AffectanceRows, ids: np.ndarray, j: int, ahead: slice, dist: np.ndarray, factor: np.ndarray
 ) -> np.ndarray:
-    """Disperse's mask against member j: ``not _dispersed(links[i], links[ids[j]], bound[i])``.
+    """Disperse's mask against member j: min(d(s_j, r_v), d(r_j, r_v)) < factor * d_vv, v ahead.
 
-    Evaluated for the links i = ``ids[ahead]``; ``rows``, ``ahead`` and
-    ``dist`` are as for ``_too_close``, and ``bound`` is indexed like ``links``.
+    ``factor`` is indexed like the values of ``ids``; the rest is as for ``_too_close``.
     """
     gap = np.minimum(dist, rows.norm(rows.rx[j] - rows.rx[ahead], rows.ry[j] - rows.ry[ahead]))
-    w, v = links[ids[j]], ids[ahead]
-    return _tie_band(gap, bound[v], lambda i: not _dispersed(links[v[i]], w, bound[v[i]]))
+    mult = factor[ids[ahead]]
+
+    def exact(i: int) -> bool:
+        w, v = rows.data[:, j].tolist(), rows.data[:, ahead][:, i].tolist()
+        return any(exactly_near(p, v[2:4], mult[i], v, True) for p in (w[:2], w[2:4]))
+
+    return _tie_band(gap, mult * rows.lengths[ahead], exact)
 
 
 # Fewest links ahead for which the sweep looks for dead ones: on shorter
@@ -329,7 +305,7 @@ def single_shot_guarded(instance: Instance) -> Slot:
     """
     constants = _uniform_constants(instance, "the guarded heuristic B")
     links = instance.links
-    near = functools.partial(_too_close, links, c_hat=constants.c_hat)
+    near = functools.partial(_too_close, c_hat=constants.c_hat)
     chosen = _sweep(instance.kernel.apart(links), _length_order(links), 2.0 / 3.0, near)
     return Slot(frozenset(links[i].id for i in chosen))
 
@@ -342,7 +318,7 @@ def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) ->
     With ``c_hat`` each round is the guarded heuristic.
     """
     links = instance.links
-    near = None if c_hat is None else functools.partial(_too_close, links, c_hat=c_hat)
+    near = None if c_hat is None else functools.partial(_too_close, c_hat=c_hat)
     rounds = _first_fit(instance.kernel.apart(links), _length_order(links), threshold, near)
     return Schedule(_slots(links, rounds))
 
@@ -426,8 +402,8 @@ def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
     affectance only shrinks on subsets.
     """
     links, rows = instance.gather(slot.sorted_members)
-    bound = (q * rows.cv ** (1.0 / rows.alpha) + 2.0) * rows.lengths
-    near = functools.partial(_not_dispersed, links, bound=bound)
+    factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
+    near = functools.partial(_not_dispersed, factor=factor)
     return _slots(links, _first_fit(rows, _length_order(links), math.inf, near))
 
 

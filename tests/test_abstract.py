@@ -329,6 +329,23 @@ def test_gain_matrix_file_round_trip(tmp_path):
         gain_matrix_from_obj({"n": 2, "threshold": 1.0, "entries": [0.0]})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (3, "gain matrix document must be a JSON object"),
+        ({"n": True, "entries": [0.0]}, "n must be a JSON integer"),
+        ({"n": 1.0, "entries": [0.0]}, "n must be a JSON integer"),
+        ({"entries": [0.0]}, "missing key 'n'"),
+        ({"n": 1, "threshold": True, "entries": [0.0]}, "threshold must be a JSON number"),
+        ({"n": -1, "entries": []}, "n must be nonnegative, got -1"),
+    ],
+    ids=["a-number", "n-true", "n-float", "n-missing", "threshold-true", "n-negative"],
+)
+def test_gain_matrix_file_refuses_mistyped_input(doc, message):
+    with pytest.raises(ValueError, match=message):
+        gain_matrix_from_obj(doc)
+
+
 def test_correspondence_report_shape():
     report = correspondence_check(triangle())
     assert isinstance(report, CorrespondenceReport)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,11 @@ from capsched.core import (
     received_power,
     report_q_dispersed,
     single_affectance,
+    slot_reports,
 )
 from capsched.schedulers import (
+    _not_dispersed,
+    _too_close,
     compute_constants,
     disperse,
     disperse_slot,
@@ -484,7 +488,7 @@ def test_singularity_raised_for_a_link_never_admitted():
         first_fit_baseline(inst)
 
 
-# --- the report-based q verdict against the scalar is_q_dispersed ------------
+# --- the report-based q verdict against exact and scalar references -----------
 
 
 def _ulp_tie(a, alpha):
@@ -516,45 +520,143 @@ def q_slot(draw):
     return links, params, a ** (-1.0 / params.alpha) * (1.0 + draw(st.floats(-1e-9, 1e-9)))
 
 
+def _squared(p, r):
+    """d(p, r)^2 of two points, exactly."""
+    return (Fraction(p.x) - Fraction(r.x)) ** 2 + (Fraction(p.y) - Fraction(r.y)) ** 2
+
+
+def _exactly_q_dispersed(instance, slot, q):
+    """No w is q-near v: d(s_w, r_v)^2 >= (q c_v^(1/alpha))^2 d_vv^2 in rationals, c_v the kernel's."""
+    links, geo = instance.gather(slot.sorted_members)
+    factor = (q * geo.cv ** (1.0 / geo.alpha)).tolist()
+    return not any(
+        _squared(w.sender, v.receiver) < Fraction(factor[i]) ** 2 * _squared(v.sender, v.receiver)
+        for i, v in enumerate(links)
+        for w in links
+        if w.id != v.id
+    )
+
+
+def _q_verdict(links, params, q):
+    """``report_q_dispersed`` of the one slot of ``links``, its exact reference and the instance."""
+    instance = Instance(params=params, links=links)
+    slot = Slot(frozenset(l.id for l in links))
+    (report,) = slot_reports(instance, Schedule((slot,)))
+    return report_q_dispersed(instance, slot, report, q), _exactly_q_dispersed(instance, slot, q)
+
+
 @given(q_slot())
 @settings(max_examples=200, deadline=None)
 def test_report_q_verdict_matches_scalar(slot):
+    # the verdict is the exact one; the scalar is_q_dispersed agrees wherever
+    # every pair is clear of q^-alpha by more than its own rounding (its c_v
+    # may differ from the kernel's by c_v ulps)
     links, params, q = slot
-    report = is_feasible(links, params)
-    with mock.patch.object(core, "is_q_dispersed", wraps=is_q_dispersed) as scalar:
-        verdict = report_q_dispersed(links, report, q, params)
-    assert verdict == is_q_dispersed(links, q, params)
-    # the scalar loop runs exactly when the report's value is inside the tie band
+    verdict, exact = _q_verdict(links, params, q)
+    assert verdict == exact
     cv_max = max(noise_factor(l, params) for l in links)
-    gap = report.max_pair_affectance - q ** -params.alpha
-    band = core._Q_TIE * params.alpha * cv_max * report.max_pair_affectance
-    assert scalar.call_count == (not abs(gap) > band)
+    pairs = [single_affectance(w, v, params) for v in links for w in links if w.id != v.id]
+    bound = q ** -params.alpha
+    if all(abs(a - bound) > 1e-12 * params.alpha * cv_max * a for a in pairs):
+        assert verdict == is_q_dispersed(links, q, params)
 
 
-def test_report_q_verdict_hands_an_exact_tie_to_the_scalar_route():
+def test_report_q_verdict_decides_an_exact_tie_exactly():
     # a_w(v) = (1/2)^3 == 2^-3 exactly: w is not 2-near v (strict inequality)
     v = Link(id=0, sender=Point(1, 0), receiver=Point(0, 0))
     w = Link(id=1, sender=Point(0, 2), receiver=Point(0, 3))
-    report = is_feasible((v, w), P_KERNEL)
+    instance, slot = Instance(params=P_KERNEL, links=(v, w)), Slot(frozenset({0, 1}))
+    (report,) = slot_reports(instance, Schedule((slot,)))
     assert report.max_pair_affectance == 2.0**-3.0
-    with mock.patch.object(core, "is_q_dispersed", wraps=is_q_dispersed) as scalar:
-        assert report_q_dispersed((v, w), report, 2.0, P_KERNEL)
-        assert scalar.call_count == 1
-        assert not report_q_dispersed((v, w), report, 2.0 * (1 + 1e-6), P_KERNEL)
-        assert report_q_dispersed((v, w), report, 2.0 * (1 - 1e-6), P_KERNEL)
-        assert scalar.call_count == 1
+    with mock.patch.object(core, "exactly_near", wraps=core.exactly_near) as exact:
+        assert report_q_dispersed(instance, slot, report, 2.0)
+        assert exact.call_count == 1
+        assert not report_q_dispersed(instance, slot, report, 2.0 * (1 + 1e-6))
+        assert report_q_dispersed(instance, slot, report, 2.0 * (1 - 1e-6))
+        assert exact.call_count == 1
 
 
 def test_report_q_verdict_at_a_tie_the_numpy_value_misses():
-    # q^-alpha equals the scalar a_0(1) exactly; numpy's value of the same pair
-    # (0.03312394851250965 against 0.033123948512509646 here) lies one ulp
-    # above it, so only the scalar route gives the strict verdict
+    # q^-alpha equals the scalar a_0(1) exactly, and numpy's value of the same
+    # pair lies one ulp above it; exactly, d(s_0, r_1)^2 < q^2 d_11^2 by 7.1e-17
+    # (relative), so link 0 is q-near link 1, which the scalar route misses
     links = (_link(0, 23.048, 40.504, 23.977, 37.705), _link(1, 10.983, 45.651, 11.891, 42.145))
     params = ModelParams(alpha=3.0, beta=1.0)
     q = 3.113765958440783
+    gap = (Fraction(23.048) - Fraction(11.891)) ** 2 + (Fraction(40.504) - Fraction(42.145)) ** 2
+    d11 = (Fraction(10.983) - Fraction(11.891)) ** 2 + (Fraction(45.651) - Fraction(42.145)) ** 2
+    bound = Fraction(q) ** 2 * d11
+    assert gap < bound and 7.0e-17 < (bound - gap) / bound < 7.2e-17
     assert q**-3.0 == single_affectance(links[0], links[1], params)
     assert is_q_dispersed(links, q, params)
-    assert report_q_dispersed(links, is_feasible(links, params), q, params)
+    assert _q_verdict(links, params, q) == (False, False)
+
+
+# --- near-ties of every distance test, against a Fraction reference -----------
+
+AXES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+TIE_TESTS = ("B-sender", "B-receiver", "disperse-sender", "disperse-receiver", "q")
+
+
+@st.composite
+def distance_tie(draw):
+    """(test, v, w, params, base): one end of w at or within 1e-13 (relative) of v's bound.
+
+    v has length L = 2^e and r_v at the origin; the end of w under test lies
+    at distance m L (1 + eps) from r_v (from s_v for B's receiver test),
+    perpendicular to v, with m the test's float multiplier built from
+    ``base``: c_hat = base for B, q c_v^(1/alpha) + 2 for disperse and
+    q c_v^(1/alpha) for q-nearness, with q = base. At eps = 0 the tie is
+    exact. w is no longer than v, so v is the weakest link, and the noise
+    puts c_v at 1 to about 1e6.
+    """
+    test = draw(st.sampled_from(TIE_TESTS))
+    alpha = draw(st.sampled_from((2.5, 3.0, 4.0)))
+    length = 2.0 ** draw(st.integers(-20, 20))
+    ux, uy = draw(st.sampled_from(AXES))
+    v = Link(id=0, sender=Point(-length * ux, -length * uy), receiver=Point(0.0, 0.0))
+    params = ModelParams(alpha=alpha, beta=draw(st.sampled_from((0.5, 1.2, 3.0))))
+    share = draw(st.sampled_from((0.0, 0.0, 0.5, 0.99, 0.999999)))
+    params = dataclasses.replace(params, noise=share * length**-alpha / params.beta)
+    base = draw(st.floats(min_value=2.0, max_value=12.0) if test[0] == "B" else st.floats(0.1, 10.0))
+    cv = float(AffectanceRows((v,), params).cv[0])
+    m = {"B": base, "d": base * cv ** (1.0 / alpha) + 2.0, "q": base * cv ** (1.0 / alpha)}[test[0]]
+    eps = draw(st.sampled_from((0.0,)) | st.floats(-1e-13, 1e-13))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    reach = m * length * (1.0 + eps)
+    origin = v.sender if test == "B-receiver" else v.receiver
+    tip = Point(origin.x - sign * uy * reach, origin.y + sign * ux * reach)
+    wx, wy = draw(st.sampled_from(AXES))
+    short = length * 2.0 ** -draw(st.integers(0, 3))
+    other = Point(tip.x + short * wx, tip.y + short * wy)
+    w = Link(id=1, sender=other, receiver=tip) if test.endswith("receiver") else Link(
+        id=1, sender=tip, receiver=other
+    )
+    assume(w.sender != v.receiver and v.sender != w.receiver)
+    return test, v, w, params, base
+
+
+@given(distance_tie())
+@settings(max_examples=300, deadline=None)
+def test_distance_tests_decide_near_ties_exactly(case):
+    test, v, w, params, base = case
+    dvv = _squared(v.sender, v.receiver)
+    if test == "q":
+        verdict, exact = _q_verdict((v, w), params, base)
+        assert verdict == exact
+        return
+    # the sweep's form: w admitted (j = 0), v the candidate ahead of it
+    rows, ids, ahead = AffectanceRows((w, v), params), np.arange(2), slice(1, None)
+    dist = rows.distances(0, ahead)
+    if test.startswith("B"):
+        c = Fraction(base) ** 2 * dvv
+        exact = _squared(w.sender, v.receiver) <= c or _squared(v.sender, w.receiver) <= c
+        assert bool(_too_close(rows, ids, 0, ahead, dist, base)[0]) is exact
+    else:
+        factor = base * rows.cv ** (1.0 / rows.alpha) + 2.0
+        c = Fraction(factor[1]) ** 2 * dvv
+        exact = _squared(w.sender, v.receiver) < c or _squared(w.receiver, v.receiver) < c
+        assert bool(_not_dispersed(rows, ids, 0, ahead, dist, factor)[0]) is exact
 
 
 # --- model invariances of the schedulers (noise = 0 scaling, id relabelling) --

@@ -49,7 +49,7 @@ def test_package_root_exports_the_error_family():
 # --- lazy submodules ------------------------------------------------------------
 
 # the modules capsched.cli registers with importlib.util.LazyLoader
-LAZY = ("core", "abstract", "experiment", "oracles", "schedulers")
+LAZY = ("core", "abstract", "experiment", "oracles", "schedulers", "topogen")
 
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
 # lazy modules executed (an unexecuted one still has the LazyLoader's module
@@ -121,12 +121,12 @@ def _instance_files(tmp_path) -> None:
     "argv, code, executed, numpy",
     [
         (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], 0, ["core"], True),
-        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, [], False),
+        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, ["topogen"], False),
         (["schedule", "inst.json", "--out", "out.json"], 0, ["core", "schedulers"], True),
         (["reduce-graph", "g.txt", "--check"], 0, ["core", "abstract"], True),
         (
             ["experiment", "--config", "config.json", "--workers", "1"], 0,
-            ["core", "experiment", "schedulers"], True,
+            ["core", "experiment", "schedulers", "topogen"], True,
         ),
         (["schedule", "inst.json", "--algo", "C"], 2, [], False),
         (["verify", "inst.json", "sched.json", "--p", "nan"], 2, [], False),
