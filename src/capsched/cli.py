@@ -55,6 +55,10 @@ abstract, core, experiment, oracles, schedulers, topogen = map(
 )
 
 
+# each --algo's name in schedulers.ALGORITHMS
+_ALGORITHM_NAMES = {"A": "A-repeated", "B": "B-repeated", "firstfit": "first-fit-baseline"}
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -89,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sched = subs.add_parser("schedule", help="schedule an instance file")
     sched.add_argument("instance")
-    sched.add_argument("--algo", choices=("A", "B", "firstfit"), default="A")
+    sched.add_argument("--algo", choices=tuple(_ALGORITHM_NAMES), default="A")
     sched.add_argument("--out", default="schedule.json")
     _add_model_flags(sched, with_defaults=False)
     sched.add_argument(
@@ -193,14 +197,8 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
 
 def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
     """The schedule ``--algo`` asks for, after exactly one pass of the emission gate."""
-    if args.algo == "A":
-        mode = args.power_mode or ("uniform" if instance.has_uniform_power else "power-regimes")
-        base = 2.0 if args.regime_base is None else args.regime_base
-        strategy = schedulers.PowerStrategy(mode=mode, regime_base=base)
-        schedule = schedulers.schedule_nonuniform(instance, strategy)
-    else:
-        name = "B-repeated" if args.algo == "B" else "first-fit-baseline"
-        schedule = schedulers.ALGORITHMS[name](instance)
+    power = (args.power_mode, args.regime_base) if args.algo == "A" else ()
+    schedule = schedulers.ALGORITHMS[_ALGORITHM_NAMES[args.algo]](instance, *power)
     core.verify_schedule(instance, schedule)
     return schedule
 
@@ -228,11 +226,16 @@ def _load_pair(args: argparse.Namespace) -> tuple[Instance, Schedule, PartitionR
     return instance, schedule, report
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    for flag in ("p", "q", "theta"):
+def _check_levels(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse any of the level ``flags`` given with a value that is not finite and positive."""
+    for flag in flags:
         value = getattr(args, flag)
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"--{flag} must be {'finite' if value > 0 else 'positive'}, got {value}")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    _check_levels(args, "p", "q", "theta")
     instance, schedule, report = _load_pair(args)
     if args.q is not None:  # dispersion needs one power per slot
         for slot in schedule.slots:
@@ -365,9 +368,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
     if (args.mode == "psignal") != (args.p is not None):
         raise ValueError("--p is required by --mode psignal and applies to no other mode")
+    _check_levels(args, "p")
+    instance = load_instance(args.instance)
     if args.mode == "schedule":
         schedule = oracles.min_schedule(instance)
         core.verify_schedule(instance, schedule)

@@ -327,7 +327,7 @@ def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelPara
         link = ordered[int(np.argmax(signal <= bn))]
         raise InfeasibleLinkError(link.id, f"link {link.id} is infeasible even alone")
     np.fill_diagonal(recv, 0.0)
-    with np.errstate(divide="ignore"):  # no interference and no noise: SINR is inf
+    with np.errstate(divide="ignore", over="ignore"):  # no or subnormal interference, no noise: SINR is inf
         sinr = signal / (recv.sum(axis=0) + params.noise) / params.beta - 1.0
     del recv  # one m x m array fewer at the kernel's peak
     mat = geo.matrix(dist)

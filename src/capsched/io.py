@@ -79,9 +79,10 @@ def _emit(obj: Any, parts: list[str]) -> None:
 
 
 def write_canonical(path: str | os.PathLike, obj: Any) -> None:
+    """Write ``obj`` as canonical JSON; a value that cannot be written leaves ``path`` untouched."""
+    text = canonical_dumps(obj) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_dumps(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def instance_to_obj(instance: Instance) -> dict:

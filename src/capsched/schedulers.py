@@ -54,7 +54,8 @@ class AlgoConstants:
     C is the ring-summation interference constant (72 exactly); tau sets the
     admission threshold c = tau**-alpha of the analyzed selector; c_hat is
     the separation multiplier of the guarded heuristic; nu is the signal
-    level at which the optimum is compared against the greedy output.
+    level at which the optimum is compared against the greedy output (inf
+    past the float range).
     """
 
     C: float
@@ -77,41 +78,19 @@ def compute_constants(params: ModelParams) -> AlgoConstants:
     ratio = (alpha - 1.0) / (alpha - 2.0)
     rhs = (INTERFERENCE_CONSTANT + 1.0) * beta * ratio
     tau = 2.0 + max(2.0, rhs ** (1.0 / alpha))
-    # float round-trip of x**(1/alpha) back through **alpha can undershoot,
-    # hence the relative tolerance
-    if (tau - 2.0) ** alpha < rhs * (1.0 - 1e-9):
+    # checked on logarithms, since (tau - 2)**alpha overflows at large alpha;
+    # the float round-trip of x**(1/alpha) can undershoot, hence the tolerance
+    if alpha * math.log(tau - 2.0) < math.log(rhs) + math.log1p(-1e-9):
         raise SchedulingError(
-            f"threshold consistency violated: (tau-2)^alpha = "
-            f"{(tau - 2.0) ** alpha} < {rhs}"
+            f"threshold consistency violated: alpha*log(tau-2) = "
+            f"{alpha * math.log(tau - 2.0)} < log({rhs})"
         )
     c_hat = max(2.0, (288.0 * beta * ratio) ** (1.0 / alpha))
-    return AlgoConstants(
-        C=INTERFERENCE_CONSTANT,
-        tau=tau,
-        c=tau**-alpha,
-        c_hat=c_hat,
-        nu=2.0 * (1.5 * tau) ** alpha,
-    )
-
-
-@dataclass(frozen=True)
-class PowerStrategy:
-    """How to handle per-link transmission powers when scheduling.
-
-    mode "uniform" requires equal powers and runs the plain machinery;
-    "scaled-threshold" shrinks the admission threshold by P_min/P_max and
-    admits on true non-uniform affectance; "power-regimes" buckets links
-    whose powers agree up to regime_base and schedules buckets separately.
-    """
-
-    mode: str = "uniform"
-    regime_base: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("uniform", "scaled-threshold", "power-regimes"):
-            raise ValueError(f"unknown power strategy mode {self.mode!r}")
-        if not (self.regime_base > 1.0):
-            raise ValueError(f"regime_base must exceed 1, got {self.regime_base}")
+    try:
+        nu = 2.0 * (1.5 * tau) ** alpha
+    except OverflowError:
+        nu = math.inf
+    return AlgoConstants(C=INTERFERENCE_CONSTANT, tau=tau, c=tau**-alpha, c_hat=c_hat, nu=nu)
 
 
 def _length_order(links: Sequence[Link]) -> list[int]:
@@ -263,14 +242,22 @@ def _slots(links: Sequence[Link], sets: Iterable[Iterable[int]]) -> tuple[Slot, 
     return tuple(Slot(frozenset(links[i].id for i in s)) for s in sets)
 
 
-def _uniform_constants(instance: Instance, selector: str) -> AlgoConstants:
-    """The constants of ``selector``, which schedules uniform-power instances only."""
+def _selector(instance: Instance, guarded: bool) -> tuple[float, NearMask | None]:
+    """A's threshold c and no near mask, or with ``guarded`` B's cap 2/3 and separation test.
+
+    Raises:
+        UnsupportedConfigurationError: on non-uniform power.
+    """
     if not instance.has_uniform_power:
         raise UnsupportedConfigurationError(
-            f"{selector} requires uniform power across the links; per-link powers "
-            f"are scheduled by --algo A with --power-mode scaled-threshold or power-regimes"
+            f"{'the guarded heuristic B' if guarded else 'the greedy selector A'} requires "
+            f"uniform power across the links; per-link powers are scheduled by --algo A "
+            f"with --power-mode scaled-threshold or power-regimes"
         )
-    return compute_constants(instance.params)
+    constants = compute_constants(instance.params)
+    if guarded:
+        return 2.0 / 3.0, functools.partial(_too_close, c_hat=constants.c_hat)
+    return constants.c, None
 
 
 def single_shot_greedy(instance: Instance) -> Slot:
@@ -285,9 +272,8 @@ def single_shot_greedy(instance: Instance) -> Slot:
         UnsupportedConfigurationError: on non-uniform power. Route such
             instances through schedule_nonuniform instead.
     """
-    constants = _uniform_constants(instance, "the greedy selector A")
     links = instance.links
-    chosen = _sweep(instance.kernel.apart(links), _length_order(links), constants.c)
+    chosen = _sweep(instance.kernel.apart(links), _length_order(links), *_selector(instance, False))
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -303,22 +289,18 @@ def single_shot_guarded(instance: Instance) -> Slot:
     Raises:
         UnsupportedConfigurationError: on non-uniform power.
     """
-    constants = _uniform_constants(instance, "the guarded heuristic B")
     links = instance.links
-    near = functools.partial(_too_close, c_hat=constants.c_hat)
-    chosen = _sweep(instance.kernel.apart(links), _length_order(links), 2.0 / 3.0, near)
+    chosen = _sweep(instance.kernel.apart(links), _length_order(links), *_selector(instance, True))
     return Slot(frozenset(links[i].id for i in chosen))
 
 
-def _repeat(instance: Instance, threshold: float, c_hat: float | None = None) -> Schedule:
+def _repeat(instance: Instance, threshold: float, near: NearMask | None = None) -> Schedule:
     """First-fit in length order on one row kernel: round k is slot k.
 
     A round selects what a single shot would on the sub-instance of the
     unscheduled links, whose affectances are those of the full instance.
-    With ``c_hat`` each round is the guarded heuristic.
     """
     links = instance.links
-    near = None if c_hat is None else functools.partial(_too_close, c_hat=c_hat)
     rounds = _first_fit(instance.kernel.apart(links), _length_order(links), threshold, near)
     return Schedule(_slots(links, rounds))
 
@@ -336,12 +318,7 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
     Raises:
         UnsupportedConfigurationError: on non-uniform power.
     """
-    constants = _uniform_constants(
-        instance, "the guarded heuristic B" if guarded else "the greedy selector A"
-    )
-    if guarded:
-        return _repeat(instance, 2.0 / 3.0, constants.c_hat)
-    return _repeat(instance, constants.c)
+    return _repeat(instance, *_selector(instance, guarded))
 
 
 def strengthen_slot(
@@ -433,47 +410,56 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
     return Schedule(tuple(s for slots in pieces for s in slots))
 
 
-def _schedule_scaled_threshold(instance: Instance) -> Schedule:
-    constants = compute_constants(instance.params)
-    powers = [effective_power(l, instance.params) for l in instance.links]
-    return _repeat(instance, constants.c * min(powers) / max(powers))
-
-
-def _schedule_power_regimes(instance: Instance, base: float) -> Schedule:
-    powers = {l.id: effective_power(l, instance.params) for l in instance.links}
-    p_min = min(powers.values())
-    buckets: dict[int, list[Link]] = {}
-    for link in instance.links:
+def _schedule_power_regimes(instance: Instance, powers: list[float], base: float) -> Schedule:
+    p_min = min(powers)
+    buckets: dict[int, list[int]] = {}
+    for i, power in enumerate(powers):
         # epsilon keeps exact powers of the base in their own bucket
-        k = math.floor(math.log(powers[link.id] / p_min) / math.log(base) + 1e-12)
-        buckets.setdefault(k, []).append(link)
+        k = math.floor(math.log(power / p_min) / math.log(base) + 1e-12)
+        buckets.setdefault(k, []).append(i)
     slots: list[Slot] = []
     for k in sorted(buckets):
-        bucket = buckets[k]
-        worst_case = min(powers[l.id] for l in bucket)
-        uniform = tuple(dataclasses.replace(l, power=worst_case) for l in bucket)
+        worst_case = min(powers[i] for i in buckets[k])
+        uniform = tuple(dataclasses.replace(instance.links[i], power=worst_case) for i in buckets[k])
         sub = Instance(params=instance.params, links=uniform)
         slots.extend(schedule_repeated(sub).slots)
     return Schedule(tuple(slots))
 
 
-def schedule_nonuniform(instance: Instance, strategy: PowerStrategy) -> Schedule:
-    """Schedule an instance whose links may transmit at different powers.
+def schedule_nonuniform(
+    instance: Instance, mode: str | None = None, regime_base: float | None = None
+) -> Schedule:
+    """The greedy selector A, repeated, on links that may transmit at different powers.
 
-    See PowerStrategy for the available modes. The schedule is unverified:
-    neither non-uniform mode carries a feasibility proof under the true link
-    powers, so ``verify_schedule`` must pass it before it is used.
+    ``mode`` "uniform" requires equal powers and is ``schedule_repeated``;
+    "scaled-threshold" shrinks the admission threshold by P_min/P_max and
+    admits on true non-uniform affectance; "power-regimes" buckets links
+    whose powers agree up to ``regime_base`` (default 2) and schedules the
+    buckets separately. Without a mode, an instance with one power is
+    scheduled "uniform" and any other "power-regimes". The base is checked
+    whatever the mode. The schedule is unverified: neither non-uniform mode
+    carries a feasibility proof under the true link powers, so
+    ``verify_schedule`` must pass it before it is used.
 
     Raises:
+        ValueError: on an unknown mode or a base that does not exceed 1.
         UnsupportedConfigurationError: in uniform mode on non-uniform input.
     """
+    if mode is None:
+        mode = "uniform" if instance.has_uniform_power else "power-regimes"
+    if mode not in ("uniform", "scaled-threshold", "power-regimes"):
+        raise ValueError(f"unknown power strategy mode {mode!r}")
+    base = 2.0 if regime_base is None else regime_base
+    if not (base > 1.0):
+        raise ValueError(f"regime_base must exceed 1, got {base}")
     if not instance.links:
         return Schedule(())
-    if strategy.mode == "uniform":
+    if mode == "uniform":
         return schedule_repeated(instance)
-    if strategy.mode == "scaled-threshold":
-        return _schedule_scaled_threshold(instance)
-    return _schedule_power_regimes(instance, strategy.regime_base)
+    powers = [effective_power(l, instance.params) for l in instance.links]
+    if mode == "scaled-threshold":
+        return _repeat(instance, compute_constants(instance.params).c * min(powers) / max(powers))
+    return _schedule_power_regimes(instance, powers, base)
 
 
 def first_fit_baseline(instance: Instance) -> Schedule:
@@ -490,7 +476,7 @@ def first_fit_baseline(instance: Instance) -> Schedule:
 
 # the whole-schedule algorithms by name, each returning an unverified schedule
 ALGORITHMS: dict[str, Callable[[Instance], Schedule]] = {
-    "A-repeated": schedule_repeated,
+    "A-repeated": schedule_nonuniform,
     "B-repeated": lambda instance: schedule_repeated(instance, guarded=True),
     "first-fit-baseline": first_fit_baseline,
 }

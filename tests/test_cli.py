@@ -53,9 +53,9 @@ def colocated_instance(tmp_path, count=3, beta=2.0):
     return path
 
 
-def spread_instance(tmp_path, count=4, gap=100.0):
+def spread_instance(tmp_path, count=4, gap=100.0, alpha=3.0):
     """Far-separated unit links; all of them fit in one slot."""
-    params = ModelParams(alpha=3.0, beta=1.2, noise=0.0)
+    params = ModelParams(alpha=alpha, beta=1.2, noise=0.0)
     links = tuple(
         Link(id=i, sender=Point(i * gap, 0.0), receiver=Point(i * gap + 1.0, 0.0))
         for i in range(count)
@@ -194,6 +194,51 @@ def test_schedule_nonuniform_auto_regimes(capsys, tmp_path):
     assert "verified=true" in text
     schedule = load_schedule(out)
     assert sorted(schedule.all_ids()) == [0, 1, 2]
+
+
+def test_schedule_a_is_the_sweeps_a_repeated(capsys, tmp_path):
+    # the harness's A-repeated is the function schedule --algo A runs, per-link powers too
+    inst_path = nonuniform_instance(tmp_path)
+    out = tmp_path / "s.json"
+    assert run_cli(capsys, "schedule", inst_path, "--algo", "A", "--out", out)[0] == 0
+    assert ALGORITHMS["A-repeated"](load_instance(inst_path)) == load_schedule(out)
+    assert ALGORITHMS["A-repeated"] is schedulers.schedule_nonuniform
+
+
+@pytest.mark.parametrize(
+    "algo, name, flags, passed",
+    [
+        ("A", "A-repeated", (), (None, None)),
+        ("A", "A-repeated", ("--power-mode", "power-regimes", "--regime-base", 3), ("power-regimes", 3.0)),
+        ("B", "B-repeated", (), ()),
+        ("firstfit", "first-fit-baseline", (), ()),
+    ],
+)
+def test_schedule_looks_every_algo_up_in_algorithms(capsys, tmp_path, monkeypatch, algo, name, flags, passed):
+    # only A takes the power flags
+    real, calls = ALGORITHMS[name], []
+
+    def recorded(instance, *args):
+        calls.append(args)
+        return real(instance, *args)
+
+    monkeypatch.setitem(ALGORITHMS, name, recorded)
+    inst_path = spread_instance(tmp_path)
+    code, _ = run_cli(capsys, "schedule", inst_path, "--algo", algo, *flags, "--out", tmp_path / "s.json")
+    assert code == 0 and calls == [passed]
+
+
+@pytest.mark.parametrize("alpha", [400.0, 1100.0])
+@pytest.mark.parametrize("algo", ["A", "B"])
+def test_schedule_at_large_alpha(capsys, tmp_path, alpha, algo):
+    # (1.5 tau)^alpha and (tau - 2)^alpha lie past the float range; the constants do not
+    inst_path = spread_instance(tmp_path, count=5, alpha=alpha)
+    out = tmp_path / "s.json"
+    code, text = run_cli(capsys, "schedule", inst_path, "--algo", algo, "--out", out)
+    assert code == 0, text
+    assert load_schedule(out) == Schedule((Slot(frozenset(range(5))),))
+    code, text = run_cli(capsys, "verify", inst_path, out)
+    assert code == 0 and text.endswith("verified=true\n")
 
 
 def test_schedule_nonuniform_b_rejected(capsys, tmp_path):
@@ -362,6 +407,18 @@ def test_schedule_far_apart_links_verify(capsys, tmp_path):
         assert run_cli(capsys, "schedule", path, "--out", out)[0] == 0
         assert run_cli(capsys, "verify", path, out)[0] == 0
     assert load_schedule(out) == Schedule((Slot(frozenset({0, 1})),))
+
+
+def test_schedule_and_verify_an_overflowing_sinr_without_warnings(capsys, tmp_path):
+    # links under 1 at alpha = 100: interference is subnormal, and the SINR is inf
+    inst_path = gen_instance(capsys, tmp_path, 50, 0, "random", "--lmax", 0.9, "--alpha", 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for algo in ("A", "B"):
+            out = tmp_path / f"{algo}.json"
+            assert run_cli(capsys, "schedule", inst_path, "--algo", algo, "--out", out)[0] == 0
+            code, text = run_cli(capsys, "verify", inst_path, out)
+            assert code == 0 and text.endswith("verified=true\n")
 
 
 def test_coincident_points_are_checked_per_slot(capsys, tmp_path):
@@ -622,7 +679,7 @@ def test_schedule_power_flags_apply_only_to_a(capsys, tmp_path, algo, flag):
 
 
 def test_schedule_a_checks_regime_base_on_uniform_power(capsys, tmp_path):
-    # A always goes through schedule_nonuniform, whose strategy validates the flag
+    # A always goes through schedule_nonuniform, which checks the base in every mode
     inst_path = spread_instance(tmp_path)
     out = tmp_path / "s.json"
     code, text = run_cli(capsys, "schedule", inst_path, "--regime-base", 0.5, "--out", out)
@@ -844,6 +901,16 @@ def test_oracle_flag_validation(capsys, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "oracle", inst_path, "--mode", "subset", "--p", 2.0)
     assert code == 2
+
+
+@pytest.mark.parametrize("p, wording", [("inf", "finite, got inf"), ("0", "positive, got 0.0"), ("nan", "positive, got nan")])
+def test_oracle_refuses_p_before_reading_the_instance(capsys, tmp_path, p, wording):
+    out = tmp_path / "oracle.json"
+    out.write_bytes(b'{"earlier":true}\n')
+    for inst_path in (spread_instance(tmp_path), tmp_path / "missing.json"):
+        code, text = run_cli(capsys, "oracle", inst_path, "--mode", "psignal", "--p", p, "--out", out)
+        assert (code, text) == (2, f"error: --p must be {wording}\n")
+    assert out.read_bytes() == b'{"earlier":true}\n'
 
 
 def test_oracle_size_limit_exit_3(capsys, tmp_path):

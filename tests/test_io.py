@@ -54,6 +54,14 @@ def test_canonical_dumps_sorted_and_compact():
     assert s == '{"a":[true,null,0.5],"b":1}'
 
 
+def test_write_canonical_keeps_the_earlier_file_when_it_cannot_serialize(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b'{"earlier":true}\n')
+    with pytest.raises(ValueError, match="^cannot serialize non-finite value inf$"):
+        io.write_canonical(path, {"p": float("inf")})
+    assert path.read_bytes() == b'{"earlier":true}\n'
+
+
 def test_instance_round_trip(tmp_path):
     # noise and default power off their defaults too: a writer that dropped one fails
     for params in (P0, ModelParams(alpha=3.5, beta=1.1, noise=1e-3, default_power=2.5)):

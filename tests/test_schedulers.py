@@ -5,6 +5,7 @@ closed-form constants; algorithm behaviour on fixtures is checked against
 hand-computed affectance arithmetic.
 """
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -40,7 +41,6 @@ from capsched.core import (
 from capsched.schedulers import (
     _FRONTIER_MIN,
     AlgoConstants,
-    PowerStrategy,
     _first_fit,
     _not_dispersed,
     _sweep,
@@ -128,6 +128,17 @@ def test_constants_invariants():
             assert (consts.tau - 2.0) ** alpha >= rhs * (1 - 1e-9)
             assert consts.c_hat >= 2.0
             assert consts.nu == 2.0 * (1.5 * consts.tau) ** alpha
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(397.0, 1.2), (400.0, 1.2), (1024.0, 1.2), (1100.0, 1.2), (1e6, 1.2), (2.0 + 1e-15, 1e300)],
+)
+def test_constants_at_extreme_parameters(alpha, beta):
+    # (1.5 tau)^alpha and (tau - 2)^alpha lie past the float range here
+    consts = compute_constants(ModelParams(alpha=alpha, beta=beta))
+    assert consts.nu == math.inf
+    assert consts.tau >= 4.0 and consts.c_hat >= 2.0 and 0.0 <= consts.c < 1.0
 
 
 def test_constants_deterministic():
@@ -489,19 +500,38 @@ def test_disperse_requires_positive_level():
 # --- non-uniform power --------------------------------------------------------
 
 
-def test_power_strategy_validation():
-    with pytest.raises(ValueError):
-        PowerStrategy(mode="mystery")
-    with pytest.raises(ValueError):
-        PowerStrategy(mode="power-regimes", regime_base=1.0)
+def test_schedule_nonuniform_validation():
+    inst = random_instance(11, 5)
+    with pytest.raises(ValueError, match="^unknown power strategy mode 'mystery'$"):
+        schedule_nonuniform(inst, mode="mystery")
+    with pytest.raises(ValueError, match="^regime_base must exceed 1, got 1.0$"):
+        schedule_nonuniform(inst, mode="power-regimes", regime_base=1.0)
+    # the base is checked whatever mode it resolves to, on an empty instance too
+    for mode in (None, "uniform", "scaled-threshold"):
+        with pytest.raises(ValueError, match="^regime_base must exceed 1, got 0.5$"):
+            schedule_nonuniform(inst, mode=mode, regime_base=0.5)
+    with pytest.raises(ValueError, match="^regime_base must exceed 1"):
+        schedule_nonuniform(Instance(params=P0, links=()), regime_base=0.5)
 
 
 def test_nonuniform_equal_powers_match_uniform():
     inst = random_instance(11, 40)
     base = schedule_repeated(inst)
-    for mode in ("uniform", "scaled-threshold", "power-regimes"):
-        sched = schedule_nonuniform(inst, PowerStrategy(mode=mode))
+    for mode in (None, "uniform", "scaled-threshold", "power-regimes"):
+        sched = schedule_nonuniform(inst, mode)
         assert sched == base
+
+
+def test_nonuniform_default_mode_follows_the_powers():
+    mixed = random_instance(13, 50, power_range=(1.0, 4.0))
+    regimes = schedule_nonuniform(mixed, "power-regimes")
+    assert schedule_nonuniform(mixed) == regimes != schedule_nonuniform(mixed, "scaled-threshold")
+    assert schedule_nonuniform(mixed, regime_base=3.0) == schedule_nonuniform(mixed, "power-regimes", 3.0)
+    # one power given on every link is one power
+    one = random_instance(11, 40)
+    equal = Instance(params=P0, links=tuple(dataclasses.replace(l, power=2.0) for l in one.links))
+    assert schedule_nonuniform(one) == schedule_repeated(one)
+    assert schedule_nonuniform(equal) == schedule_repeated(equal)
 
 
 def test_nonuniform_regime_bucket_arithmetic():
@@ -512,9 +542,9 @@ def test_nonuniform_regime_bucket_arithmetic():
         params=P0,
         links=(unit_link(0, 0, 0, power=1.0), unit_link(1, 400, 0, power=2.0)),
     )
-    regimes = schedule_nonuniform(inst, PowerStrategy(mode="power-regimes"))
+    regimes = schedule_nonuniform(inst, "power-regimes")
     assert regimes.slot_count == 2
-    scaled = schedule_nonuniform(inst, PowerStrategy(mode="scaled-threshold"))
+    scaled = schedule_nonuniform(inst, "scaled-threshold")
     assert scaled.slot_count == 1
 
 
@@ -522,7 +552,7 @@ def test_nonuniform_outputs_verified_feasible():
     for seed in (13, 14):
         inst = random_instance(seed, 50, power_range=(1.0, 4.0))
         for mode in ("scaled-threshold", "power-regimes"):
-            sched = schedule_nonuniform(inst, PowerStrategy(mode=mode))
+            sched = schedule_nonuniform(inst, mode)
             assert partition_report(inst, sched).is_partition
             for slot in sched.slots:
                 assert is_feasible(inst.resolve(slot), inst.params).feasible
@@ -533,12 +563,13 @@ def test_nonuniform_uniform_mode_rejects_mixed_powers():
         params=P0, links=(unit_link(0, 0, 0, power=1.0), unit_link(1, 10, 0, power=3.0))
     )
     with pytest.raises(UnsupportedConfigurationError):
-        schedule_nonuniform(inst, PowerStrategy(mode="uniform"))
+        schedule_nonuniform(inst, "uniform")
 
 
 def test_nonuniform_empty_instance():
     inst = Instance(params=P0, links=())
-    assert schedule_nonuniform(inst, PowerStrategy(mode="power-regimes")) == Schedule(())
+    assert schedule_nonuniform(inst, "power-regimes") == Schedule(())
+    assert schedule_nonuniform(inst) == Schedule(())
 
 
 # --- first fit baseline -------------------------------------------------------
