@@ -15,7 +15,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .core import THRESHOLD_SLACK, Instance, SingularityError, SizeLimitError, id_ordered
+from .core import Instance, SingularityError, SizeLimitError, ceiling, id_ordered
 from .io import _number, _refuse_unknown, _typed, read_json, write_canonical
 
 
@@ -25,7 +25,7 @@ class GainMatrix:
 
     entries[i, j] is the affectance of link i on link j; the diagonal is
     zero by convention. A set is feasible when every member's incoming sum
-    stays below the threshold.
+    is at most the threshold (``core.ceiling``).
     """
 
     entries: np.ndarray
@@ -124,24 +124,11 @@ def abstract_affectance(
     return total
 
 
-def abstract_feasible(
-    matrix: GainMatrix, members: Iterable[int], strict: bool = True
-) -> bool:
-    """Whether every member's incoming affectance stays within the threshold.
-
-    The graph-reduction arguments compare strictly against the threshold;
-    the geometric bridge uses the non-strict variant to match the <= 1/beta
-    feasibility convention.
-    """
+def abstract_feasible(matrix: GainMatrix, members: Iterable[int]) -> bool:
+    """Whether every member's incoming affectance is at most the threshold (``core.ceiling``)."""
     chosen = sorted(set(members))
-    for v in chosen:
-        a = abstract_affectance(matrix, chosen, v)
-        if strict:
-            if not a < matrix.threshold:
-                return False
-        elif not a <= matrix.threshold + THRESHOLD_SLACK:
-            return False
-    return True
+    bound = ceiling(matrix.threshold)
+    return all(abstract_affectance(matrix, chosen, v) <= bound for v in chosen)
 
 
 def graph_to_instance(graph: Graph) -> GainMatrix:
@@ -179,23 +166,23 @@ def correspondence_check(graph: Graph) -> CorrespondenceReport:
     """Verify that feasibility in the reduction matrix matches independence.
 
     The entries are non-negative, so two tests certify every subset at once.
-    Each edge carries an entry of at least the threshold in one direction,
-    so any set holding it is infeasible. Each vertex's entries from all its
-    non-neighbours, added in id order from 0.0, stay below the threshold, so
-    every independent set is feasible: a float sum of non-negative terms
+    Each edge carries an entry above the threshold in one direction, so any
+    set holding it is infeasible. Each vertex's entries from all its
+    non-neighbours, added in id order from 0.0, stay at most the threshold,
+    so every independent set is feasible: a float sum of non-negative terms
     never exceeds the same-order sum of a supersequence. When the
     certificate fails, every subset up to ``EXHAUSTIVE_LIMIT`` vertices is
     checked with the scalar definitions in ascending bitmask order (vertex
     k on bit k), and the first mismatch is reported.
     """
     matrix = graph_to_instance(graph)
-    n, gains, threshold = graph.n, matrix.entries, matrix.threshold
+    n, gains, bound = graph.n, matrix.entries, ceiling(matrix.threshold)
     adjacent = graph.adjacency() > 0
     incoming = np.zeros(n)
     for w in range(n):
         incoming += np.where(adjacent[w], 0.0, gains[w])
-    weak_edges = adjacent & (gains < threshold) & (gains.T < threshold)
-    if not weak_edges.any() and (incoming < threshold).all():
+    weak_edges = adjacent & (gains <= bound) & (gains.T <= bound)
+    if not weak_edges.any() and (incoming <= bound).all():
         return CorrespondenceReport(True, None, 1 << n)
     if n > EXHAUSTIVE_LIMIT:
         raise SizeLimitError(
@@ -216,8 +203,8 @@ def export_gain_matrix(instance: Instance) -> GainMatrix:
     ascending id order, which the exact oracles read too (``core.id_ordered``).
     The threshold is 1/beta. The geometric checker's affectance route adds
     the same entries column by column in id order, as ``abstract_affectance``
-    does, so non-strict matrix feasibility coincides with it on every
-    subset, bit for bit.
+    does, and compares with the same rule, so matrix feasibility coincides
+    with it on every subset, bit for bit.
 
     Raises SingularityError when a sender sits on another link's receiver.
     """

@@ -26,8 +26,8 @@ import sys
 
 from .io import load_instance, load_schedule, save_instance, save_schedule, write_canonical
 from .model import (
-    DEFAULT_MODEL_PARAMS, MODEL_PARAM_NAMES, THRESHOLD_SLACK, Instance, ModelParams, PartitionReport,
-    PreconditionError, Schedule, SchedulingError, SizeLimitError, VerificationError, partition_report,
+    DEFAULT_MODEL_PARAMS, MODEL_PARAM_NAMES, Instance, ModelParams, PartitionReport, PreconditionError,
+    Schedule, SchedulingError, SizeLimitError, VerificationError, ceiling, partition_report,
 )
 
 
@@ -259,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         if args.theta is not None:
             scaled = args.theta * fr.max_affectance
-            slot_ok = slot_ok and scaled <= inv_beta + THRESHOLD_SLACK
+            slot_ok = slot_ok and scaled <= ceiling(inv_beta)
             line += f" theta_margin={_fmt(inv_beta - scaled)}"
         if not slot_ok:
             line += " FAIL"

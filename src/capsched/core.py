@@ -30,7 +30,7 @@ from .model import (  # noqa: F401
     DEFAULT_MODEL_PARAMS, MODEL_PARAM_NAMES, THRESHOLD_SLACK, InfeasibleLinkError, Instance, Link,
     ModelParams, PartitionReport, Point, PreconditionError, Schedule, SchedulingError,
     SingularityError, SizeLimitError, Slot, UnsupportedConfigurationError, VerificationError,
-    distance, effective_power, noise_factor, partition_report, received_power,
+    ceiling, distance, effective_power, noise_factor, partition_report, received_power,
 )
 
 
@@ -263,8 +263,8 @@ def exactly_near(
 class FeasibilityReport:
     """Verdict and diagnostics of a slot feasibility check.
 
-    ``feasible`` is the affectance-criterion verdict (a_S(v) <= 1/beta, with
-    slack); ``sinr_feasible`` is the independent direct-SINR-ratio verdict.
+    ``feasible`` is the affectance-criterion verdict (a_S(v) <= 1/beta, by
+    ``ceiling``); ``sinr_feasible`` is the independent direct-SINR-ratio verdict.
     ``worst_link`` has the largest affectance ``max_affectance`` (smallest id
     on ties); ``margin`` = 1/beta - max_affectance, the minimum over links of
     (1/beta - a_S(v)) as rounding is monotone; ``sinr_margin`` = min over
@@ -336,7 +336,7 @@ def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelPara
     max_aff, sinr_margin = float(aff[worst]), float(sinr.min())
     inv_beta = 1.0 / params.beta
     return FeasibilityReport(
-        max_aff <= inv_beta + THRESHOLD_SLACK,
+        max_aff <= ceiling(inv_beta),
         sinr_margin >= -THRESHOLD_SLACK,
         ordered[worst].id,
         inv_beta - max_aff,
@@ -403,9 +403,9 @@ def first_p_violation(
     """(slot index, worst link id, its affectance) of the first report above 1/p, or None."""
     if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
-    bound = 1.0 / p
+    bound = ceiling(1.0 / p)
     for idx, report in enumerate(reports):
-        if not report.max_affectance <= bound + THRESHOLD_SLACK:
+        if not report.max_affectance <= bound:
             return (idx, report.worst_link, report.max_affectance)
     return None
 
@@ -455,7 +455,11 @@ def report_q_dispersed(instance: Instance, slot: Slot, report: FeasibilityReport
     """
     if not (q > 0):
         raise ValueError(f"q must be positive, got {q}")
-    bound, band = q ** -instance.params.alpha, instance.params.alpha * DISTANCE_TIE
+    try:
+        bound = q ** -instance.params.alpha
+    except OverflowError:  # a level past the float range: no pair is q-near
+        return True
+    band = instance.params.alpha * DISTANCE_TIE
     value = report.max_pair_affectance
     if abs(value - bound) > band * value:
         return value < bound

@@ -10,9 +10,11 @@ Conventions used throughout:
 
 - Equal-length links are allowed; whenever an ordering by length is needed,
   ties are broken by link id.
-- Threshold comparisons use ``<=`` with an absolute slack of 1e-12
-  (``THRESHOLD_SLACK``); verifiers report margins so borderline cases are
-  visible instead of silently flipping.
+- A value is at most a bound when ``value <= ceiling(bound)``, the bound
+  plus ``THRESHOLD_SLACK`` (1e-12) times min(bound, 1): a slack relative to
+  any bound below 1, however small. Every threshold test (verifier,
+  admission sweeps, oracles, gain matrices) decides by it; verifiers report
+  margins so borderline cases are visible instead of silently flipping.
 
 All types are immutable after construction (an instance caches only values
 derived from its fields) and every function is pure, so everything here is
@@ -29,8 +31,13 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:
     from .core import AffectanceRows
 
-# Absolute slack for feasibility-style threshold comparisons (a <= bound + slack).
+# Slack of threshold comparisons: relative to bounds below 1, absolute above.
 THRESHOLD_SLACK = 1e-12
+
+
+def ceiling(bound: float) -> float:
+    """The largest value a threshold test admits as at most ``bound`` (inf stays inf)."""
+    return bound + THRESHOLD_SLACK * min(bound, 1.0)
 
 
 class SchedulingError(Exception):

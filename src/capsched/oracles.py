@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import THRESHOLD_SLACK, Instance, Schedule, SizeLimitError, Slot, id_ordered
+from .core import Instance, Schedule, SizeLimitError, Slot, ceiling, id_ordered
 
 # Hard caps on instance size: the subset search and the 2^n mask tables
 MAX_LINKS_SUBSET = 20
@@ -33,7 +33,7 @@ def _max_subset(instance: Instance, threshold: float) -> Slot:
         return Slot()
     links, kernel = id_ordered(instance)
     mat = kernel.matrix()
-    bound = threshold + THRESHOLD_SLACK
+    bound = ceiling(threshold)
     best: list[int] = []
 
     def dfs(pos: int, chosen: list[int], sums: list[float]) -> None:
@@ -89,22 +89,21 @@ def _member_positions(mask: int) -> list[int]:
     return out
 
 
-def peel_lattice(table: np.ndarray, rows: np.ndarray, op=np.add) -> None:
-    """Fill a subset lattice in place, one strided numpy pass per bit.
+def peel_lattice(table: np.ndarray, rows: np.ndarray) -> None:
+    """Fill a subset lattice of sums in place, one strided numpy pass per bit.
 
     The last axis of ``table`` (C-contiguous, so that the views write
     through) holds 2^b entries indexed by the masks of b bits, and entry 0
-    is the base the lattice starts from. Each mask whose
-    lowest set bit is k becomes ``op(table[..., mask ^ 1 << k], rows[k])``,
-    for k from high to low, so every entry is the base folded with its
-    members' rows from the highest member down: the float order of peeling
-    masks one lowest bit at a time in ascending mask order. A view of shape
-    (..., -1, 2^(k+1)) puts those masks in column 2^k and the masks they
-    peel to in column 0.
+    is the base the lattice starts from. Each mask whose lowest set bit is
+    k becomes ``table[..., mask ^ 1 << k] + rows[k]``, for k from high to
+    low, so every entry is the base plus its members' rows added from the
+    highest member down: the float order of peeling masks one lowest bit at
+    a time in ascending mask order. A view of shape (..., -1, 2^(k+1)) puts
+    those masks in column 2^k and the masks they peel to in column 0.
     """
     for k in reversed(range(table.shape[-1].bit_length() - 1)):
         view = table.reshape(*table.shape[:-1], -1, 2 << k)
-        op(view[..., 0], rows[k][..., None], out=view[..., 1 << k])
+        np.add(view[..., 0], rows[k][..., None], out=view[..., 1 << k])
 
 
 def bitmask(flags: np.ndarray) -> np.ndarray:
@@ -127,7 +126,7 @@ def _feasible_mask_table(mat: np.ndarray, n: int, threshold: float) -> np.ndarra
     size = 1 << n
     affs = np.zeros((n, size))
     peel_lattice(affs, mat)
-    over = bitmask(~(affs <= threshold + THRESHOLD_SLACK))
+    over = bitmask(~(affs <= ceiling(threshold)))
     feasible = (over & np.arange(size)) == 0
     feasible[0] = False
     return feasible

@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     DISTANCE_TIE,
-    THRESHOLD_SLACK,
     AffectanceRows,
     Instance,
     Link,
@@ -38,6 +37,7 @@ from .core import (
     SchedulingError,
     Slot,
     UnsupportedConfigurationError,
+    ceiling,
     effective_power,
     exactly_near,
     p_signal_violation,
@@ -180,7 +180,7 @@ def _sweep(
     kernel = rows.take(ids)
     if guard:  # the members in admission order, and their accumulators
         members, member_acc = kernel.with_data(np.empty_like(kernel.data)), np.empty(len(ids))
-    bound = threshold + THRESHOLD_SLACK
+    bound = ceiling(threshold)
     acc = np.zeros(len(ids))  # NaN once a near mask blocks the link: it fails every test
     chosen = np.empty(len(ids), dtype=np.intp)
     m, i = 0, -1

@@ -32,6 +32,7 @@ from capsched.core import (
     Point,
     SingularityError,
     affectance_matrix,
+    ceiling,
     is_feasible,
 )
 from capsched.topogen import TopologySpec, generate
@@ -135,11 +136,13 @@ def test_abstract_feasible_full_edgeless_graph():
     assert abstract_feasible(m, range(5))  # (n-1)/n < 1
 
 
-def test_strictness_flag_at_threshold():
-    entries = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = GainMatrix(entries=entries, threshold=1.0)
-    assert not abstract_feasible(m, [0, 1], strict=True)
-    assert abstract_feasible(m, [0, 1], strict=False)
+def test_feasible_at_the_threshold_and_not_above_its_ceiling():
+    # the rule of the geometric verifier: at most ceiling(threshold)
+    for threshold in (1.0, 1 / 1.2, 1e-13, 5.0):
+        above = math.nextafter(ceiling(threshold), math.inf)
+        for entry, feasible in ((threshold, True), (ceiling(threshold), True), (above, False)):
+            m = GainMatrix(entries=np.array([[0.0, entry], [entry, 0.0]]), threshold=threshold)
+            assert abstract_feasible(m, [0, 1]) == feasible
 
 
 # --- reduction -------------------------------------------------------------------
@@ -247,7 +250,7 @@ def test_export_bridge_agrees_with_geometric_feasibility():
         for size in range(1, len(links) + 1):
             for combo in itertools.combinations(range(len(links)), size):
                 geo = is_feasible([links[i] for i in combo], P0).feasible
-                abs_ = abstract_feasible(matrix, combo, strict=False)
+                abs_ = abstract_feasible(matrix, combo)
                 assert geo == abs_, f"seed {seed}, subset {combo}"
 
 

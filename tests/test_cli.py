@@ -241,6 +241,18 @@ def test_schedule_at_large_alpha(capsys, tmp_path, alpha, algo):
     assert code == 0 and text.endswith("verified=true\n")
 
 
+def test_schedule_a_at_alpha_30_separates_a_pair_above_c(capsys, tmp_path):
+    # the links affect each other by (1/2.71)^30 = 1.03e-13, about 1e5 times c = 4^-30
+    links = (
+        Link(id=0, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0)),
+        Link(id=1, sender=Point(3.71, 0.0), receiver=Point(2.71, 0.0)),
+    )
+    inst_path, out = tmp_path / "steep.json", tmp_path / "s.json"
+    save_instance(Instance(params=ModelParams(alpha=30.0, beta=1.2), links=links), inst_path)
+    assert run_cli(capsys, "schedule", inst_path, "--algo", "A", "--out", out)[0] == 0
+    assert load_schedule(out).slot_count == 2
+
+
 def test_schedule_nonuniform_b_rejected(capsys, tmp_path):
     # the refusal names the scheduler and the power modes that do take per-link powers
     inst_path = nonuniform_instance(tmp_path)
@@ -460,6 +472,31 @@ def test_verify_q_flag(capsys, tmp_path):
     code, text = run_cli(capsys, "verify", inst_path, sched_path, "--q", 1.0)
     assert code == 0
     assert "dispersed(q=1): ok" in text
+
+
+def test_verify_q_past_the_float_range_is_ok(capsys, tmp_path):
+    # q^-alpha = 1e600 lies past the float range: no pair is q-near
+    inst_path = gen_instance(capsys, tmp_path, 30, 1)
+    sched_path = tmp_path / "s.json"
+    assert run_cli(capsys, "schedule", inst_path, "--out", sched_path)[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(capsys, "verify", inst_path, sched_path, "--q", 1e-200)
+    assert code == 0 and text.endswith("dispersed(q=1e-200): ok\nverified=true\n")
+
+
+def test_p_signal_levels_below_the_slack(capsys, tmp_path):
+    # unit links 12 600 apart affect each other by 5.0e-13 = 5/p at p = 1e13
+    inst_path = spread_instance(tmp_path, count=2, gap=12600.0)
+    sched_path, out = tmp_path / "s.json", tmp_path / "out.json"
+    assert run_cli(capsys, "schedule", inst_path, "--out", sched_path)[0] == 0
+    assert load_schedule(sched_path).slot_count == 1
+    code, text = run_cli(capsys, "verify", inst_path, sched_path, "--p", 1e13)
+    assert code == 1 and text.endswith("p-signal(p=1e+13): FAIL\nverified=false\n")
+    assert run_cli(capsys, "refine", inst_path, sched_path, "--strengthen", 1.2, 1e13, "--out", out)[0] == 0
+    assert load_schedule(out).slot_count == 2
+    assert run_cli(capsys, "oracle", inst_path, "--mode", "psignal", "--p", 1e13, "--out", out)[0] == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["size"] == 1
 
 
 def test_verify_q_nonuniform_exit_2(capsys, tmp_path):

@@ -24,6 +24,7 @@ from capsched.core import (
     _sinr_ratio,
     affectance,
     affectance_matrix,
+    ceiling,
     effective_power,
     is_feasible,
     is_q_dispersed,
@@ -210,8 +211,8 @@ def _check_against_scalar(links, params):
     worst = affs[[l.id for l in ordered].index(report.worst_link)]
     assert math.isclose(worst, ref_max, rel_tol=1e-12)
     # verdicts agree wherever the reference sits outside the tolerance band
-    if abs(ref_max - (inv_beta + THRESHOLD_SLACK)) > 1e-12 * ref_max:
-        assert report.feasible == (ref_max <= inv_beta + THRESHOLD_SLACK)
+    if abs(ref_max - ceiling(inv_beta)) > 1e-12 * ref_max:
+        assert report.feasible == (ref_max <= ceiling(inv_beta))
     if abs(ref_sinr + THRESHOLD_SLACK) > 1e-12:
         assert report.sinr_feasible == (ref_sinr >= -THRESHOLD_SLACK)
 

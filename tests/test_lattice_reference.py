@@ -28,6 +28,7 @@ from capsched.core import (
     ModelParams,
     SizeLimitError,
     affectance_matrix,
+    ceiling,
     id_ordered,
 )
 from capsched.oracles import (
@@ -64,7 +65,7 @@ def reference_affectance_table(mat, n):
 def reference_mask_table(mat, n, threshold):
     affs = reference_affectance_table(mat, n)
     feasible = np.zeros(1 << n, dtype=bool)
-    bound = threshold + THRESHOLD_SLACK
+    bound = ceiling(threshold)
     for mask in range(1, 1 << n):
         members = [j for j in range(n) if mask >> j & 1]
         feasible[mask] = bool((affs[mask][members] <= bound).all())
@@ -147,7 +148,7 @@ def test_mask_table_equals_per_mask_peel(inst, p):
 @given(small_instance(n_max=8), st.data())
 @settings(max_examples=40, deadline=None)
 def test_mask_table_within_one_ulp_of_the_bound(inst, data):
-    # put the bound on one member's sum, and a few ulps to either side of it
+    # put the ceiling of the threshold on one member's sum, and a few ulps to either side of it
     mat = id_ordered_matrix(inst)
     n = len(inst.links)
     affs = reference_affectance_table(mat, n)
@@ -155,10 +156,10 @@ def test_mask_table_within_one_ulp_of_the_bound(inst, data):
     members = [j for j in range(n) if mask >> j & 1]
     value = affs[mask, data.draw(st.sampled_from(members))]
     assume(value > 0)
-    near = [value - THRESHOLD_SLACK]
-    for _ in range(2):
+    near = [value - THRESHOLD_SLACK * min(value, 1.0)]
+    for _ in range(4):
         near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
-    bounds = {t + THRESHOLD_SLACK for t in near}
+    bounds = {ceiling(t) for t in near}
     assert value in bounds and min(bounds) < value < max(bounds)
     for threshold in near:
         assert np.array_equal(
@@ -234,11 +235,12 @@ def test_broken_encoding_gives_the_reference_counterexample(graph, kind):
 
 @st.composite
 def near_threshold_reduction(draw, n_max=10):
-    """A graph and a non-negative matrix whose sums sit on, just under or just over the threshold.
+    """A graph and a non-negative matrix whose sums sit on, just under or just over the bound.
 
-    Non-edges weigh 0 or one level near threshold/k, so a column of about k
-    non-neighbours sums to about the threshold; edges weigh about the
-    threshold in at least one direction, save for a few weak ones. Half the
+    The bound is the ceiling of the threshold, the largest sum a feasible
+    set admits. Non-edges weigh 0 or one level near bound/k, so a column of
+    about k non-neighbours sums to about the bound; edges weigh about the
+    bound in at least one direction, save for a few weak ones. Half the
     graphs are disjoint cliques, whose independent sets are the largest.
     """
     n = draw(st.integers(1, n_max))
@@ -256,8 +258,10 @@ def near_threshold_reduction(draw, n_max=10):
             x = math.nextafter(x, math.inf if steps > 0 else 0.0)
         return x
 
-    light = nudged(threshold / draw(st.integers(1, max(n - 1, 1))), draw(ulp))
-    heavy = st.sampled_from([threshold, 2 * threshold, threshold / 2]).flatmap(
+    bound = ceiling(threshold)
+    light = nudged(bound / draw(st.integers(1, max(n - 1, 1))), draw(ulp))
+    # the least entry above the bound, which alone makes a set infeasible
+    heavy = st.sampled_from([nudged(bound, 1), 2 * threshold, threshold / 2]).flatmap(
         lambda x: ulp.map(lambda steps: nudged(x, steps))
     )
     entries = np.zeros((n, n))

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from capsched import schedulers
 from capsched.core import (
-    THRESHOLD_SLACK,
     AffectanceRows,
     Instance,
     Link,
@@ -30,6 +29,7 @@ from capsched.core import (
     Slot,
     UnsupportedConfigurationError,
     affectance,
+    ceiling,
     distance,
     exactly_near,
     is_feasible,
@@ -193,6 +193,44 @@ def test_greedy_rejection_certificate():
             assert blame > consts.c
         else:
             seen.append(link)
+
+
+def test_greedy_at_alpha_30_refuses_a_pair_above_c():
+    # the links affect each other by (1/2.71)^30 = 1.03e-13, about 1e5 times
+    # c = 4^-30, though less than an absolute slack of 1e-12 above c
+    params = ModelParams(alpha=30.0, beta=1.2)
+    inst = Instance(params=params, links=(unit_link(0, 0, 0), unit_link(1, 3.71, 0, dx=-1.0)))
+    c = compute_constants(params).c
+    for w, v in (inst.links, inst.links[::-1]):
+        assert 1e5 * c < affectance([w], v, params) < 1e-12
+    schedule = schedule_repeated(inst)
+    assert schedule.slot_count == 2 and partition_report(inst, schedule).is_partition
+
+
+@st.composite
+def steep_line(draw):
+    """Links on a line, 1 to 4 apart, at alpha in [20, 40], where c = 4^-alpha is below 1e-12."""
+    x, links = 0.0, []
+    for i in range(draw(st.integers(2, 8))):
+        length = draw(st.floats(0.5, 2.0))
+        ends = (Point(x, 0.0), Point(x + length, 0.0))
+        links.append(Link(i, *(ends[::-1] if draw(st.booleans()) else ends)))
+        x += length + draw(st.floats(1.0, 4.0))
+    params = ModelParams(alpha=draw(st.floats(20.0, 40.0)), beta=1.2)
+    return Instance(params=params, links=tuple(links))
+
+
+@given(steep_line())
+@settings(max_examples=100, deadline=None)
+def test_a_admits_within_the_ceiling_of_c_at_large_alpha(inst):
+    # each slot of A in admission order: a member is affected by at most
+    # ceiling(c) by the members admitted before it
+    params = inst.params
+    bound = ceiling(compute_constants(params).c)
+    for slot in schedule_repeated(inst).slots:
+        members = sorted(inst.resolve(slot), key=lambda l: (l.length, l.id))
+        for k, v in enumerate(members):
+            assert affectance(members[:k], v, params) <= bound
 
 
 def test_greedy_rejects_nonuniform_power():
@@ -609,7 +647,7 @@ def test_first_fit_respects_input_order():
 
 def slot_parallel_first_fit(rows, order, threshold, guard=False):
     """First-fit as the schedulers once ran it: one accumulator per open set."""
-    bound = threshold + THRESHOLD_SLACK
+    bound = ceiling(threshold)
     sets, accs = [], []
     for i in order:
         row = rows.row(i)
@@ -665,7 +703,7 @@ def full_row_sweep(rows, order, threshold, near=None, guard=False):
     """The admission sweep before the live frontier: every row over all n links."""
     n = len(rows.lengths)
     ids = np.arange(n)
-    bound = threshold + THRESHOLD_SLACK
+    bound = ceiling(threshold)
     acc = np.zeros(n)
     blocked = np.zeros(n, dtype=bool)
     members = np.empty(n, dtype=np.intp)
@@ -775,7 +813,7 @@ def gathered_guard_sweep(rows, order, threshold):
     """
     ids = np.asarray(order, dtype=np.intp)
     kernel = rows.take(ids)
-    bound = threshold + THRESHOLD_SLACK
+    bound = ceiling(threshold)
     acc = np.zeros(len(ids))
     members = np.empty(len(ids), dtype=np.intp)
     m = 0
