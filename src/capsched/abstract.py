@@ -15,7 +15,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .core import Instance, SingularityError, SizeLimitError, ceiling, id_ordered
+from .core import Instance, SizeLimitError, ceiling, id_ordered
 from .io import _number, _refuse_unknown, _typed, read_json, write_canonical
 
 
@@ -206,10 +206,9 @@ def export_gain_matrix(instance: Instance) -> GainMatrix:
     does, and compares with the same rule, so matrix feasibility coincides
     with it on every subset, bit for bit.
 
-    Raises SingularityError when a sender sits on another link's receiver.
+    Raises ValueError (``GainMatrix``'s) when a sender sits on another
+    link's receiver: that entry is infinite.
     """
-    if instance.kernel.coincident is not None:  # as single_affectance raises, in received_power
-        raise SingularityError("received power undefined at distance 0")
     _, kernel = id_ordered(instance)
     return GainMatrix(entries=kernel.matrix(), threshold=1.0 / instance.params.beta)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ def relative_interference(w: Link, v: Link, params: ModelParams) -> float:
 
     Ratio of the power received at r_v from s_w over the power received at r_v
     from s_v. Zero when w and v are the same link (self-interference is
-    defined away). Raises SingularityError when s_w coincides with r_v.
+    defined away); infinite when s_w coincides with r_v.
     """
     if w.id == v.id:
         return 0.0
@@ -88,12 +87,10 @@ class AffectanceRows:
     ``of_links`` gathers as a kernel built from the gathered links would be,
     with their own records.
 
-    The singularity rule lives here. Building a kernel scans nothing;
-    ``apart`` raises SingularityError when a sender coincides with another
-    link's receiver, naming the smallest sender index first, then the
-    smallest receiver index. The scan (``coincident``) runs once per
-    kernel, and ``of_links`` scans a gathered set only when its parent
-    holds such a pair.
+    A sender on another link's receiver is at distance 0, where ``block``
+    takes the limit: a_w(v) = inf, which no threshold test admits. Its
+    callers (``row``, ``matrix``, the sweeps) silence numpy's divide-by-zero
+    warning once per call rather than once per ``block``.
     """
 
     def __init__(self, links: Sequence[Link], params: ModelParams):
@@ -109,28 +106,6 @@ class AffectanceRows:
         self._adopt(data, params.alpha)._derive(params)
         data.flags.writeable = False
         self._adopt(data, self.alpha, self.unit, self.hypot)  # read-only row views
-
-    @cached_property
-    def coincident(self) -> tuple[int, int] | None:
-        """(w, v) of the first sender w on a receiver v (smallest w, then v), or None."""
-        # d(s_w, r_v) == 0 exactly when the coordinates are equal (-0.0 == 0.0)
-        receivers: dict[tuple[float, float], int] = {}
-        for v, point in enumerate(zip(self.rx.tolist(), self.ry.tolist())):
-            receivers.setdefault(point, v)
-        for w, point in enumerate(zip(self.sx.tolist(), self.sy.tolist())):
-            v = receivers.get(point)
-            if v is not None:
-                return w, v
-        return None
-
-    def apart(self, links: Sequence[Link]) -> AffectanceRows:
-        """This kernel of ``links``, after raising SingularityError if a sender sits on a receiver."""
-        if self.coincident is not None:
-            w, v = self.coincident
-            raise SingularityError(
-                f"sender of link {links[w].id} coincides with receiver of link {links[v].id}"
-            )
-        return self
 
     def _derive(self, params: ModelParams) -> AffectanceRows:
         """The ``hypot`` record, the lengths, the noise factors and the ``unit`` record."""
@@ -159,18 +134,14 @@ class AffectanceRows:
         """The kernel of the links at positions ``idx``, in order: one gather, the same floats."""
         return self.with_data(self.data[:, idx])
 
-    def of_links(self, idx: Sequence[int], links: Sequence[Link], params: ModelParams) -> AffectanceRows:
-        """``AffectanceRows(links, params).apart(links)``, gathered: ``links`` sit at positions ``idx``.
+    def of_links(self, idx: Sequence[int], params: ModelParams) -> AffectanceRows:
+        """The kernel of the links at positions ``idx``, as ``AffectanceRows`` of them would build it.
 
-        The records are the gathered links' own, as in a kernel built from
-        them: one with no extreme coordinate has this kernel's lengths and
-        noise factors, and any other derives them again. The gathered links
-        are scanned only when this kernel holds a sender on a receiver: a
-        subset of a kernel without one has none either.
+        The records are the gathered links' own: a kernel with no extreme
+        coordinate has this kernel's lengths and noise factors, and any
+        other derives them again.
         """
         geo = self.take(idx)
-        if self.coincident is not None:
-            geo.apart(links)
         if self.hypot:
             return geo._derive(params)
         if not self.unit:
@@ -197,12 +168,14 @@ class AffectanceRows:
             out *= self.cv[v] * (self.powers[w] / self.powers[v])
         return out
 
+    @np.errstate(divide="ignore")
     def row(self, i: int) -> np.ndarray:
         """Affectance of links[i] on every link, entry i 0."""
         out = self.block(i, slice(None), self.distances(i))
         out[i] = 0.0
         return out
 
+    @np.errstate(divide="ignore")
     def matrix(self, dist: np.ndarray | None = None) -> np.ndarray:
         """Every a_w(v) as an n x n array [w, v], zero diagonal: row w is ``row(w)`` bit for bit."""
         ids = np.arange(len(self.lengths))
@@ -220,18 +193,13 @@ def affectance_matrix(instance: Instance) -> np.ndarray:
     float rounding. Schedulers and refiners read rows on demand instead; the
     exact oracles read the same floats in id order (``id_ordered``).
     """
-    mat = instance.kernel.apart(instance.links).matrix()
+    mat = instance.kernel.matrix()
     mat.flags.writeable = False
     return mat
 
 
 def id_ordered(instance: Instance) -> tuple[tuple[Link, ...], AffectanceRows]:
-    """The links in ascending id order and their kernel, one gather of ``instance.kernel``.
-
-    Raises SingularityError as ``affectance_matrix`` does, naming the pair
-    in instance order.
-    """
-    instance.kernel.apart(instance.links)
+    """The links in ascending id order and their kernel, one gather of ``instance.kernel``."""
     return instance.gather(sorted(instance.position))
 
 
@@ -310,7 +278,7 @@ def is_feasible(members: Sequence[Link], params: ModelParams) -> FeasibilityRepo
     scalar ``_sinr_ratio`` and ``affectance``. ``feasible`` is route two's verdict.
     """
     ordered = sorted(members, key=lambda l: l.id)
-    return _slot_report(AffectanceRows(ordered, params).apart(ordered), ordered, params)
+    return _slot_report(AffectanceRows(ordered, params), ordered, params)
 
 
 def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelParams) -> FeasibilityReport:
@@ -318,8 +286,8 @@ def _slot_report(geo: AffectanceRows, ordered: Sequence[Link], params: ModelPara
     if not ordered:
         return FeasibilityReport(True, True, None, math.inf, math.inf)
     dist = geo.distances(slice(None))
-    # d^alpha past the float range means a received power of 0, its limit
-    with np.errstate(over="ignore"):
+    # received power takes its limits: 0 where d^alpha passes the float range, inf at d = 0
+    with np.errstate(divide="ignore", over="ignore"):
         recv = geo.powers[:, None] / dist**params.alpha
     signal = recv.diagonal().copy()
     bn = params.beta * params.noise
@@ -353,11 +321,9 @@ def slot_reports(instance: Instance, schedule: Schedule) -> list[FeasibilityRepo
     (``ok``), the p-signal level (``first_p_violation``), the theta-scaled
     margin (``max_affectance``) and q-dispersion (``report_q_dispersed``).
     Each report is ``is_feasible`` of the slot's links, the same floats,
-    read off the instance kernel (``Instance.gather``), whose one scan
-    stands for every slot's: only when it finds a sender on a receiver is
-    each slot scanned, so that the same slot raises the same
-    SingularityError. Raises KeyError on ids that do not belong to the
-    instance.
+    read off the instance kernel (``Instance.gather``). A slot holding a
+    sender on another member's receiver fails with ``margin`` -inf. Raises
+    KeyError on ids that do not belong to the instance.
     """
     reports = []
     for slot in schedule.slots:
@@ -430,7 +396,11 @@ def is_q_near(w: Link, v: Link, q: float, params: ModelParams) -> bool:
     _require_uniform_power((w, v), params)
     if w.id == v.id:
         return False
-    return single_affectance(w, v, params) > q ** (-params.alpha)
+    try:
+        bound = q ** (-params.alpha)
+    except OverflowError:  # a level past the float range: no pair is q-near
+        return False
+    return single_affectance(w, v, params) > bound
 
 
 def is_q_dispersed(members: Sequence[Link], q: float, params: ModelParams) -> bool:

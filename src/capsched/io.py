@@ -155,12 +155,15 @@ def instance_from_obj(obj: Any) -> Instance:
     except KeyError as exc:
         raise ValueError(f"instance file missing key {exc}") from None
     _refuse_unknown(raw_params, MODEL_PARAM_NAMES, "params keys")
-    params = ModelParams(
-        alpha=_number(raw_params["alpha"], "alpha"),
-        beta=_number(raw_params["beta"], "beta"),
-        noise=_number(raw_params.get("noise", 0.0), "noise"),
-        default_power=_number(raw_params.get("default_power", 1.0), "default_power"),
-    )
+    try:
+        params = ModelParams(
+            alpha=_number(raw_params["alpha"], "alpha"),
+            beta=_number(raw_params["beta"], "beta"),
+            noise=_number(raw_params.get("noise", 0.0), "noise"),
+            default_power=_number(raw_params.get("default_power", 1.0), "default_power"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"params missing key {exc}") from None
     links = []
     for raw in raw_links:
         link = _plain_link(raw)

@@ -45,7 +45,7 @@ class SchedulingError(Exception):
 
 
 class SingularityError(SchedulingError):
-    """A distance that must be positive is zero (coincident points)."""
+    """A link has zero length: its sender equals its receiver."""
 
 
 class InfeasibleLinkError(SchedulingError):
@@ -212,7 +212,7 @@ class Instance:
 
     @cached_property
     def kernel(self) -> AffectanceRows:
-        """The affectance kernel of ``links``, in their order: built once, read-only, unscanned.
+        """The affectance kernel of ``links``, in their order: built once and read-only.
 
         Every stage reads it or gathers from it (``gather``). Its first read
         imports ``core``, and numpy with it.
@@ -242,7 +242,7 @@ class Instance:
         """
         idx = [self.position[i] for i in ids]
         links = tuple(self.links[i] for i in idx)
-        return links, self.kernel.of_links(idx, links, self.params)
+        return links, self.kernel.of_links(idx, self.params)
 
 
 def distance(p: Point, q: Point) -> float:
@@ -258,12 +258,11 @@ def effective_power(link: Link, params: ModelParams) -> float:
 def received_power(source_sender: Point, target_receiver: Point, power: float, params: ModelParams) -> float:
     """Received power under polynomial path loss: power / distance^alpha.
 
-    Raises SingularityError when sender and receiver coincide.
+    Infinite at distance 0, its limit: a sender on another link's receiver
+    inflicts infinite interference on it.
     """
     d = distance(source_sender, target_receiver)
-    if d == 0.0:
-        raise SingularityError("received power undefined at distance 0")
-    return power / d ** params.alpha
+    return power / d ** params.alpha if d else math.inf
 
 
 def noise_factor(link: Link, params: ModelParams) -> float:

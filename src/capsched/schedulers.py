@@ -149,6 +149,7 @@ _FRONTIER_MIN = 64
 NearMask = Callable[[AffectanceRows, np.ndarray, int, slice, np.ndarray], np.ndarray]
 
 
+@np.errstate(divide="ignore")  # a sender on a receiver: a_w(v) = inf, which no test admits
 def _sweep(
     rows: AffectanceRows,
     order: Sequence[int],
@@ -273,7 +274,7 @@ def single_shot_greedy(instance: Instance) -> Slot:
             instances through schedule_nonuniform instead.
     """
     links = instance.links
-    chosen = _sweep(instance.kernel.apart(links), _length_order(links), *_selector(instance, False))
+    chosen = _sweep(instance.kernel, _length_order(links), *_selector(instance, False))
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -290,7 +291,7 @@ def single_shot_guarded(instance: Instance) -> Slot:
         UnsupportedConfigurationError: on non-uniform power.
     """
     links = instance.links
-    chosen = _sweep(instance.kernel.apart(links), _length_order(links), *_selector(instance, True))
+    chosen = _sweep(instance.kernel, _length_order(links), *_selector(instance, True))
     return Slot(frozenset(links[i].id for i in chosen))
 
 
@@ -301,7 +302,7 @@ def _repeat(instance: Instance, threshold: float, near: NearMask | None = None) 
     unscheduled links, whose affectances are those of the full instance.
     """
     links = instance.links
-    rounds = _first_fit(instance.kernel.apart(links), _length_order(links), threshold, near)
+    rounds = _first_fit(instance.kernel, _length_order(links), threshold, near)
     return Schedule(_slots(links, rounds))
 
 
@@ -469,8 +470,7 @@ def first_fit_baseline(instance: Instance) -> Schedule:
     after the addition, else it opens a new slot.
     """
     links = instance.links
-    rows = instance.kernel.apart(links)
-    rounds = _first_fit(rows, range(len(links)), 1.0 / instance.params.beta, guard=True)
+    rounds = _first_fit(instance.kernel, range(len(links)), 1.0 / instance.params.beta, guard=True)
     return Schedule(_slots(links, rounds))
 
 

@@ -434,9 +434,9 @@ def test_schedule_and_verify_an_overflowing_sinr_without_warnings(capsys, tmp_pa
 
 
 def test_coincident_points_are_checked_per_slot(capsys, tmp_path):
-    # link 0's sender sits on link 1's receiver: a schedulable instance only
-    # with the two in different slots, which verify accepts; the schedulers
-    # build one kernel over every link and refuse the instance
+    # link 0's sender sits on link 1's receiver: infinite interference on link 1,
+    # so the instance is schedulable only with the two in different slots; the
+    # scheduler splits them, and verify fails the joint slot
     params = ModelParams(alpha=3.0, beta=1.2)
     links = (
         Link(id=0, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0)),
@@ -448,12 +448,64 @@ def test_coincident_points_are_checked_per_slot(capsys, tmp_path):
     save_schedule(Schedule((Slot({0, 1}),)), together)
     code, text = run_cli(capsys, "verify", inst_path, apart)
     assert code == 0 and text.endswith("verified=true\n")
-    pair = "sender of link 0 coincides with receiver of link 1"
     code, text = run_cli(capsys, "verify", inst_path, together)
-    assert (code, text) == (2, f"partition: ok\nerror: {pair}\n")
+    assert code == 1
+    assert text == "partition: ok\nslot 0: size=2 margin=-inf sinr_margin=-1 FAIL\nverified=false\n"
     out = tmp_path / "s.json"
-    assert run_cli(capsys, "schedule", inst_path, "--out", out) == (2, f"error: {pair}\n")
-    assert not out.exists()
+    assert run_cli(capsys, "schedule", inst_path, "--out", out)[0] == 0
+    assert load_schedule(out) == Schedule((Slot({0}), Slot({1})))
+
+
+def sender_on_receiver_instance(tmp_path):
+    """Link 0's sender sits on link 1's receiver; link 2 is far from both."""
+    params = ModelParams(alpha=3.0, beta=1.2)
+    ends = [((0.0, 0.0), (1.0, 0.0)), ((5.0, 0.0), (0.0, 0.0)), ((50.0, 0.0), (51.0, 0.0))]
+    links = tuple(Link(id=i, sender=Point(*s), receiver=Point(*r)) for i, (s, r) in enumerate(ends))
+    path = tmp_path / "singular.json"
+    save_instance(Instance(params=params, links=links), path)
+    return path
+
+
+@pytest.mark.parametrize("algo", ["A", "B", "firstfit"])
+def test_schedule_splits_a_sender_on_a_receiver(capsys, tmp_path, algo):
+    inst_path, out = sender_on_receiver_instance(tmp_path), tmp_path / "s.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "schedule", inst_path, "--algo", algo, "--out", out)[0] == 0
+        code, text = run_cli(capsys, "verify", inst_path, out)
+    assert load_schedule(out) == Schedule((Slot({0, 2}), Slot({1})))
+    assert code == 0 and text.endswith("verified=true\n")
+
+
+def test_a_slot_holding_a_sender_on_a_receiver_fails(capsys, tmp_path):
+    # infinite interference: verify fails the slot, the refiners' preconditions
+    # refuse it, and the exact oracles keep the pair apart
+    inst_path, joint, out = sender_on_receiver_instance(tmp_path), tmp_path / "j.json", tmp_path / "o.json"
+    save_schedule(Schedule((Slot({0, 1, 2}),)), joint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(capsys, "verify", inst_path, joint)
+        assert code == 1
+        assert text == "partition: ok\nslot 0: size=3 margin=-inf sinr_margin=-1 FAIL\nverified=false\n"
+        code, text = run_cli(capsys, "refine", inst_path, joint, "--disperse", 2, "--out", out)
+        assert (code, text) == (1, "error: input slot 0 is not SINR-feasible (worst link 1)\n")
+        code, text = run_cli(capsys, "refine", inst_path, joint, "--strengthen", 1.2, 2.4, "--out", out)
+        assert code == 1 and text.startswith("error: input schedule is not a 1.2-signal schedule: link 1 ")
+        assert not out.exists()
+        assert run_cli(capsys, "oracle", inst_path, "--mode", "schedule", "--out", out)[0] == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["slot_count"] == 2
+        assert run_cli(capsys, "oracle", inst_path, "--mode", "subset", "--out", out)[0] == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["members"] == [0, 2]
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_a_missing_model_parameter_is_named(capsys, tmp_path, key):
+    params = {"alpha": 3.0, "beta": 1.2}
+    del params[key]
+    inst_path, sched_path = tmp_path / "i.json", tmp_path / "s.json"
+    inst_path.write_text(json.dumps({"params": params, "links": []}))
+    save_schedule(Schedule(()), sched_path)
+    assert run_cli(capsys, "verify", inst_path, sched_path) == (2, f"error: params missing key '{key}'\n")
 
 
 def test_verify_missing_link_exit_1(capsys, tmp_path):

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from capsched import core
@@ -19,8 +20,8 @@ from capsched.core import (
     ModelParams,
     Point,
     Schedule,
-    SingularityError,
     Slot,
+    VerificationError,
     _sinr_ratio,
     affectance,
     affectance_matrix,
@@ -33,6 +34,7 @@ from capsched.core import (
     report_q_dispersed,
     single_affectance,
     slot_reports,
+    verify_schedule,
 )
 from capsched.schedulers import (
     _not_dispersed,
@@ -379,7 +381,7 @@ def test_slot_reports_read_one_kernel(name, inst):
             assert (got.unit, got.hypot) == (fresh.unit, fresh.hypot)
         want = [is_feasible(inst.resolve(slot), inst.params) for slot in schedule.slots]
         assert core.slot_reports(inst, schedule) == want
-    assert inst.kernel is kernel and kernel.coincident is None
+    assert inst.kernel is kernel
     assert kernel.hypot is (name == "one-far-link")
     assert got.unit is not name.endswith("-noise")
 
@@ -431,44 +433,27 @@ def _link(lid, sx, sy, rx, ry):
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_kernel_rejects_sender_on_receiver(zero):
-    # link 11's sender sits on link 10's receiver, -0.0 and 0.0 alike
+    # link 11's sender sits on link 10's receiver, -0.0 and 0.0 alike: a_11(10) = inf
     links = (_link(10, 5.0, 3.0, -0.0, 3.0), _link(11, zero, 3.0, zero, 9.0))
-    with pytest.raises(SingularityError, match="sender of link 11 .* receiver of link 10"):
-        AffectanceRows(links, P_KERNEL).apart(links)
-    with pytest.raises(SingularityError, match="sender of link 11 .* receiver of link 10"):
-        is_feasible(links, P_KERNEL)
-    with pytest.raises(SingularityError):
-        affectance_matrix(Instance(params=P_KERNEL, links=links))
-
-
-def test_kernel_names_first_coincident_pair():
-    # indices 1 and 2 both send from a receiver point; receivers 0 and 3 share (1, 0)
-    links = (
-        _link(40, 0.0, 0.0, 1.0, 0.0),
-        _link(30, 1.0, 0.0, 2.0, 0.0),
-        _link(20, 2.0, 0.0, 3.0, 0.0),
-        _link(10, 1.0, 5.0, 1.0, 0.0),
-    )
-    pair = "sender of link 30 coincides with receiver of link 40"
-    with pytest.raises(SingularityError, match=pair):
-        AffectanceRows(links, P_KERNEL).apart(links)
-    with pytest.raises(SingularityError, match=pair):
-        affectance_matrix(Instance(params=P_KERNEL, links=links))
+    with np.errstate(all="raise"):  # no numpy warning on the way
+        mat = AffectanceRows(links, P_KERNEL).matrix()
+        assert mat[1, 0] == math.inf and 0 < mat[0, 1] < math.inf
+        assert affectance_matrix(Instance(params=P_KERNEL, links=links)).tobytes() == mat.tobytes()
+        report = is_feasible(links, P_KERNEL)
+    assert not report.feasible and not report.sinr_feasible
+    assert (report.worst_link, report.max_affectance, report.margin) == (10, math.inf, -math.inf)
 
 
 def test_gathered_sets_are_scanned_only_on_a_singular_instance():
-    # link 0's sender sits on link 1's receiver; link 2 is far from both
+    # link 0's sender sits on link 1's receiver; link 2 is far from both: the
+    # refiners split the pair, and a slot holding it fails verification
     links = (_link(2, 50.0, 0.0, 51.0, 0.0), _link(1, 5.0, 0.0, 0.0, 0.0), _link(0, 0.0, 0.0, 1.0, 0.0))
     inst = Instance(params=P_KERNEL, links=links)
-    assert inst.kernel.coincident == (2, 1)
-    pair = "sender of link 0 coincides with receiver of link 1"
-    for call in (
-        lambda: strengthen_slot(inst, Slot({0, 1, 2}), 2.0),
-        lambda: disperse_slot(inst, Slot({0, 1}), 1.0),
-        lambda: core.slot_reports(inst, Schedule((Slot({2}), Slot({1, 0})))),
-    ):
-        with pytest.raises(SingularityError, match=pair):
-            call()
+    assert strengthen_slot(inst, Slot({0, 1, 2}), 2.0) == (Slot({0, 2}), Slot({1}))
+    assert disperse_slot(inst, Slot({0, 1}), 1.0) == (Slot({0}), Slot({1}))
+    separate, joint = core.slot_reports(inst, Schedule((Slot({2}), Slot({1, 0}))))
+    assert separate.ok and not joint.feasible and not joint.sinr_feasible
+    assert (joint.worst_link, joint.margin) == (1, -math.inf)
     assert strengthen_slot(inst, Slot({0, 2}), 2.0) == (Slot({0, 2}),)
     assert disperse_slot(inst, Slot({1, 2}), 1.0) == (Slot({1, 2}),)
     reports = core.slot_reports(inst, Schedule((Slot({0, 2}), Slot({1}))))
@@ -477,16 +462,55 @@ def test_gathered_sets_are_scanned_only_on_a_singular_instance():
 
 def test_singularity_raised_for_a_link_never_admitted():
     # the long link 1 sends from the short link 0's receiver; link 0 affects it
-    # by about 0.97 > c, so the greedy never admits it and never reads its row
+    # by about 0.97 > c, so the greedy never admits it beside link 0, and every
+    # scheduler puts the pair in two slots
     short, long = _link(0, 0.0, 0.0, 1.0, 0.0), _link(1, 1.0, 0.0, 101.0, 0.0)
     inst = Instance(params=P_KERNEL, links=(short, long))
     assert single_affectance(short, long, P_KERNEL) > compute_constants(P_KERNEL).c
-    with pytest.raises(SingularityError):
-        single_shot_greedy(inst)
-    with pytest.raises(SingularityError):
-        schedule_repeated(inst)
-    with pytest.raises(SingularityError):
-        first_fit_baseline(inst)
+    assert single_affectance(long, short, P_KERNEL) == math.inf
+    split = Schedule((Slot({0}), Slot({1})))
+    assert single_shot_greedy(inst) == Slot({0})
+    assert schedule_repeated(inst) == split
+    assert first_fit_baseline(inst) == split
+
+
+grid = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def grid_instances(draw):
+    """Noise-free links between points of a 4 x 4 grid: senders often sit on other links' receivers."""
+    ends = st.tuples(st.tuples(grid, grid), st.tuples(grid, grid)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(ends, min_size=1, max_size=8))
+    alpha, beta = draw(st.sampled_from([2.5, 3.0, 4.0])), draw(st.sampled_from([0.5, 1.2, 3.0]))
+    params = ModelParams(alpha=alpha, beta=beta)
+    return Instance(params, tuple(_link(i, *s, *r) for i, (s, r) in enumerate(pairs)))
+
+
+@given(grid_instances())
+@settings(max_examples=150, deadline=None)
+def test_a_sender_on_a_receiver_never_shares_an_emitted_slot(inst):
+    # A's and first-fit's schedules pass the emission gate, B's passes or is
+    # refused; no slot that passes holds a sender on another member's
+    # receiver, and every set holding one has an infinite affectance
+    singular = [(w, v) for w in inst.links for v in inst.links if w.id != v.id and w.sender == v.receiver]
+    event(f"sender on a receiver: {bool(singular)}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emitted = [schedule_repeated(inst), first_fit_baseline(inst)]
+        for schedule in emitted:
+            verify_schedule(inst, schedule)
+        guarded = schedule_repeated(inst, guarded=True)
+        try:
+            verify_schedule(inst, guarded)
+            emitted.append(guarded)
+        except VerificationError:
+            pass
+        for w, v in singular:
+            for members in ((w, v), inst.links):
+                assert is_feasible(members, inst.params).max_affectance == math.inf
+    for slot in (slot for schedule in emitted for slot in schedule.slots):
+        assert not any(w.id in slot.members and v.id in slot.members for w, v in singular)
 
 
 # --- the report-based q verdict against exact and scalar references -----------
@@ -592,6 +616,14 @@ def test_report_q_verdict_at_a_tie_the_numpy_value_misses():
     assert is_q_dispersed(links, q, params)
     assert _q_verdict(links, params, q) == (False, False)
 
+
+
+def test_q_reference_past_the_float_range_agrees_with_the_report():
+    # q^-alpha = 1e600 lies past the float range: no pair is q-near, by either route
+    links = (_link(0, 0.0, 0.0, 1.0, 0.0), _link(1, 50.0, 0.0, 51.0, 0.0))
+    params = ModelParams(alpha=3.0, beta=1.2)
+    assert is_q_dispersed(links, 1e-200, params)
+    assert _q_verdict(links, params, 1e-200) == (True, True)
 
 # --- near-ties of every distance test, against a Fraction reference -----------
 
