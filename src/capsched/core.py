@@ -398,8 +398,10 @@ def is_q_near(w: Link, v: Link, q: float, params: ModelParams) -> bool:
         return False
     try:
         bound = q ** (-params.alpha)
-    except OverflowError:  # a level past the float range: no pair is q-near
-        return False
+    except OverflowError:  # past the float range: d(s_w, r_v) < q c_v^(1/alpha) d_vv, exactly
+        ends = (v.sender.x, v.sender.y, v.receiver.x, v.receiver.y)
+        factor = q * noise_factor(v, params) ** (1.0 / params.alpha)
+        return exactly_near((w.sender.x, w.sender.y), ends[2:], factor, ends, True)
     return single_affectance(w, v, params) > bound
 
 
@@ -422,13 +424,16 @@ def report_q_dispersed(instance: Instance, slot: Slot, report: FeasibilityReport
     d(s_w, r_v) < q c_v^(1/alpha) d_vv. The report's ``max_pair_affectance``
     decides outside the band of q^-alpha; inside it, the slot is gathered from
     ``instance.kernel`` and ``exactly_near`` decides each pair in the band.
+    A level q^-alpha past the float range is inf: every finite a_w(v) lies
+    below it, and a pair at a_w(v) = inf (a sender on a receiver, say) falls
+    in the band, since inf - inf is NaN.
     """
     if not (q > 0):
         raise ValueError(f"q must be positive, got {q}")
     try:
         bound = q ** -instance.params.alpha
-    except OverflowError:  # a level past the float range: no pair is q-near
-        return True
+    except OverflowError:
+        bound = math.inf
     band = instance.params.alpha * DISTANCE_TIE
     value = report.max_pair_affectance
     if abs(value - bound) > band * value:
@@ -438,6 +443,8 @@ def report_q_dispersed(instance: Instance, slot: Slot, report: FeasibilityReport
     near = mat > bound
     factor = (q * geo.cv ** (1.0 / geo.alpha)).tolist()
     cols = geo.data.T.tolist()
-    for w, v in zip(*np.nonzero(~(np.abs(mat - bound) > band * mat))):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        tie = ~(np.abs(mat - bound) > band * mat)
+    for w, v in zip(*np.nonzero(tie)):
         near[w, v] = w != v and exactly_near(cols[w][:2], cols[v][2:4], factor[v], cols[v], True)
     return not near.any()

@@ -6,10 +6,30 @@ repeated application for full schedules, two schedule refinement passes
 and a first-fit baseline for comparisons.
 All of them admit links through ``_sweep``, which fills one set, and
 ``_first_fit``, which repeats it on the links left (first-fit in that order).
-Both hold O(n) state. They read the instance's one kernel,
-``Instance.kernel``: the whole-instance schedulers sweep it, and the
-refiners gather a slot's links from it (``Instance.gather``). A sweep
-computes an admitted link's row only over the live links ahead of it.
+Both hold O(n) state and blocks of at most ``_WINDOW`` rows. They read the
+instance's one kernel, ``Instance.kernel``: the whole-instance schedulers
+sweep it, and the refiners gather a slot's links from it
+(``Instance.gather``).
+
+A sweep (``_Sweep``) decides a window of up to ``_WINDOW`` live candidates
+at a time, since at n = 1000 numpy's per-call cost, not arithmetic, bounds
+a loop over one candidate at a time. Per window, one kernel call gives the
+distances among the candidates (and, under first-fit's guard, from them to
+the set's members), and one the near masks among them (B, ``disperse``).
+In admission order, an admitted candidate's affectance on the window's
+later candidates is one call, and a guarded candidate's affectance on the
+members one call when its turn comes: not in advance, since a candidate
+that an earlier admission in the window kills needs none. Last, the
+admitted links' rows over the links beyond the window are one block, of at
+most ``_BLOCK_CELLS`` cells so that it stays in the cache. Accumulated
+affectance only grows, so a
+link over the threshold, blocked by a near mask or refused by the members
+never enters the set later in the sweep: the sweep skips it, and gathers
+the kernel again from the live links once fewer than half are live. Each
+accumulator adds the same floats in the same admission order as one
+candidate at a time would, a block's rows one by one, so the sets and
+float sums are those of full rows.
+
 The schedulers only schedule: what they return is unverified, and the CLI
 and the experiment harness pass it through ``core.verify_schedule`` before
 it leaves the program. Only the refiners' preconditions read
@@ -98,58 +118,192 @@ def _length_order(links: Sequence[Link]) -> list[int]:
     return sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
 
 
-def _tie_band(gap: np.ndarray, bound: np.ndarray, exact: Callable[[int], bool]) -> np.ndarray:
-    """Mask of ``gap < bound``; inside the ``DISTANCE_TIE`` band ``exact(i)`` decides entry i."""
+def _tie_band(
+    gap: np.ndarray, bound: np.ndarray, w: np.ndarray, exact: Callable[[int, int], bool]
+) -> np.ndarray:
+    """Mask of ``gap < bound``; inside the ``DISTANCE_TIE`` band ``exact(w, i)`` decides an entry.
+
+    ``w`` broadcasts to ``gap`` and holds each entry's admitted position; i is its last index.
+    """
     near = gap < bound
-    for i in np.flatnonzero(~(np.abs(gap - bound) > DISTANCE_TIE * bound)).tolist():
-        near[i] = exact(i)
+    ties = ~(np.abs(gap - bound) > DISTANCE_TIE * bound)
+    if ties.any():
+        w = np.broadcast_to(w, gap.shape)
+        for at in zip(*ties.nonzero()):
+            near[at] = exact(int(w[at]), int(at[-1]))
     return near
 
 
 def _too_close(
-    rows: AffectanceRows, ids: np.ndarray, j: int, ahead: slice, dist: np.ndarray, c_hat: float
+    rows: AffectanceRows,
+    ids: np.ndarray,
+    j: int | np.ndarray,
+    ahead: slice | np.ndarray,
+    dist: np.ndarray,
+    c_hat: float,
 ) -> np.ndarray:
     """B's mask against admitted link j: min(d(s_j, r_v), d(s_v, r_j)) <= c_hat * d_vv, v ahead.
 
-    ``rows`` is the sweep's kernel, ``ahead`` selects the candidates and
-    ``dist`` is ``rows.distances(j, ahead)``; near-ties are decided exactly.
+    ``rows`` is the sweep's kernel, ``ahead`` selects the candidates (a slice
+    or positions) and ``dist`` is ``rows.distances(j, ahead)``; j is one
+    position, or an array of them for one row each. Near-ties are decided exactly.
     """
+    j = np.asarray(j)[..., None]  # a column of admitted positions
     gap = np.minimum(dist, rows.norm(rows.sx[ahead] - rows.rx[j], rows.sy[ahead] - rows.ry[j]))
 
-    def exact(i: int) -> bool:
-        w, v = rows.data[:, j].tolist(), rows.data[:, ahead][:, i].tolist()
+    def exact(w: int, i: int) -> bool:
+        w, v = rows.data[:, w].tolist(), rows.data[:, ahead][:, i].tolist()
         return any(exactly_near(p, r, c_hat, v, False) for p, r in ((w[:2], v[2:4]), (v[:2], w[2:4])))
 
-    return _tie_band(gap, c_hat * rows.lengths[ahead], exact)
+    return _tie_band(gap, c_hat * rows.lengths[ahead], j, exact)
 
 
 def _not_dispersed(
-    rows: AffectanceRows, ids: np.ndarray, j: int, ahead: slice, dist: np.ndarray, factor: np.ndarray
+    rows: AffectanceRows,
+    ids: np.ndarray,
+    j: int | np.ndarray,
+    ahead: slice | np.ndarray,
+    dist: np.ndarray,
+    factor: np.ndarray,
 ) -> np.ndarray:
     """Disperse's mask against member j: min(d(s_j, r_v), d(r_j, r_v)) < factor * d_vv, v ahead.
 
     ``factor`` is indexed like the values of ``ids``; the rest is as for ``_too_close``.
     """
+    j = np.asarray(j)[..., None]  # a column of admitted positions
     gap = np.minimum(dist, rows.norm(rows.rx[j] - rows.rx[ahead], rows.ry[j] - rows.ry[ahead]))
     mult = factor[ids[ahead]]
 
-    def exact(i: int) -> bool:
-        w, v = rows.data[:, j].tolist(), rows.data[:, ahead][:, i].tolist()
+    def exact(w: int, i: int) -> bool:
+        w, v = rows.data[:, w].tolist(), rows.data[:, ahead][:, i].tolist()
         return any(exactly_near(p, v[2:4], mult[i], v, True) for p in (w[:2], w[2:4]))
 
-    return _tie_band(gap, mult * rows.lengths[ahead], exact)
+    return _tie_band(gap, mult * rows.lengths[ahead], j, exact)
 
 
 # Fewest links ahead for which the sweep looks for dead ones: on shorter
 # suffixes numpy's per-call cost outweighs the cells a compaction saves.
 _FRONTIER_MIN = 64
 
+# Most live candidates a sweep decides per window. At n = 1000 a row has a few
+# hundred cells, so numpy's per-call cost outweighs the arithmetic; a wider
+# window spends more cells on its candidates' affectances on one another.
+_WINDOW = 32
+
+# Most cells of the block of rows beyond a window: past about 2**15 cells its
+# temporaries leave the cache and a cell costs about twice as much, so a
+# window over a long frontier holds fewer candidates.
+_BLOCK_CELLS = 2**15
+
 # near(rows, ids, j, ahead, rows.distances(j, ahead)) -> mask of the links
-# ahead that may not share a set with j; rows is the kernel of links[ids]
-NearMask = Callable[[AffectanceRows, np.ndarray, int, slice, np.ndarray], np.ndarray]
+# ahead that may not share a set with j, one row per entry when j is an array
+# of positions; rows is the kernel of links[ids]
+NearMask = Callable[
+    [AffectanceRows, np.ndarray, int | np.ndarray, slice | np.ndarray, np.ndarray], np.ndarray
+]
 
 
-@np.errstate(divide="ignore")  # a sender on a receiver: a_w(v) = inf, which no test admits
+class _Sweep:
+    """One admission sweep in ``order``: the live frontier and, with ``guard``, the members.
+
+    A link is admitted when the accumulated affectance on it from the links
+    admitted before it is at most ``threshold``, it is in no ``near`` mask
+    of theirs, and, with ``guard``, adding it keeps the affectance on each
+    of them at most ``threshold`` too. The first link of ``order`` is always
+    admitted. ``run`` returns the admitted indices in admission order; with
+    ``guard``, ``member_acc[:m]`` then holds the accumulated affectance on
+    the m members, in admission order.
+
+    ``run`` gathers the kernel of ``order`` in sweep order (``rows.take``)
+    and decides it one window at a time, as the module docstring describes:
+    at most ``_WINDOW`` live candidates, and no more admitted rows beyond the
+    window than ``_BLOCK_CELLS`` cells hold.
+    """
+
+    def __init__(
+        self,
+        rows: AffectanceRows,
+        order: Sequence[int],
+        threshold: float,
+        near: NearMask | None = None,
+        guard: bool = False,
+    ):
+        self.ids = np.asarray(order, dtype=np.intp)
+        self.kernel = rows.take(self.ids)
+        self.threshold, self.near, self.guard = threshold, near, guard
+        if guard:  # the members in admission order, then the window's candidates
+            self.members = self.kernel.with_data(np.empty_like(self.kernel.data))
+            self.member_acc = np.empty(len(self.ids))
+
+    @np.errstate(divide="ignore")  # a sender on a receiver: a_w(v) = inf, which no test admits
+    def run(self) -> list[int]:
+        kernel, ids, near, guard = self.kernel, self.ids, self.near, self.guard
+        if guard:
+            members, member_acc = self.members, self.member_acc
+        finite = self.threshold < math.inf
+        bound = ceiling(self.threshold)
+        acc = np.zeros(len(ids))  # NaN once a near mask blocks the link: it fails every test
+        chosen: list[int] = []
+        m, start = 0, 0
+        while start < len(acc):
+            # the window's candidates among the next 2 * width links, of which the
+            # compaction below keeps about half live
+            width = max(1, min(_WINDOW, _BLOCK_CELLS // (len(acc) - start)))
+            win = start + (acc[start : start + 2 * width] <= bound).nonzero()[0][:width]
+            if not len(win):
+                start += 2 * width
+                continue
+            cand_acc = acc[win]
+            if guard:  # the candidates follow the members: column m0 + c is candidate c
+                m0, end = m, m + len(win)
+                members.data[:, m0:end] = kernel.data[:, win]
+                dist = members.distances(np.arange(m0, end), slice(end))
+            else:
+                dist = kernel.distances(win, win)
+            if near is not None:
+                blocked = near(kernel, ids, win, win, dist[:, -len(win) :])
+            taken = []
+            for c in range(len(win)):
+                if not cand_acc[c] <= bound:
+                    continue
+                if guard:  # c on the members, then on the candidates after it
+                    row = members.block(m0 + c, slice(end), dist[c])
+                    probe = member_acc[:m] + row[:m]
+                    if m and not np.maximum.reduce(probe) <= bound:  # no NaN: the max decides all
+                        continue
+                    member_acc[:m] = probe
+                    member_acc[m] = cand_acc[c]
+                    # c becomes member m; columns m to m0 + c hold decided candidates
+                    members.data[:, m] = members.data[:, m0 + c]
+                    dist[:, m] = dist[:, m0 + c]
+                    later = row[m0 + c + 1 :]
+                elif finite:
+                    later = kernel.block(win[c], win[c + 1 :], dist[c, c + 1 :])
+                m += 1
+                taken.append(c)
+                if finite:
+                    cand_acc[c + 1 :] += later
+                if near is not None:
+                    cand_acc[c + 1 :][blocked[c, c + 1 :]] = math.nan
+            start, admitted = win[-1] + 1, win[taken]
+            chosen += ids[admitted].tolist()
+            if not taken or start == len(acc):
+                continue
+            ahead, tail = slice(start, None), acc[start:]
+            dist = kernel.distances(admitted, ahead)
+            if finite:
+                for row in kernel.block(admitted[:, None], ahead, dist):
+                    tail += row
+            if near is not None:
+                tail[near(kernel, ids, admitted, ahead, dist).any(axis=0)] = math.nan
+            if len(tail) >= _FRONTIER_MIN:
+                live = tail <= bound
+                if 2 * np.count_nonzero(live) < len(tail):
+                    keep = start + live.nonzero()[0]
+                    kernel, ids, acc, start = kernel.take(keep), ids[keep], acc[keep], 0
+        return chosen
+
+
 def _sweep(
     rows: AffectanceRows,
     order: Sequence[int],
@@ -157,62 +311,8 @@ def _sweep(
     near: NearMask | None = None,
     guard: bool = False,
 ) -> list[int]:
-    """Indices admitted by one sweep in ``order``, in admission order.
-
-    A link is admitted when the accumulated affectance on it from the links
-    admitted before it is at most ``threshold``, it is in no ``near`` mask
-    of theirs, and, with ``guard``, adding it keeps the affectance on each
-    of them at most ``threshold`` too. The first link of ``order`` is always
-    admitted.
-
-    The sweep runs on a live frontier. It gathers the kernel of ``order`` in
-    sweep order (``rows.take``) and evaluates an admitted link's row (when
-    ``threshold`` is finite) and its ``near`` mask only on the links ahead
-    of it; a blocked link's accumulator becomes NaN. Affectances are
-    non-negative, so a link over the threshold or blocked is never admitted
-    later in the sweep: when at least ``_FRONTIER_MIN`` links lie ahead and
-    fewer than half of them are live, the kernel is gathered again from the
-    live links ahead. With ``guard``, the members and their accumulators sit
-    in admission order in one kernel block; a candidate is written at
-    position m and probed by ``block(m, :m)``, a member in place if admitted.
-    Sets and float sums are those of full rows.
-    """
-    ids = np.asarray(order, dtype=np.intp)
-    kernel = rows.take(ids)
-    if guard:  # the members in admission order, and their accumulators
-        members, member_acc = kernel.with_data(np.empty_like(kernel.data)), np.empty(len(ids))
-    bound = ceiling(threshold)
-    acc = np.zeros(len(ids))  # NaN once a near mask blocks the link: it fails every test
-    chosen = np.empty(len(ids), dtype=np.intp)
-    m, i = 0, -1
-    while i + 1 < len(ids):
-        i += 1
-        if not acc[i] <= bound:
-            continue
-        if guard:
-            members.data[:, m] = kernel.data[:, i]
-            on = members.block(m, slice(m), members.distances(m, slice(m)))
-            admitted = member_acc[:m]
-            if not (admitted + on <= bound).all():
-                continue
-            admitted += on
-            member_acc[m] = acc[i]
-        chosen[m] = ids[i]
-        m += 1
-        ahead = slice(i + 1, None)
-        dist = kernel.distances(i, ahead)
-        if threshold < math.inf:
-            acc[ahead] += kernel.block(i, ahead, dist)
-        if near is not None:
-            acc[ahead][near(kernel, ids, i, ahead, dist)] = math.nan
-        if len(ids) - i - 1 < _FRONTIER_MIN:
-            continue
-        live = acc[ahead] <= bound
-        if 2 * np.count_nonzero(live) < len(live):
-            keep = i + 1 + np.flatnonzero(live)
-            kernel, ids, acc = kernel.take(keep), ids[keep], acc[keep]
-            i = -1
-    return chosen[:m].tolist()
+    """Indices admitted by one sweep in ``order``, in admission order: ``_Sweep(...).run()``."""
+    return _Sweep(rows, order, threshold, near, guard).run()
 
 
 def _first_fit(
@@ -226,8 +326,9 @@ def _first_fit(
 
     Sweeping the links left, round after round, gives exactly the sets (and
     float sums) of first-fit with one accumulator per open set, in O(n)
-    state. Each round evaluates rows only over the live links ahead of each
-    admitted link, and the guard only over the round's members.
+    state. Each round evaluates an admitted link's row only over the live
+    links after it, and the guard only for a live candidate, over the
+    round's members and its window.
     """
     rounds: list[list[int]] = []
     left = list(order)

@@ -537,6 +537,17 @@ def test_verify_q_past_the_float_range_is_ok(capsys, tmp_path):
     assert code == 0 and text.endswith("dispersed(q=1e-200): ok\nverified=true\n")
 
 
+@pytest.mark.parametrize("q", [1e-200, 2.0])
+def test_verify_q_finds_a_sender_on_a_receiver_at_any_level(capsys, tmp_path, q):
+    # d(s_0, r_1) = 0 is q-near at every q > 0, q^-alpha past the float range too
+    inst_path, joint = sender_on_receiver_instance(tmp_path), tmp_path / "j.json"
+    save_schedule(Schedule((Slot({0, 1, 2}),)), joint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(capsys, "verify", inst_path, joint, "--q", q)
+    assert code == 1 and text.endswith(f"dispersed(q={q:g}): FAIL\nverified=false\n")
+
+
 def test_p_signal_levels_below_the_slack(capsys, tmp_path):
     # unit links 12 600 apart affect each other by 5.0e-13 = 5/p at p = 1e13
     inst_path = spread_instance(tmp_path, count=2, gap=12600.0)

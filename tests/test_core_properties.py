@@ -29,6 +29,7 @@ from capsched.core import (
     effective_power,
     is_feasible,
     is_q_dispersed,
+    is_q_near,
     noise_factor,
     received_power,
     report_q_dispersed,
@@ -624,6 +625,18 @@ def test_q_reference_past_the_float_range_agrees_with_the_report():
     params = ModelParams(alpha=3.0, beta=1.2)
     assert is_q_dispersed(links, 1e-200, params)
     assert _q_verdict(links, params, 1e-200) == (True, True)
+
+
+@pytest.mark.parametrize("q", [1e-200, 1e-300, 5e-324])
+def test_q_past_the_float_range_still_finds_a_sender_on_a_receiver(q):
+    # d(s_0, r_1) = 0 < q d_11 at every q > 0; link 2 is near neither
+    links = (_link(0, 0.0, 0.0, 1.0, 0.0), _link(1, 5.0, 0.0, 0.0, 0.0), _link(2, 50.0, 0.0, 51.0, 0.0))
+    params = ModelParams(alpha=3.0, beta=1.2)
+    assert is_q_near(links[0], links[1], q, params)
+    assert not is_q_near(links[1], links[0], q, params) and not is_q_near(links[0], links[2], q, params)
+    assert not is_q_dispersed(links, q, params) and is_q_dispersed(links[1:], q, params)
+    assert _q_verdict(links, params, q) == (False, False)
+    assert _q_verdict(links[1:], params, q) == (True, True)
 
 # --- near-ties of every distance test, against a Fraction reference -----------
 

@@ -13,10 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from capsched import schedulers
 from capsched.core import (
     AffectanceRows,
     Instance,
@@ -40,10 +39,12 @@ from capsched.core import (
 )
 from capsched.schedulers import (
     _FRONTIER_MIN,
+    _WINDOW,
     AlgoConstants,
     _first_fit,
     _not_dispersed,
     _sweep,
+    _Sweep,
     _too_close,
     compute_constants,
     disperse,
@@ -843,20 +844,6 @@ def gathered_guard_sweep(rows, order, threshold):
     return ids[members[:m]].tolist(), acc[members[:m]]
 
 
-class _RecordingNumpy:
-    """numpy for ``schedulers``, keeping every array its ``np.empty`` makes."""
-
-    def __init__(self):
-        self.made = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def empty(self, *args, **kwargs):
-        self.made.append(np.empty(*args, **kwargs))
-        return self.made[-1]
-
-
 @given(
     st.sampled_from(("random", "clustered")),
     st.integers(min_value=1, max_value=60),
@@ -885,14 +872,121 @@ def test_guard_member_block_equals_gathered_guard(
     rows = AffectanceRows(inst.links, inst.params)
     order = list(range(n))
     rnd.shuffle(order)
-    recording = _RecordingNumpy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schedulers, "np", recording)
-        chosen = _sweep(rows, order, threshold, guard=True)
+    sweep = _Sweep(rows, order, threshold, guard=True)
+    chosen = sweep.run()
     want, want_acc = gathered_guard_sweep(rows, order, threshold)
-    assert chosen == want
-    (member_acc,) = [a for a in recording.made if a.dtype == np.float64]
-    assert member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
+    assert chosen == want == _sweep(rows, order, threshold, guard=True)
+    assert sweep.member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
+
+
+@st.composite
+def windowed_cases(draw):
+    """An order several windows long, at times on a non-unit kernel, with one
+    link's sender put on another's receiver inside a window or across windows."""
+    n = draw(st.integers(min_value=2 * _WINDOW + 1, max_value=5 * _WINDOW))
+    family = draw(st.sampled_from(("random", "clustered")))
+    spec = TopologySpec(family=family, n=n, seed=draw(st.integers(0, 10**6)))
+    links = list(generate(spec, P0).links)
+    order = draw(st.permutations(range(n)))
+    gap = draw(st.one_of(st.integers(1, 7), st.integers(_WINDOW + 1, 2 * _WINDOW)))
+    at = draw(st.integers(0, n - 1 - gap))
+    w, v = (order[at], order[at + gap])[:: 1 if draw(st.booleans()) else -1]
+    links[w] = Link(id=links[w].id, sender=links[v].receiver, receiver=links[w].receiver)
+    if draw(st.booleans()):
+        rnd = draw(st.randoms(use_true_random=False))
+        links = [dataclasses.replace(l, power=rnd.choice((1.0, 2.0, 8.0))) for l in links]
+    params = ModelParams(alpha=3.0, beta=1.2, noise=draw(st.sampled_from((0.0, 1e-6))))
+    try:
+        return Instance(params=params, links=tuple(links)), order
+    except SchedulingError:
+        assume(False)  # a link too long for this noise
+
+
+@given(windowed_cases(), st.sampled_from((0.5, 2.0)))
+@settings(max_examples=30, deadline=None)
+def test_windowed_sweep_equals_the_full_row_references(case, q):
+    # A's threshold, B's near mask, first-fit's guard and disperse's infinite
+    # threshold give the sets of full rows (and of one accumulator per set),
+    # and the guard's member accumulators bit for bit
+    inst, order = case
+    rows = AffectanceRows(inst.links, inst.params)
+    consts = compute_constants(inst.params)
+    factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
+    cases = [
+        (consts.c, None, False),
+        (2.0 / 3.0, functools.partial(_too_close, c_hat=consts.c_hat), False),
+        (1 / inst.params.beta, None, True),
+        (math.inf, functools.partial(_not_dispersed, factor=factor), False),
+    ]
+    for threshold, near, guard in cases:
+        got = _first_fit(rows, order, threshold, near, guard)
+        assert got == full_row_first_fit(rows, order, threshold, near, guard)
+        if near is None:
+            assert got == slot_parallel_first_fit(rows, order, threshold, guard)
+    sweep = _Sweep(rows, order, 1 / inst.params.beta, guard=True)
+    chosen = sweep.run()
+    with np.errstate(divide="ignore"):  # the reference's a_w(v) = inf on the coincident pair
+        want, want_acc = gathered_guard_sweep(rows, order, 1 / inst.params.beta)
+    assert chosen == want and sweep.member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mask, sx, near",
+    [
+        ("B", 3.0, True),  # d(s_w, r_v) = 2 len(v): B's non-strict bound at c_hat = 2
+        ("B", math.nextafter(3.0, 4.0), False),
+        ("disperse", 4.0, False),  # d(s_w, r_v) = 3 len(v): disperse's strict bound at factor 3
+        ("disperse", math.nextafter(4.0, 0.0), True),
+    ],
+)
+def test_window_blocks_decide_near_ties_exactly(monkeypatch, mask, sx, near):
+    # two tie pairs, w swept before v: one inside the first window, one across
+    # its boundary, decided in the block of rows beyond it; far links between
+    calls = []
+    monkeypatch.setattr(
+        "capsched.schedulers.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
+    )
+    pairs = []
+    for lid in (0, 2):
+        y = 1000.0 * lid
+        v = Link(id=lid, sender=Point(0.0, y), receiver=Point(1.0, y))
+        w = Link(id=lid + 1, sender=Point(sx, y), receiver=Point(sx, y + 7.0))
+        gap, d_vv = squared(w.sender, v.receiver), squared(v.sender, v.receiver)
+        assert near is (gap <= 4 * d_vv if mask == "B" else gap < 9 * d_vv)
+        pairs.append((v, w))
+    links = (*pairs[0], *pairs[1], *(unit_link(4 + i, 100.0 * (i + 1), -5000.0) for i in range(44)))
+    order = [1, 3, 4, 0, *range(5, 5 + _WINDOW), 2, *range(5 + _WINDOW, len(links))]
+    assert sorted(order) == list(range(len(links))) and order.index(2) > _WINDOW
+    rows = AffectanceRows(links, P0)
+    if mask == "B":
+        threshold, test = 2.0 / 3.0, functools.partial(_too_close, c_hat=2.0)
+    else:
+        factor = np.full(len(links), 3.0)
+        threshold, test = math.inf, functools.partial(_not_dispersed, factor=factor)
+    got = _first_fit(rows, order, threshold, test)
+    assert len(calls) >= 2
+    assert got == full_row_first_fit(rows, order, threshold, test)
+    for v, w in pairs:
+        assert any({v.id, w.id} <= set(s) for s in got) is not near
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [first_fit_baseline, lambda i: schedule_repeated(i, guarded=True)],
+    ids=["firstfit", "B"],
+)
+def test_window_state_is_linear_in_the_window(schedule):
+    # the sweep holds O(_WINDOW * n) floats beyond the kernel: about 1.7 MB at n = 2000
+    n = 2000
+    inst = generate(TopologySpec(family="random", n=n, seed=0), DEFAULT_MODEL_PARAMS)
+    inst.kernel
+    tracemalloc.start()
+    try:
+        schedule(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _WINDOW * n * 8
 
 
 def test_dispersion_mask_matches_scalar_test():
