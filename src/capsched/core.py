@@ -11,7 +11,9 @@ from w's sender to v's receiver, d(s_w, r_v).
 
 Each instance has one affectance kernel, ``Instance.kernel``: built on first
 use, read-only, and read by the schedulers, the slot verifier, the refiners
-and the oracles alike.
+and the oracles alike. Its ``near`` is the one distance test (B's separation,
+``disperse``'s, q-nearness): only this module knows the tie rule
+(``DISTANCE_TIE``, ``exactly_near``).
 
 Every function here is pure, so everything is safe for concurrent use.
 """
@@ -75,21 +77,22 @@ class AffectanceRows:
     ``is_feasible``, which has links and no instance, builds another.
     Its per-link arrays are the rows of one (7, n) array ``data``: sender
     and receiver coordinates, powers, lengths d_vv and noise factors c_v.
-    ``block`` is the formula; ``row(i)`` (links[i] on every link, in O(n)),
-    ``matrix`` and the affectance route of ``is_feasible`` read it. ``take``
-    gathers the kernel of a subsequence of the links, the same floats: the
-    sweeps evaluate ``block`` on one, from an admitted link to the live links
-    ahead of it only, so they never hold an n x n array. ``take`` keeps two
-    records made once per kernel: ``unit`` (every c_v 1.0 and every power
-    equal: ``block`` skips its factor c_v (P_w/P_v), exactly 1.0) and
-    ``hypot`` (a coordinate above 1e150 or nonzero below 1e-130, where dx*dx
-    may overflow or leave the normal range: ``norm`` takes ``np.hypot``).
-    ``of_links`` gathers as a kernel built from the gathered links would be,
-    with their own records.
+    ``block`` is the formula; ``matrix`` and the affectance route of
+    ``is_feasible`` read it. ``near`` is the one distance test: B's
+    separation, ``disperse``'s and q-nearness, near-ties decided exactly
+    (``exactly_near``). ``take`` gathers the kernel of a subsequence of the
+    links, the same floats: the sweeps evaluate ``block`` on one, from an
+    admitted link to the live links ahead of it only, so they never hold an
+    n x n array. ``take`` keeps two records made once per kernel: ``unit``
+    (every c_v 1.0 and every power equal: ``block`` skips its factor c_v
+    (P_w/P_v), exactly 1.0) and ``hypot`` (a coordinate above 1e150 or
+    nonzero below 1e-130, where dx*dx may overflow or leave the normal
+    range: ``norm`` takes ``np.hypot``). ``of_links`` gathers as a kernel
+    built from the gathered links would be, with their own records.
 
     A sender on another link's receiver is at distance 0, where ``block``
     takes the limit: a_w(v) = inf, which no threshold test admits. Its
-    callers (``row``, ``matrix``, the sweeps) silence numpy's divide-by-zero
+    callers (``matrix``, the sweeps) silence numpy's divide-by-zero
     warning once per call rather than once per ``block``.
     """
 
@@ -169,18 +172,38 @@ class AffectanceRows:
         return out
 
     @np.errstate(divide="ignore")
-    def row(self, i: int) -> np.ndarray:
-        """Affectance of links[i] on every link, entry i 0."""
-        out = self.block(i, slice(None), self.distances(i))
-        out[i] = 0.0
-        return out
-
-    @np.errstate(divide="ignore")
     def matrix(self, dist: np.ndarray | None = None) -> np.ndarray:
-        """Every a_w(v) as an n x n array [w, v], zero diagonal: row w is ``row(w)`` bit for bit."""
+        """Every a_w(v) as an n x n array [w, v], zero diagonal: row w is ``block(w, :)`` bit for bit."""
         ids = np.arange(len(self.lengths))
         out = self.block(ids[:, None], ids, self.distances(slice(None)) if dist is None else dist)
         np.fill_diagonal(out, 0.0)
+        return out
+
+    def near(self, j, v, dist: np.ndarray, mult, strict: bool, end: str | None = None) -> np.ndarray:
+        """Mask of min(d(s_j, r_v), d(e_v, r_j)) < mult * d_vv (``<=`` unless ``strict``), the links v.
+
+        The one distance test: B's separation (e_v is v's ``end`` "sender"),
+        ``disperse``'s (``end`` "receiver") and q-nearness (no ``end``: d(s_j, r_v)
+        alone). ``dist`` is ``distances(j, v)`` and ``mult`` broadcasts to v; j
+        is one position, or an array of them for one row each. Inside the
+        ``DISTANCE_TIE`` band ``exactly_near`` decides an entry.
+        """
+        j = np.asarray(j)[..., None]  # a column of positions
+        gap = dist
+        if end is not None:
+            e = {"sender": 0, "receiver": 2}[end]
+            ex, ey = self.data[e], self.data[e + 1]
+            gap = np.minimum(dist, self.norm(ex[v] - self.rx[j], ey[v] - self.ry[j]))
+        bound = mult * self.lengths[v]
+        out = gap < bound
+        # the band is relative to the gap: a bound past the float range (inf) lies above every gap
+        ties = ~(np.abs(gap - bound) > DISTANCE_TIE * gap)
+        if ties.any():
+            cols, js, mult = self.data[:, v], np.broadcast_to(j, gap.shape), np.broadcast_to(mult, gap.shape)
+            for at in zip(*ties.nonzero()):
+                w, x = self.data[:, js[at]].tolist(), cols[:, at[-1]].tolist()
+                pairs = [(w[:2], x[2:4])] + ([] if end is None else [(x[e : e + 2], w[2:4])])
+                out[at] = any(exactly_near(p, r, mult[at], x, strict) for p, r in pairs)
         return out
 
 
@@ -203,7 +226,7 @@ def id_ordered(instance: Instance) -> tuple[tuple[Link, ...], AffectanceRows]:
     return instance.gather(sorted(instance.position))
 
 
-# Relative band around a distance bound inside which the float verdict does not decide.
+# Relative band between a distance and its bound inside which the float verdict does not decide.
 # A kernel distance, or a float multiple of one, lies within a few ulps of its exact
 # value, so outside the band the float verdict is the exact one. An affectance is a
 # distance ratio to the power alpha: its band is alpha times as wide.
@@ -422,11 +445,11 @@ def report_q_dispersed(instance: Instance, slot: Slot, report: FeasibilityReport
 
     The links transmit at one power: w is q-near v iff a_w(v) > q^-alpha, iff
     d(s_w, r_v) < q c_v^(1/alpha) d_vv. The report's ``max_pair_affectance``
-    decides outside the band of q^-alpha; inside it, the slot is gathered from
-    ``instance.kernel`` and ``exactly_near`` decides each pair in the band.
-    A level q^-alpha past the float range is inf: every finite a_w(v) lies
-    below it, and a pair at a_w(v) = inf (a sender on a receiver, say) falls
-    in the band, since inf - inf is NaN.
+    decides outside the band of q^-alpha (alpha ``DISTANCE_TIE``); inside it,
+    the slot is gathered from ``instance.kernel`` and ``AffectanceRows.near``
+    decides every pair on distances. A level q^-alpha past the float range is
+    inf: every finite a_w(v) lies below it, and a pair at a_w(v) = inf (a
+    sender on a receiver, say) falls in the band, since inf - inf is NaN.
     """
     if not (q > 0):
         raise ValueError(f"q must be positive, got {q}")
@@ -439,12 +462,8 @@ def report_q_dispersed(instance: Instance, slot: Slot, report: FeasibilityReport
     if abs(value - bound) > band * value:
         return value < bound
     _, geo = instance.gather(slot.sorted_members)
-    mat = geo.matrix()
-    near = mat > bound
-    factor = (q * geo.cv ** (1.0 / geo.alpha)).tolist()
-    cols = geo.data.T.tolist()
-    with np.errstate(invalid="ignore"):  # inf - inf
-        tie = ~(np.abs(mat - bound) > band * mat)
-    for w, v in zip(*np.nonzero(tie)):
-        near[w, v] = w != v and exactly_near(cols[w][:2], cols[v][2:4], factor[v], cols[v], True)
+    dist = geo.distances(slice(None))
+    np.fill_diagonal(dist, 0.0)  # a link is no tie with itself: near, and cleared below
+    near = geo.near(np.arange(len(dist)), slice(None), dist, q * geo.cv ** (1.0 / geo.alpha), True)
+    np.fill_diagonal(near, False)
     return not near.any()

@@ -12,23 +12,22 @@ sweep it, and the refiners gather a slot's links from it
 (``Instance.gather``).
 
 A sweep (``_Sweep``) decides a window of up to ``_WINDOW`` live candidates
-at a time, since at n = 1000 numpy's per-call cost, not arithmetic, bounds
-a loop over one candidate at a time. Per window, one kernel call gives the
+at a time, since at n = 1000 numpy's per-call cost, not arithmetic, bounds a
+loop over one candidate at a time. Per window, one kernel call gives the
 distances among the candidates (and, under first-fit's guard, from them to
-the set's members), and one the near masks among them (B, ``disperse``).
-In admission order, an admitted candidate's affectance on the window's
-later candidates is one call, and a guarded candidate's affectance on the
-members one call when its turn comes: not in advance, since a candidate
-that an earlier admission in the window kills needs none. Last, the
-admitted links' rows over the links beyond the window are one block, of at
-most ``_BLOCK_CELLS`` cells so that it stays in the cache. Accumulated
-affectance only grows, so a
-link over the threshold, blocked by a near mask or refused by the members
-never enters the set later in the sweep: the sweep skips it, and gathers
-the kernel again from the live links once fewer than half are live. Each
-accumulator adds the same floats in the same admission order as one
-candidate at a time would, a block's rows one by one, so the sets and
-float sums are those of full rows.
+the set's members), and one the near masks among them (B, ``disperse``: the
+kernel's one distance test, ``AffectanceRows.near``). In admission order, an
+admitted candidate's affectance on the window's later candidates is one
+call, and a guarded candidate's affectance on the members one call when its
+turn comes: not in advance, since a candidate that an earlier admission in
+the window kills needs none. Last, the admitted links' rows over the links
+beyond the window are one block, of at most ``_BLOCK_CELLS`` cells so that
+it stays in the cache. Accumulated affectance only grows, so a link over the
+threshold, blocked by a near mask or refused by the members never enters the
+set later in the sweep: the sweep skips it, and gathers the kernel again
+from the live links once fewer than half are live. Each accumulator adds the
+same floats in the same admission order as one candidate at a time would, a
+block's rows one by one, so the sets and float sums are those of full rows.
 
 The schedulers only schedule: what they return is unverified, and the CLI
 and the experiment harness pass it through ``core.verify_schedule`` before
@@ -39,7 +38,6 @@ it leaves the program. Only the refiners' preconditions read
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -47,7 +45,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DISTANCE_TIE,
     AffectanceRows,
     Instance,
     Link,
@@ -59,7 +56,6 @@ from .core import (
     UnsupportedConfigurationError,
     ceiling,
     effective_power,
-    exactly_near,
     p_signal_violation,
     slot_reports,
 )
@@ -113,72 +109,9 @@ def compute_constants(params: ModelParams) -> AlgoConstants:
     return AlgoConstants(C=INTERFERENCE_CONSTANT, tau=tau, c=tau**-alpha, c_hat=c_hat, nu=nu)
 
 
-def _length_order(links: Sequence[Link]) -> list[int]:
-    """Indices into ``links`` in non-decreasing length order, ties by id."""
-    return sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
-
-
-def _tie_band(
-    gap: np.ndarray, bound: np.ndarray, w: np.ndarray, exact: Callable[[int, int], bool]
-) -> np.ndarray:
-    """Mask of ``gap < bound``; inside the ``DISTANCE_TIE`` band ``exact(w, i)`` decides an entry.
-
-    ``w`` broadcasts to ``gap`` and holds each entry's admitted position; i is its last index.
-    """
-    near = gap < bound
-    ties = ~(np.abs(gap - bound) > DISTANCE_TIE * bound)
-    if ties.any():
-        w = np.broadcast_to(w, gap.shape)
-        for at in zip(*ties.nonzero()):
-            near[at] = exact(int(w[at]), int(at[-1]))
-    return near
-
-
-def _too_close(
-    rows: AffectanceRows,
-    ids: np.ndarray,
-    j: int | np.ndarray,
-    ahead: slice | np.ndarray,
-    dist: np.ndarray,
-    c_hat: float,
-) -> np.ndarray:
-    """B's mask against admitted link j: min(d(s_j, r_v), d(s_v, r_j)) <= c_hat * d_vv, v ahead.
-
-    ``rows`` is the sweep's kernel, ``ahead`` selects the candidates (a slice
-    or positions) and ``dist`` is ``rows.distances(j, ahead)``; j is one
-    position, or an array of them for one row each. Near-ties are decided exactly.
-    """
-    j = np.asarray(j)[..., None]  # a column of admitted positions
-    gap = np.minimum(dist, rows.norm(rows.sx[ahead] - rows.rx[j], rows.sy[ahead] - rows.ry[j]))
-
-    def exact(w: int, i: int) -> bool:
-        w, v = rows.data[:, w].tolist(), rows.data[:, ahead][:, i].tolist()
-        return any(exactly_near(p, r, c_hat, v, False) for p, r in ((w[:2], v[2:4]), (v[:2], w[2:4])))
-
-    return _tie_band(gap, c_hat * rows.lengths[ahead], j, exact)
-
-
-def _not_dispersed(
-    rows: AffectanceRows,
-    ids: np.ndarray,
-    j: int | np.ndarray,
-    ahead: slice | np.ndarray,
-    dist: np.ndarray,
-    factor: np.ndarray,
-) -> np.ndarray:
-    """Disperse's mask against member j: min(d(s_j, r_v), d(r_j, r_v)) < factor * d_vv, v ahead.
-
-    ``factor`` is indexed like the values of ``ids``; the rest is as for ``_too_close``.
-    """
-    j = np.asarray(j)[..., None]  # a column of admitted positions
-    gap = np.minimum(dist, rows.norm(rows.rx[j] - rows.rx[ahead], rows.ry[j] - rows.ry[ahead]))
-    mult = factor[ids[ahead]]
-
-    def exact(w: int, i: int) -> bool:
-        w, v = rows.data[:, w].tolist(), rows.data[:, ahead][:, i].tolist()
-        return any(exactly_near(p, v[2:4], mult[i], v, True) for p in (w[:2], w[2:4]))
-
-    return _tie_band(gap, mult * rows.lengths[ahead], j, exact)
+def _length_order(lengths: np.ndarray, ids: Sequence[int]) -> list[int]:
+    """Positions in non-decreasing ``lengths`` order (a kernel's), ties by ``ids``."""
+    return np.lexsort((ids, lengths)).tolist()
 
 
 # Fewest links ahead for which the sweep looks for dead ones: on shorter
@@ -235,7 +168,8 @@ class _Sweep:
             self.members = self.kernel.with_data(np.empty_like(self.kernel.data))
             self.member_acc = np.empty(len(self.ids))
 
-    @np.errstate(divide="ignore")  # a sender on a receiver: a_w(v) = inf, which no test admits
+    # inf, silently: a_w(v) of a sender on a receiver (no test admits it), a near bound past the float range
+    @np.errstate(divide="ignore", over="ignore")
     def run(self) -> list[int]:
         kernel, ids, near, guard = self.kernel, self.ids, self.near, self.guard
         if guard:
@@ -357,9 +291,16 @@ def _selector(instance: Instance, guarded: bool) -> tuple[float, NearMask | None
             f"with --power-mode scaled-threshold or power-regimes"
         )
     constants = compute_constants(instance.params)
-    if guarded:
-        return 2.0 / 3.0, functools.partial(_too_close, c_hat=constants.c_hat)
+    if guarded:  # min(d(s_j, r_v), d(s_v, r_j)) <= c_hat * d_vv: v too close to admitted j
+        c_hat = constants.c_hat
+        return 2.0 / 3.0, lambda rows, ids, j, v, dist: rows.near(j, v, dist, c_hat, False, "sender")
     return constants.c, None
+
+
+def _single_shot(instance: Instance, guarded: bool) -> Slot:
+    links = instance.links
+    order = _length_order(instance.kernel.lengths, [l.id for l in links])
+    return Slot(frozenset(links[i].id for i in _sweep(instance.kernel, order, *_selector(instance, guarded))))
 
 
 def single_shot_greedy(instance: Instance) -> Slot:
@@ -374,9 +315,7 @@ def single_shot_greedy(instance: Instance) -> Slot:
         UnsupportedConfigurationError: on non-uniform power. Route such
             instances through schedule_nonuniform instead.
     """
-    links = instance.links
-    chosen = _sweep(instance.kernel, _length_order(links), *_selector(instance, False))
-    return Slot(frozenset(links[i].id for i in chosen))
+    return _single_shot(instance, False)
 
 
 def single_shot_guarded(instance: Instance) -> Slot:
@@ -391,9 +330,7 @@ def single_shot_guarded(instance: Instance) -> Slot:
     Raises:
         UnsupportedConfigurationError: on non-uniform power.
     """
-    links = instance.links
-    chosen = _sweep(instance.kernel, _length_order(links), *_selector(instance, True))
-    return Slot(frozenset(links[i].id for i in chosen))
+    return _single_shot(instance, True)
 
 
 def _repeat(instance: Instance, threshold: float, near: NearMask | None = None) -> Schedule:
@@ -403,8 +340,8 @@ def _repeat(instance: Instance, threshold: float, near: NearMask | None = None) 
     unscheduled links, whose affectances are those of the full instance.
     """
     links = instance.links
-    rounds = _first_fit(instance.kernel, _length_order(links), threshold, near)
-    return Schedule(_slots(links, rounds))
+    order = _length_order(instance.kernel.lengths, [l.id for l in links])
+    return Schedule(_slots(links, _first_fit(instance.kernel, order, threshold, near)))
 
 
 def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
@@ -434,12 +371,12 @@ def strengthen_slot(
     of an output set is then at most 1/(2p') from longer links (pass one)
     plus 1/(2p') from shorter ones (pass two).
     """
-    links, rows = instance.gather(slot.sorted_members)
+    links, rows = instance.gather(slot.sorted_members)  # position order is id order
     threshold = 1.0 / (2.0 * p_prime)
-    decreasing = sorted(range(len(links)), key=lambda i: (-links[i].length, links[i].id))
     out: list[Slot] = []
-    for first_pass_set in _first_fit(rows, decreasing, threshold):
-        increasing = sorted(first_pass_set, key=lambda i: (links[i].length, links[i].id))
+    for first_pass_set in _first_fit(rows, _length_order(-rows.lengths, slot.sorted_members), threshold):
+        first = np.array(first_pass_set)
+        increasing = first[_length_order(rows.lengths[first], first)].tolist()
         out.extend(_slots(links, _first_fit(rows, increasing, threshold)))
     return tuple(out)
 
@@ -482,8 +419,11 @@ def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
     """
     links, rows = instance.gather(slot.sorted_members)
     factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
-    near = functools.partial(_not_dispersed, factor=factor)
-    return _slots(links, _first_fit(rows, _length_order(links), math.inf, near))
+
+    def near(rows, ids, j, v, dist):  # min(d(s_j, r_v), d(r_j, r_v)) < factor_v * d_vv
+        return rows.near(j, v, dist, factor[ids[v]], True, "receiver")
+
+    return _slots(links, _first_fit(rows, _length_order(rows.lengths, slot.sorted_members), math.inf, near))
 
 
 def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:

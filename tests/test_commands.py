@@ -1,4 +1,4 @@
-"""The workflow's command checks (``tests/commands.sh``) as a tier-1 test.
+"""The command checks (``tests/commands.sh``): the workflow runs them only here, in tier-1.
 
 The script runs every subcommand in a fresh ``python -m capsched`` process,
 which in-process tests do not: exit codes, numpy warnings raised as errors,

@@ -38,8 +38,6 @@ from capsched.core import (
     verify_schedule,
 )
 from capsched.schedulers import (
-    _not_dispersed,
-    _too_close,
     compute_constants,
     disperse,
     disperse_slot,
@@ -276,13 +274,9 @@ def _kernel_corpus():
 
 @pytest.mark.parametrize("name, inst", list(_kernel_corpus()))
 def test_kernel_rows_equal_dense_matrix(name, inst):
-    rows = AffectanceRows(inst.links, inst.params)
     mat = affectance_matrix(inst)
     ref = _dense_reference(inst)
     assert np.array_equal(mat, ref)
-    for i in range(len(inst)):
-        row = rows.row(i)
-        assert np.array_equal(row, mat[i]), i
     links, params = inst.links, inst.params
     for i, j in [(0, 1), (1, 0), (5, 77), (149, 3)]:
         assert math.isclose(mat[i, j], single_affectance(links[i], links[j], params), rel_tol=1e-12)
@@ -602,6 +596,19 @@ def test_report_q_verdict_decides_an_exact_tie_exactly():
         assert exact.call_count == 1
 
 
+def test_report_q_band_sends_no_link_against_itself_to_the_exact_test():
+    # q c_v^(1/alpha) = 1, so each d_vv equals its own bound; only the pair at
+    # a_w(v) = 1 = q^-alpha is decided exactly (strict: w is not 1-near v)
+    v = Link(id=0, sender=Point(1, 0), receiver=Point(0, 0))
+    w = Link(id=1, sender=Point(0, 1), receiver=Point(0, 5))
+    instance, slot = Instance(params=P_KERNEL, links=(v, w)), Slot(frozenset({0, 1}))
+    (report,) = slot_reports(instance, Schedule((slot,)))
+    assert report.max_pair_affectance == 1.0
+    with mock.patch.object(core, "exactly_near", wraps=core.exactly_near) as exact:
+        assert report_q_dispersed(instance, slot, report, 1.0)
+        assert exact.call_count == 1
+
+
 def test_report_q_verdict_at_a_tie_the_numpy_value_misses():
     # q^-alpha equals the scalar a_0(1) exactly, and numpy's value of the same
     # pair lies one ulp above it; exactly, d(s_0, r_1)^2 < q^2 d_11^2 by 7.1e-17
@@ -685,24 +692,25 @@ def distance_tie(draw):
 @given(distance_tie())
 @settings(max_examples=300, deadline=None)
 def test_distance_tests_decide_near_ties_exactly(case):
+    # AffectanceRows.near in its one-row form (w admitted at j = 0, v ahead of
+    # it) and its window form (j = [0, 1], a row each over both links)
     test, v, w, params, base = case
-    dvv = _squared(v.sender, v.receiver)
+    rows = AffectanceRows((w, v), params)
+    root = base * rows.cv ** (1.0 / rows.alpha)
+    mult, strict, end, pairs = {
+        "B": (np.full(2, base), False, "sender", ((w.sender, v.receiver), (v.sender, w.receiver))),
+        "d": (root + 2.0, True, "receiver", ((w.sender, v.receiver), (w.receiver, v.receiver))),
+        "q": (root, True, None, ((w.sender, v.receiver),)),
+    }[test[0]]
+    c = Fraction(mult[1]) ** 2 * _squared(v.sender, v.receiver)
+    exact = any(_squared(p, r) < c if strict else _squared(p, r) <= c for p, r in pairs)
+    ahead = slice(1, None)
+    assert bool(rows.near(0, ahead, rows.distances(0, ahead), mult[ahead], strict, end)[0]) is exact
+    both = np.arange(2)
+    assert bool(rows.near(both, both, rows.distances(slice(None), both), mult, strict, end)[0, 1]) is exact
     if test == "q":
         verdict, exact = _q_verdict((v, w), params, base)
         assert verdict == exact
-        return
-    # the sweep's form: w admitted (j = 0), v the candidate ahead of it
-    rows, ids, ahead = AffectanceRows((w, v), params), np.arange(2), slice(1, None)
-    dist = rows.distances(0, ahead)
-    if test.startswith("B"):
-        c = Fraction(base) ** 2 * dvv
-        exact = _squared(w.sender, v.receiver) <= c or _squared(v.sender, w.receiver) <= c
-        assert bool(_too_close(rows, ids, 0, ahead, dist, base)[0]) is exact
-    else:
-        factor = base * rows.cv ** (1.0 / rows.alpha) + 2.0
-        c = Fraction(factor[1]) ** 2 * dvv
-        exact = _squared(w.sender, v.receiver) < c or _squared(w.receiver, v.receiver) < c
-        assert bool(_not_dispersed(rows, ids, 0, ahead, dist, factor)[0]) is exact
 
 
 # --- model invariances of the schedulers (noise = 0 scaling, id relabelling) --

@@ -417,10 +417,10 @@ def test_entry_points_take_no_test_only_options():
         abstract.correspondence_check,
         schedulers.single_shot_greedy,
         schedulers.single_shot_guarded,
-        core.AffectanceRows.row,
     )
     for fn in entry_points:
         assert not set(inspect.signature(fn).parameters) & TEST_ONLY_OPTIONS, fn.__qualname__
     assert "metadata" not in {field.name for field in dataclasses.fields(Instance)}
     assert not hasattr(oracles, "OracleLimits") and not hasattr(oracles, "DEFAULT_LIMITS")
     assert not hasattr(abstract, "SAMPLE_SIZE") and not hasattr(abstract, "CHUNK")
+    assert not hasattr(core.AffectanceRows, "row")  # the package reads ``block`` and ``matrix``

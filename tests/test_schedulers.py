@@ -6,9 +6,9 @@ hand-computed affectance arithmetic.
 """
 
 import dataclasses
-import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -42,10 +42,8 @@ from capsched.schedulers import (
     _WINDOW,
     AlgoConstants,
     _first_fit,
-    _not_dispersed,
     _sweep,
     _Sweep,
-    _too_close,
     compute_constants,
     disperse,
     disperse_slot,
@@ -95,6 +93,16 @@ def separated(v, w, c_hat):
 def dispersed(v, w, bound):
     """Disperse's test of candidate v against set member w, on math.hypot distances."""
     return distance(w.sender, v.receiver) >= bound and distance(w.receiver, v.receiver) >= bound
+
+
+def too_close(c_hat):
+    """B's near mask as the sweep calls it: ``AffectanceRows.near`` with v's sender."""
+    return lambda rows, ids, j, ahead, dist: rows.near(j, ahead, dist, c_hat, False, "sender")
+
+
+def not_dispersed(factor):
+    """Disperse's near mask as the sweep calls it, ``factor`` indexed like the values of ``ids``."""
+    return lambda rows, ids, j, ahead, dist: rows.near(j, ahead, dist, factor[ids[ahead]], True, "receiver")
 
 
 def squared(p, r):
@@ -285,9 +293,9 @@ def test_guarded_symmetric_refuses_close_sender():
 def test_separation_mask_matches_scalar_test():
     inst = random_instance(3, 150)
     links, c_hat = inst.links, compute_constants(P0).c_hat
-    rows, ids = AffectanceRows(links, P0), np.arange(len(links))
+    rows = AffectanceRows(links, P0)
     for j in range(0, len(links), 7):
-        mask = _too_close(rows, ids, j, slice(None), rows.distances(j), c_hat)
+        mask = rows.near(j, slice(None), rows.distances(j), c_hat, False, "sender")
         assert mask.tolist() == [not separated(v, links[j], c_hat) for v in links]
 
 
@@ -299,17 +307,17 @@ def test_separation_mask_ties_are_decided_exactly(monkeypatch):
     clear = Link(id=2, sender=Point(math.nextafter(3.0, 4.0), 0.0), receiver=Point(3.0, -7.0))
     calls = []
     monkeypatch.setattr(
-        "capsched.schedulers.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
+        "capsched.core.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
     )
     for w, near in ((tie, True), (clear, False)):
         assert near is (squared(w.sender, v.receiver) <= 4 * squared(v.sender, v.receiver))
         links = (v, w)
-        rows, ids = AffectanceRows(links, P0), np.arange(2)
-        assert bool(_too_close(rows, ids, 1, slice(None), rows.distances(1), 2.0)[0]) is near
+        rows = AffectanceRows(links, P0)
+        assert bool(rows.near(1, slice(None), rows.distances(1), 2.0, False, "sender")[0]) is near
         # the sweep's form: a kernel in sweep order (w, v), v ahead of w
         ids = np.array([1, 0])
         frontier, ahead = rows.take(ids), slice(1, None)
-        mask = _too_close(frontier, ids, 0, ahead, frontier.distances(0, ahead), 2.0)
+        mask = frontier.near(0, ahead, frontier.distances(0, ahead), 2.0, False, "sender")
         assert mask.tolist() == [near]
     assert len(calls) >= 4
 
@@ -649,9 +657,10 @@ def test_first_fit_respects_input_order():
 def slot_parallel_first_fit(rows, order, threshold, guard=False):
     """First-fit as the schedulers once ran it: one accumulator per open set."""
     bound = ceiling(threshold)
+    mat = rows.matrix()
     sets, accs = [], []
     for i in order:
-        row = rows.row(i)
+        row = mat[i]
         for members, acc in zip(sets, accs):
             if acc[i] <= bound and (not guard or (acc[members] + row[members] <= bound).all()):
                 members.append(i)
@@ -705,6 +714,7 @@ def full_row_sweep(rows, order, threshold, near=None, guard=False):
     n = len(rows.lengths)
     ids = np.arange(n)
     bound = ceiling(threshold)
+    mat = rows.matrix()
     acc = np.zeros(n)
     blocked = np.zeros(n, dtype=bool)
     members = np.empty(n, dtype=np.intp)
@@ -714,13 +724,13 @@ def full_row_sweep(rows, order, threshold, near=None, guard=False):
             continue
         if guard and m:
             admitted = members[:m]
-            if not (acc[admitted] + rows.row(i)[admitted] <= bound).all():
+            if not (acc[admitted] + mat[i, admitted] <= bound).all():
                 continue
         members[m] = i
         m += 1
         dist = rows.distances(i)
         if threshold < math.inf:
-            acc += rows.row(i)
+            acc += mat[i]
         if near is not None:
             blocked |= near(rows, ids, i, slice(None), dist)
     return members[:m].tolist()
@@ -764,14 +774,12 @@ def test_live_frontier_equals_full_rows(monkeypatch):
         rows = AffectanceRows(links, params)
         consts = compute_constants(params)
         length = sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
-        too_close = functools.partial(_too_close, c_hat=consts.c_hat)
         factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
-        not_dispersed = functools.partial(_not_dispersed, factor=factor)
         cases = [
             (length, consts.c, None, False),
             (range(len(links)), 1 / params.beta, None, True),
-            (length, 2.0 / 3.0, too_close, False),
-            (length, math.inf, not_dispersed, False),
+            (length, 2.0 / 3.0, too_close(consts.c_hat), False),
+            (length, math.inf, not_dispersed(factor), False),
         ]
         for order, threshold, near, guard in cases:
             got = _first_fit(rows, order, threshold, near, guard)
@@ -914,9 +922,9 @@ def test_windowed_sweep_equals_the_full_row_references(case, q):
     factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
     cases = [
         (consts.c, None, False),
-        (2.0 / 3.0, functools.partial(_too_close, c_hat=consts.c_hat), False),
+        (2.0 / 3.0, too_close(consts.c_hat), False),
         (1 / inst.params.beta, None, True),
-        (math.inf, functools.partial(_not_dispersed, factor=factor), False),
+        (math.inf, not_dispersed(factor), False),
     ]
     for threshold, near, guard in cases:
         got = _first_fit(rows, order, threshold, near, guard)
@@ -944,7 +952,7 @@ def test_window_blocks_decide_near_ties_exactly(monkeypatch, mask, sx, near):
     # its boundary, decided in the block of rows beyond it; far links between
     calls = []
     monkeypatch.setattr(
-        "capsched.schedulers.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
+        "capsched.core.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
     )
     pairs = []
     for lid in (0, 2):
@@ -959,10 +967,10 @@ def test_window_blocks_decide_near_ties_exactly(monkeypatch, mask, sx, near):
     assert sorted(order) == list(range(len(links))) and order.index(2) > _WINDOW
     rows = AffectanceRows(links, P0)
     if mask == "B":
-        threshold, test = 2.0 / 3.0, functools.partial(_too_close, c_hat=2.0)
+        threshold, test = 2.0 / 3.0, too_close(2.0)
     else:
         factor = np.full(len(links), 3.0)
-        threshold, test = math.inf, functools.partial(_not_dispersed, factor=factor)
+        threshold, test = math.inf, not_dispersed(factor)
     got = _first_fit(rows, order, threshold, test)
     assert len(calls) >= 2
     assert got == full_row_first_fit(rows, order, threshold, test)
@@ -992,10 +1000,10 @@ def test_window_state_is_linear_in_the_window(schedule):
 def test_dispersion_mask_matches_scalar_test():
     inst = random_instance(4, 150)
     links = inst.links
-    rows, ids = AffectanceRows(links, P0), np.arange(len(links))
+    rows = AffectanceRows(links, P0)
     factor = np.full(len(links), 3.0)
     for j in range(0, len(links), 7):
-        mask = _not_dispersed(rows, ids, j, slice(None), rows.distances(j), factor)
+        mask = rows.near(j, slice(None), rows.distances(j), factor, True, "receiver")
         bound = factor * rows.lengths
         expected = [not dispersed(v, links[j], bound[i]) for i, v in enumerate(links)]
         assert mask.tolist() == expected
@@ -1008,7 +1016,7 @@ def test_dispersion_mask_ties_are_decided_exactly(monkeypatch, end):
     v = unit_link(0, 0.0, 0.0)
     calls = []
     monkeypatch.setattr(
-        "capsched.schedulers.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
+        "capsched.core.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
     )
     for lid, x, near in ((1, 4.0, False), (2, math.nextafter(4.0, 0.0), True)):
         if end == "sender":
@@ -1018,15 +1026,31 @@ def test_dispersion_mask_ties_are_decided_exactly(monkeypatch, end):
         tie_end = w.sender if end == "sender" else w.receiver
         assert near is (squared(tie_end, v.receiver) < 9 * squared(v.sender, v.receiver))
         links = (v, w)
-        rows, ids = AffectanceRows(links, P0), np.arange(2)
+        rows = AffectanceRows(links, P0)
         factor = np.array([3.0, 3.0])
-        mask = _not_dispersed(rows, ids, 1, slice(None), rows.distances(1), factor)
+        mask = rows.near(1, slice(None), rows.distances(1), factor, True, "receiver")
         assert bool(mask[0]) is near
         ids = np.array([1, 0])
         frontier, ahead = rows.take(ids), slice(1, None)
-        mask = _not_dispersed(frontier, ids, 0, ahead, frontier.distances(0, ahead), factor)
+        mask = frontier.near(0, ahead, frontier.distances(0, ahead), factor[ids[ahead]], True, "receiver")
         assert mask.tolist() == [near]
     assert len(calls) >= 4
+
+
+def test_dispersion_bound_past_the_float_range_is_no_tie(monkeypatch):
+    # at q = 1e308, factor * d_vv passes the float range for every link longer
+    # than 1.8: inf lies above every gap, so each link gets its own slot with
+    # no numpy warning and no pair sent to the exact test
+    inst = random_instance(5, 60)
+    assert sum(l.length > 1.8 for l in inst.links) > 30
+    calls = []
+    monkeypatch.setattr(
+        "capsched.core.exactly_near", lambda *a: calls.append(a) or exactly_near(*a)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refined = disperse(inst, schedule_repeated(inst), 1e308)
+    assert refined.slot_count == len(inst) and not calls
 
 
 def test_first_fit_holds_linear_state():
