@@ -10,26 +10,24 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
-from .core import Instance, SizeLimitError, ceiling, id_ordered
+from .core import Instance, Record, SizeLimitError, ceiling, id_ordered
 from .io import _number, _refuse_unknown, _typed, read_json, write_canonical
 
 
-@dataclass(frozen=True, eq=False)
-class GainMatrix:
+class GainMatrix(Record):
     """A square matrix of pairwise affectances with a feasibility threshold.
 
     entries[i, j] is the affectance of link i on link j; the diagonal is
     zero by convention. A set is feasible when every member's incoming sum
-    is at most the threshold (``core.ceiling``).
+    is at most the threshold (``core.ceiling``). Equal by value, so unhashable.
     """
 
-    entries: np.ndarray
-    threshold: float = 1.0
+    __slots__ = ("entries", "threshold")
+    _defaults = {"threshold": 1.0}
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=float)
@@ -57,12 +55,11 @@ class GainMatrix:
         )
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph with vertices 0..n-1."""
+class Graph(Record):
+    """Simple undirected graph with vertices 0..n-1 and a frozenset of ``edges`` (u, v), u < v."""
 
-    n: int
-    edges: frozenset[tuple[int, int]] = frozenset()
+    __slots__ = ("n", "edges")
+    _defaults = {"edges": frozenset()}
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -148,13 +145,10 @@ def graph_to_instance(graph: Graph) -> GainMatrix:
     return GainMatrix(entries=entries, threshold=1.0)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Record):
     """Result of checking independent-set / feasible-set correspondence."""
 
-    ok: bool
-    counterexample: tuple[int, ...] | None
-    subsets_checked: int
+    __slots__ = ("ok", "counterexample", "subsets_checked")
 
 
 # a graph whose reduction matrix the certificate cannot vouch for is

@@ -17,7 +17,6 @@ deterministic for fixed inputs; wall times are written only on opt-in.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import importlib.util
 import math
@@ -191,8 +190,7 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
     overrides = {name: value for name, value in given.items() if value is not None}
     if not overrides:
         return instance
-    params = dataclasses.replace(instance.params, **overrides)
-    return Instance(params=params, links=instance.links)
+    return instance.replace(params=instance.params.replace(**overrides))
 
 
 def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:

@@ -21,7 +21,6 @@ Every function here is pure, so everything is safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 # the model's records and scalar helpers, re-exported: every core.X a caller reads resolves
 from .model import (  # noqa: F401
     DEFAULT_MODEL_PARAMS, MODEL_PARAM_NAMES, THRESHOLD_SLACK, InfeasibleLinkError, Instance, Link,
-    ModelParams, PartitionReport, Point, PreconditionError, Schedule, SchedulingError,
+    ModelParams, PartitionReport, Point, PreconditionError, Record, Schedule, SchedulingError,
     SingularityError, SizeLimitError, Slot, UnsupportedConfigurationError, VerificationError,
     ceiling, distance, effective_power, noise_factor, partition_report, received_power,
 )
@@ -250,8 +249,7 @@ def exactly_near(
     return gap < bound if strict else gap <= bound
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     """Verdict and diagnostics of a slot feasibility check.
 
     ``feasible`` is the affectance-criterion verdict (a_S(v) <= 1/beta, by
@@ -264,13 +262,11 @@ class FeasibilityReport:
     most one link). Empty slots are feasible with infinite margins.
     """
 
-    feasible: bool
-    sinr_feasible: bool
-    worst_link: int | None
-    margin: float
-    sinr_margin: float
-    max_affectance: float = 0.0
-    max_pair_affectance: float = 0.0
+    __slots__ = (
+        "feasible", "sinr_feasible", "worst_link", "margin", "sinr_margin", "max_affectance",
+        "max_pair_affectance",
+    )
+    _defaults = {"max_affectance": 0.0, "max_pair_affectance": 0.0}
 
     @property
     def ok(self) -> bool:

@@ -8,13 +8,11 @@ file so reruns stay byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import os
 import statistics
 import time
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .core import (
@@ -22,6 +20,7 @@ from .core import (
     MODEL_PARAM_NAMES,
     Instance,
     ModelParams,
+    Record,
     Schedule,
     SchedulingError,
     VerificationError,
@@ -57,23 +56,22 @@ def _refuse_repeats(items: Sequence, what: str) -> None:
         seen.add(item)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """A full sweep description.
 
     The topology field is a template: its seed is ignored and replaced by
     base_seed + repetition index, so all algorithms and sweep points see
-    the same instance stream per repetition.
+    the same instance stream per repetition. ``sweep`` is a tuple of
+    (name, values) axes; ``output`` and ``timings`` are paths or None.
     """
 
-    topology: TopologySpec
-    params: ModelParams = DEFAULT_MODEL_PARAMS
-    sweep: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    algorithms: tuple[str, ...] = ("A-repeated",)
-    repetitions: int = 1
-    base_seed: int = 0
-    output: str | None = None
-    timings: str | None = None
+    __slots__ = (
+        "topology", "params", "sweep", "algorithms", "repetitions", "base_seed", "output", "timings"
+    )
+    _defaults = {
+        "params": DEFAULT_MODEL_PARAMS, "sweep": (), "algorithms": ("A-repeated",),
+        "repetitions": 1, "base_seed": 0, "output": None, "timings": None,
+    }
 
     def __post_init__(self) -> None:
         for name, values in self.sweep:
@@ -100,45 +98,25 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     """One verified algorithm run on one generated instance."""
 
-    algorithm: str
-    family: str
-    n: int
-    alpha: float
-    beta: float
-    l_max: float
-    r_cluster: float
-    seed: int
-    slot_count: int
-    wall_time_ms: float
-    verified: bool
+    __slots__ = (
+        "algorithm", "family", "n", "alpha", "beta", "l_max", "r_cluster", "seed", "slot_count",
+        "wall_time_ms", "verified",
+    )
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(Record):
     """Mean slot count and normal-approximation 95% CI for one sweep cell."""
 
-    algorithm: str
-    family: str
-    n: int
-    alpha: float
-    l_max: float
-    r_cluster: float
-    mean_slots: float
-    ci95: float
-    reps: int
-
-
-def _names(cls: type) -> tuple[str, ...]:
-    """The field names of dataclass ``cls``, in declaration order."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+    __slots__ = (
+        "algorithm", "family", "n", "alpha", "l_max", "r_cluster", "mean_slots", "ci95", "reps"
+    )
 
 
 # a sweep cell: the fields an AggregateRow shares with the ResultRows it aggregates
-_CELL = tuple(name for name in _names(AggregateRow) if name in _names(ResultRow))
+_CELL = tuple(name for name in AggregateRow.__slots__ if name in ResultRow.__slots__)
 _cell = operator.attrgetter(*_CELL)
 
 
@@ -164,7 +142,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
     numbers and paths JSON strings (or null for the default).
     """
     _typed(obj, dict, "experiment config")
-    _refuse_unknown(obj, _names(ExperimentConfig), "config keys")
+    _refuse_unknown(obj, ExperimentConfig.__slots__, "config keys")
     if "topology" not in obj:
         raise ValueError("experiment config missing key 'topology'")
     topo_obj = _typed(obj["topology"], dict, "topology")
@@ -173,7 +151,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
             "topology template must not carry a seed; seeds come from "
             "base_seed + repetition"
         )
-    _refuse_unknown(topo_obj, _names(TopologySpec), "topology keys")
+    _refuse_unknown(topo_obj, TopologySpec.__slots__, "topology keys")
     for key in ("family", "n"):
         if key not in topo_obj:
             raise ValueError(f"topology missing key {key!r}")
@@ -193,9 +171,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
     if "params" in obj:
         params_obj = _typed(obj["params"], dict, "params")
         _refuse_unknown(params_obj, MODEL_PARAM_NAMES, "params keys")
-        params = dataclasses.replace(
-            DEFAULT_MODEL_PARAMS, **{key: _number(v, key) for key, v in params_obj.items()}
-        )
+        params = DEFAULT_MODEL_PARAMS.replace(**{key: _number(v, key) for key, v in params_obj.items()})
     raw_sweep = obj.get("sweep", [])
     if isinstance(raw_sweep, dict):
         pairs = list(raw_sweep.items())
@@ -232,11 +208,11 @@ def _apply_point(
     spec, params = config.topology, config.params
     for name, value in point.items():
         if name in MODEL_PARAM_NAMES:
-            params = dataclasses.replace(params, **{name: float(value)})
+            params = params.replace(**{name: float(value)})
         elif name == "n":
-            spec = dataclasses.replace(spec, n=int(value))
+            spec = spec.replace(n=int(value))
         else:
-            spec = dataclasses.replace(spec, **{name: float(value)})
+            spec = spec.replace(**{name: float(value)})
     return spec, params
 
 
@@ -332,7 +308,7 @@ def run_experiment(
     for point in sweep_points(config):
         spec, params = _apply_point(config, point)
         for rep in range(config.repetitions):
-            instances.append((dataclasses.replace(spec, seed=config.base_seed + rep), params))
+            instances.append((spec.replace(seed=config.base_seed + rep), params))
     if workers > 1 and len(instances) > 1:
         rows = _run_pooled(instances, config.algorithms, workers)
     else:
@@ -371,7 +347,7 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-RESULT_COLUMNS = tuple(name for name in _names(ResultRow) if name != "wall_time_ms")
+RESULT_COLUMNS = tuple(name for name in ResultRow.__slots__ if name != "wall_time_ms")
 
 TIMING_COLUMNS = RESULT_COLUMNS[:-2] + ("wall_time_ms",)
 
@@ -393,7 +369,7 @@ def write_results_csv(
 
 def write_aggregates(rows: Sequence[AggregateRow], path: str | os.PathLike) -> None:
     """Plot-ready aggregate table (gnuplot-style commented header)."""
-    columns = _names(AggregateRow)
+    columns = AggregateRow.__slots__
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + " ".join(columns) + "\n")
         for row in rows:

@@ -17,7 +17,6 @@ Instance file::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -98,7 +97,8 @@ def instance_to_obj(instance: Instance) -> dict:
         if link.power is not None:
             entry["power"] = link.power
         links.append(entry)
-    return {"params": dataclasses.asdict(instance.params), "links": links}
+    params = instance.params
+    return {"params": {name: getattr(params, name) for name in params.__slots__}, "links": links}
 
 
 def _shown(value: Any) -> str:

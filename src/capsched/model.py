@@ -16,17 +16,16 @@ Conventions used throughout:
   admission sweeps, oracles, gain matrices) decides by it; verifiers report
   margins so borderline cases are visible instead of silently flipping.
 
-All types are immutable after construction (an instance caches only values
-derived from its fields) and every function is pure, so everything here is
+All types are immutable ``Record``s (an instance caches only values derived
+from its fields) and every function is pure, so everything here is
 safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:
     from .core import AffectanceRows
@@ -77,50 +76,122 @@ class SizeLimitError(SchedulingError):
     """Instance exceeds the configured limit for an exhaustive computation."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point in the Euclidean plane (abstract distance units)."""
+class FrozenRecordError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a ``Record``."""
 
-    x: float
-    y: float
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record whose fields are its ``__slots__``, in declaration order.
+
+    A subclass names its fields in ``__slots__`` (``Instance`` adds
+    ``__dict__`` for its cached properties) and the defaults of trailing
+    fields in ``_defaults``. The constructor takes the fields by position or
+    by name and then calls ``__post_init__``, a subclass's validation.
+    Equality (within one class), hash and repr go by the fields, and so do
+    pickling and ``replace``, which build the record anew and so validate.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        given = dict(zip(fields, args), **kwargs)
+        # a field given twice or past the last field is lost from ``given``
+        if len(given) < len(args) + len(kwargs) or given.keys() | self._defaults.keys() != set(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(fields)}, "
+                f"got {len(args)} positional and {sorted(kwargs)}"
+            )
+        for name in fields:
+            _set(self, name, given[name] if name in given else self._defaults[name])
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+        """Validate (and normalize) the fields; a record without checks has nothing to do."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def replace(self, **changes: Any) -> Record:
+        """A copy of this record with ``changes`` applied, validated as any new record."""
+        values = dict(zip(self._fields, self._values()))
+        values.update(changes)
+        return type(self)(**values)
+
+    __replace__ = replace  # copy.replace, Python 3.13
 
 
-@dataclass(frozen=True)
-class Link:
-    """A communication request from a sender to a receiver.
+class Point(Record):
+    """A point in the Euclidean plane (abstract distance units): finite floats ``x``, ``y``."""
+
+    __slots__ = ("x", "y")
+
+    # Point and Link are built 3n times per load: their constructors are written out
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+
+class Link(Record):
+    """A communication request, ``id``, from a ``sender`` Point to a ``receiver`` Point.
 
     ``power`` is the per-link transmission power; ``None`` means "use the
     instance-wide default".
     """
 
-    id: int
-    sender: Point
-    receiver: Point
-    power: float | None = None
+    __slots__ = ("id", "sender", "receiver", "power")
 
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
-            raise SingularityError(f"link {self.id} has zero length (sender equals receiver)")
-        if self.power is not None and not (self.power > 0 and math.isfinite(self.power)):
-            raise ValueError(f"link {self.id}: power must be positive and finite")
+    def __init__(self, id: int, sender: Point, receiver: Point, power: float | None = None) -> None:
+        if sender.x == receiver.x and sender.y == receiver.y:
+            raise SingularityError(f"link {id} has zero length (sender equals receiver)")
+        if power is not None and not (power > 0 and math.isfinite(power)):
+            raise ValueError(f"link {id}: power must be positive and finite")
+        _set(self, "id", id)
+        _set(self, "sender", sender)
+        _set(self, "receiver", receiver)
+        _set(self, "power", power)
 
     @property
     def length(self) -> float:
         return distance(self.sender, self.receiver)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Physical-model parameters: path-loss exponent, SINR threshold, noise, default power."""
 
-    alpha: float
-    beta: float
-    noise: float = 0.0
-    default_power: float = 1.0
+    __slots__ = ("alpha", "beta", "noise", "default_power")
+    _defaults = {"noise": 0.0, "default_power": 1.0}
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 2):
@@ -133,18 +204,18 @@ class ModelParams:
             raise ValueError(f"default_power must be finite and > 0, got {self.default_power}")
 
 
-MODEL_PARAM_NAMES = frozenset(f.name for f in fields(ModelParams))
+MODEL_PARAM_NAMES = frozenset(ModelParams.__slots__)
 DEFAULT_MODEL_PARAMS = ModelParams(alpha=3.0, beta=1.2, noise=0.0, default_power=1.0)
 
 
-@dataclass(frozen=True)
-class Slot:
-    """A set of link ids scheduled to transmit concurrently."""
+class Slot(Record):
+    """A set of link ids, ``members``, scheduled to transmit concurrently."""
 
-    members: frozenset[int] = frozenset()
+    __slots__ = ("members",)
+    _defaults = {"members": frozenset()}
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
+        _set(self, "members", frozenset(self.members))
         for m in self.members:
             if not isinstance(m, int):
                 raise ValueError(f"slot members must be integer link ids, got {m!r}")
@@ -157,14 +228,14 @@ class Slot:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """An ordered list of slots; a full schedule partitions the instance's links."""
+class Schedule(Record):
+    """An ordered tuple of ``slots``; a full schedule partitions the instance's links."""
 
-    slots: tuple[Slot, ...] = ()
+    __slots__ = ("slots",)
+    _defaults = {"slots": ()}
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
+        _set(self, "slots", tuple(self.slots))
 
     @property
     def slot_count(self) -> int:
@@ -178,20 +249,19 @@ class Schedule:
         return out
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A scheduling instance: model parameters plus an ordered collection of links.
+class Instance(Record):
+    """A scheduling instance: model ``params`` plus an ordered tuple of ``links``.
 
     Construction validates that ids are distinct and that every link clears the
     noise margin P_vv > beta*N; dead links are rejected here with
-    InfeasibleLinkError rather than silently dropped later.
+    InfeasibleLinkError rather than silently dropped later. The cached
+    properties derive from the fields, so equality, hash and pickles ignore them.
     """
 
-    params: ModelParams
-    links: tuple[Link, ...]
+    __slots__ = ("params", "links", "__dict__")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "links", tuple(self.links))
+        _set(self, "links", tuple(self.links))
         seen: set[int] = set()
         for link in self.links:
             if link.id in seen:
@@ -223,10 +293,6 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self.links)
-
-    def __getstate__(self) -> dict:
-        # the cached properties derive from the fields: a pickle carries the fields only
-        return {"params": self.params, "links": self.links}
 
     def resolve(self, slot: Slot) -> tuple[Link, ...]:
         """Member links of ``slot`` in ascending id order.
@@ -283,14 +349,10 @@ def noise_factor(link: Link, params: ModelParams) -> float:
     return 1.0 / (1.0 - bn / pvv)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    """Whether a schedule exactly partitions an instance's link ids."""
+class PartitionReport(Record):
+    """Whether a schedule exactly partitions an instance's link ids; if not, which ids break it."""
 
-    is_partition: bool
-    missing: tuple[int, ...]
-    duplicated: tuple[int, ...]
-    dangling: tuple[int, ...]
+    __slots__ = ("is_partition", "missing", "duplicated", "dangling")
 
 
 def partition_report(instance: Instance, schedule: Schedule) -> PartitionReport:

@@ -37,9 +37,7 @@ it leaves the program. Only the refiners' preconditions read
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,6 +48,7 @@ from .core import (
     Link,
     ModelParams,
     PreconditionError,
+    Record,
     Schedule,
     SchedulingError,
     Slot,
@@ -63,8 +62,7 @@ from .core import (
 INTERFERENCE_CONSTANT = 72.0
 
 
-@dataclass(frozen=True)
-class AlgoConstants:
+class AlgoConstants(Record):
     """Deterministic constants driving the greedy selectors.
 
     C is the ring-summation interference constant (72 exactly); tau sets the
@@ -74,11 +72,7 @@ class AlgoConstants:
     past the float range).
     """
 
-    C: float
-    tau: float
-    c: float
-    c_hat: float
-    nu: float
+    __slots__ = ("C", "tau", "c", "c_hat", "nu")
 
 
 def compute_constants(params: ModelParams) -> AlgoConstants:
@@ -462,7 +456,7 @@ def _schedule_power_regimes(instance: Instance, powers: list[float], base: float
     slots: list[Slot] = []
     for k in sorted(buckets):
         worst_case = min(powers[i] for i in buckets[k])
-        uniform = tuple(dataclasses.replace(instance.links[i], power=worst_case) for i in buckets[k])
+        uniform = tuple(instance.links[i].replace(power=worst_case) for i in buckets[k])
         sub = Instance(params=instance.params, links=uniform)
         slots.extend(schedule_repeated(sub).slots)
     return Schedule(tuple(slots))

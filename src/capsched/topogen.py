@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .model import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point
+from .model import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point, Record
 from .io import _shown
 
 FAMILIES = ("random", "clustered")
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Record):
     """Parameters of a generated topology.
 
     n_clusters defaults to max(1, n // 10) when left unset; when n is not
@@ -27,13 +25,8 @@ class TopologySpec:
     clusters, one each.
     """
 
-    family: str
-    n: int
-    seed: int
-    field_size: float = 1000.0
-    l_max: float = 20.0
-    n_clusters: int | None = None
-    r_cluster: float = 10.0
+    __slots__ = ("family", "n", "seed", "field_size", "l_max", "n_clusters", "r_cluster")
+    _defaults = {"field_size": 1000.0, "l_max": 20.0, "n_clusters": None, "r_cluster": 10.0}
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:

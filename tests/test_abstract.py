@@ -256,7 +256,7 @@ def test_export_bridge_agrees_with_geometric_feasibility():
 def _shuffled(inst, seed, **params):
     """``inst`` with its links in a random order and ``params`` replaced."""
     order = np.random.default_rng(seed).permutation(len(inst.links))
-    model = ModelParams(**{**vars(inst.params), **params})
+    model = inst.params.replace(**params)
     return Instance(params=model, links=tuple(inst.links[i] for i in order))
 
 

@@ -5,7 +5,6 @@ and the deterministic summary lines.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -1259,7 +1258,7 @@ def test_experiment_failing_b_cell_dumps_instance_and_schedule(capsys, tmp_path,
     real = core._slot_report
 
     def refuse(geo, members, params):
-        return dataclasses.replace(real(geo, members, params), sinr_feasible=False)
+        return real(geo, members, params).replace(sinr_feasible=False)
 
     monkeypatch.setattr(core, "_slot_report", refuse)
     code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", 1)

@@ -1,6 +1,5 @@
 """Property tests: the affectance layer, the slot verifier, scheduler invariances."""
 
-import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -163,7 +162,7 @@ def noisy_slot(draw):
         received_power(l.sender, l.receiver, effective_power(l, params), params) for l in links
     )
     noise = draw(st.sampled_from((0.0, 0.5))) * weakest / params.beta
-    return links, dataclasses.replace(params, noise=noise)
+    return links, params.replace(noise=noise)
 
 
 @st.composite
@@ -264,9 +263,9 @@ def _kernel_corpus():
             inst = generate(TopologySpec(family=family, n=150, seed=seed), DEFAULT_MODEL_PARAMS)
             powers = rng.choice([1.0, 2.0, 4.0, 8.0], size=len(inst))
             per_link = tuple(
-                dataclasses.replace(l, power=float(p)) for l, p in zip(inst.links, powers)
+                l.replace(power=float(p)) for l, p in zip(inst.links, powers)
             )
-            noisy = dataclasses.replace(inst.params, noise=1e-6)
+            noisy = inst.params.replace(noise=1e-6)
             yield f"{family}-{seed}", inst
             yield f"{family}-{seed}-powers", Instance(params=inst.params, links=per_link)
             yield f"{family}-{seed}-noise", Instance(params=noisy, links=inst.links)
@@ -524,12 +523,12 @@ def _ulp_tie(a, alpha):
 @st.composite
 def q_slot(draw):
     """A uniform-power slot with noise and a q at, near or away from a pair affectance."""
-    links = tuple(dataclasses.replace(l, power=None) for l in draw(separated_links()))
+    links = tuple(l.replace(power=None) for l in draw(separated_links()))
     params = draw(params_strategy)
     weakest = min(received_power(l.sender, l.receiver, params.default_power, params) for l in links)
     # c_v of the weakest link reaches 1, 2, 100 or about 1e6
     noise = draw(st.sampled_from((0.0, 0.5, 0.99, 0.999999))) * weakest / params.beta
-    params = dataclasses.replace(params, noise=noise)
+    params = params.replace(noise=noise)
     pairs = [single_affectance(w, v, params) for v in links for w in links if w.id != v.id]
     kind = draw(st.sampled_from(("tie", "near", "free")))
     if kind == "free" or not pairs:
@@ -670,7 +669,7 @@ def distance_tie(draw):
     v = Link(id=0, sender=Point(-length * ux, -length * uy), receiver=Point(0.0, 0.0))
     params = ModelParams(alpha=alpha, beta=draw(st.sampled_from((0.5, 1.2, 3.0))))
     share = draw(st.sampled_from((0.0, 0.0, 0.5, 0.99, 0.999999)))
-    params = dataclasses.replace(params, noise=share * length**-alpha / params.beta)
+    params = params.replace(noise=share * length**-alpha / params.beta)
     base = draw(st.floats(min_value=2.0, max_value=12.0) if test[0] == "B" else st.floats(0.1, 10.0))
     cv = float(AffectanceRows((v,), params).cv[0])
     m = {"B": base, "d": base * cv ** (1.0 / alpha) + 2.0, "q": base * cv ** (1.0 / alpha)}[test[0]]
@@ -732,14 +731,13 @@ SCHEDULERS = {
 def test_schedules_invariant_under_power_of_two_scaling(family, seed, k, alpha):
     # with noise = 0 every affectance is a ratio of distances, and scaling all
     # coordinates by 2^k scales every distance exactly
-    params = dataclasses.replace(DEFAULT_MODEL_PARAMS, alpha=alpha, noise=0.0)
+    params = DEFAULT_MODEL_PARAMS.replace(alpha=alpha, noise=0.0)
     inst = generate(TopologySpec(family=family, n=150, seed=seed), params)
     f = 2.0**k
     scaled = Instance(
         params=params,
         links=tuple(
-            dataclasses.replace(
-                l,
+            l.replace(
                 sender=Point(l.sender.x * f, l.sender.y * f),
                 receiver=Point(l.receiver.x * f, l.receiver.y * f),
             )
@@ -758,12 +756,12 @@ def test_schedules_invariant_under_power_of_two_scaling(family, seed, k, alpha):
 )
 @settings(max_examples=15, deadline=None)
 def test_schedules_follow_id_relabelling(family, seed, noise, perm):
-    params = dataclasses.replace(DEFAULT_MODEL_PARAMS, noise=noise)
+    params = DEFAULT_MODEL_PARAMS.replace(noise=noise)
     inst = generate(TopologySpec(family=family, n=150, seed=seed), params)
     assume(len({l.length for l in inst.links}) == len(inst))
     new_id = {l.id: 3 * p + 1 for l, p in zip(inst.links, perm)}
     relabelled = Instance(
-        params=params, links=tuple(dataclasses.replace(l, id=new_id[l.id]) for l in inst.links)
+        params=params, links=tuple(l.replace(id=new_id[l.id]) for l in inst.links)
     )
     for algo in SCHEDULERS:
         want = Schedule(

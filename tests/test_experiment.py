@@ -1,6 +1,5 @@
 """Tests for the experiment runner and its writers."""
 
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -39,7 +38,7 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def strip_time(row: ResultRow) -> ResultRow:
-    return dataclasses.replace(row, wall_time_ms=0.0)
+    return row.replace(wall_time_ms=0.0)
 
 
 # --- config parsing ---------------------------------------------------------
@@ -251,7 +250,7 @@ def test_b_cell_failing_round_names_algorithm_and_seed(monkeypatch):
     real = core._slot_report
 
     def refuse(geo, members, params):
-        return dataclasses.replace(real(geo, members, params), sinr_feasible=False)
+        return real(geo, members, params).replace(sinr_feasible=False)
 
     monkeypatch.setattr(core, "_slot_report", refuse)
     with pytest.raises(ExperimentVerificationError) as err:
@@ -268,7 +267,7 @@ def test_verification_error_survives_pickling():
     # build a real instance to embed
     from capsched.topogen import generate
 
-    inst = generate(dataclasses.replace(cfg.topology, seed=11), cfg.params)
+    inst = generate(cfg.topology.replace(seed=11), cfg.params)
     exc = ExperimentVerificationError("boom", instance=inst, schedule=Schedule(()))
     clone = pickle.loads(pickle.dumps(exc))
     assert clone.instance == inst

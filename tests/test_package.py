@@ -1,6 +1,5 @@
 """The package root exports what the README documents and loads only what a command runs."""
 
-import dataclasses
 import gc
 import importlib
 import inspect
@@ -70,6 +69,8 @@ print(json.dumps({
     "code": code,
     "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
     "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
     "futures": "concurrent.futures" in sys.modules,
     "collecting": gc.isenabled(),
     "frozen": gc.get_freeze_count(),
@@ -136,13 +137,14 @@ def _instance_files(tmp_path) -> None:
 def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, code, executed, numpy):
     # gen draws its instance without core or numpy, a one-worker sweep imports no
     # process pool, a command refused on its arguments stops before anything
-    # computes, and every command runs with the collector off and nothing frozen
+    # computes, and every command runs with the collector off and nothing frozen;
+    # no command imports dataclasses, and only numpy brings in inspect
     _instance_files(tmp_path)
     probe = _fresh_python(_COMMAND_PROBE, json.dumps(argv), json.dumps(LAZY), cwd=tmp_path)
     result = json.loads(probe)
     assert result == {
-        "code": code, "executed": executed, "numpy": numpy, "futures": False,
-        "collecting": False, "frozen": 0,
+        "code": code, "executed": executed, "numpy": numpy, "dataclasses": False,
+        "inspect": numpy, "futures": False, "collecting": False, "frozen": 0,
     }
 
 
@@ -420,7 +422,7 @@ def test_entry_points_take_no_test_only_options():
     )
     for fn in entry_points:
         assert not set(inspect.signature(fn).parameters) & TEST_ONLY_OPTIONS, fn.__qualname__
-    assert "metadata" not in {field.name for field in dataclasses.fields(Instance)}
+    assert "metadata" not in Instance.__slots__
     assert not hasattr(oracles, "OracleLimits") and not hasattr(oracles, "DEFAULT_LIMITS")
     assert not hasattr(abstract, "SAMPLE_SIZE") and not hasattr(abstract, "CHUNK")
     assert not hasattr(core.AffectanceRows, "row")  # the package reads ``block`` and ``matrix``

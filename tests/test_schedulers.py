@@ -5,7 +5,6 @@ closed-form constants; algorithm behaviour on fixtures is checked against
 hand-computed affectance arithmetic.
 """
 
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -576,7 +575,7 @@ def test_nonuniform_default_mode_follows_the_powers():
     assert schedule_nonuniform(mixed, regime_base=3.0) == schedule_nonuniform(mixed, "power-regimes", 3.0)
     # one power given on every link is one power
     one = random_instance(11, 40)
-    equal = Instance(params=P0, links=tuple(dataclasses.replace(l, power=2.0) for l in one.links))
+    equal = Instance(params=P0, links=tuple(l.replace(power=2.0) for l in one.links))
     assert schedule_nonuniform(one) == schedule_repeated(one)
     assert schedule_nonuniform(equal) == schedule_repeated(equal)
 
@@ -902,7 +901,7 @@ def windowed_cases(draw):
     links[w] = Link(id=links[w].id, sender=links[v].receiver, receiver=links[w].receiver)
     if draw(st.booleans()):
         rnd = draw(st.randoms(use_true_random=False))
-        links = [dataclasses.replace(l, power=rnd.choice((1.0, 2.0, 8.0))) for l in links]
+        links = [l.replace(power=rnd.choice((1.0, 2.0, 8.0))) for l in links]
     params = ModelParams(alpha=3.0, beta=1.2, noise=draw(st.sampled_from((0.0, 1e-6))))
     try:
         return Instance(params=params, links=tuple(links)), order
