@@ -10,7 +10,7 @@ is written and the command exits 0: every schedule, whatever the
 ``--algo``, power mode or oracle, through the emission gate
 ``core.verify_schedule`` (a partition, and both routes: direct SINR and
 affectance), since the schedulers return theirs unverified; an oracle slot
-through ``core.is_feasible`` (at level p for psignal). All outputs are
+through ``core.slot_reports`` (at level p for psignal). All outputs are
 deterministic for fixed inputs; wall times are written only on opt-in.
 """
 
@@ -382,7 +382,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else:
             slot = oracles.max_p_signal_subset(instance, args.p)
         # a psignal answer need not be SINR-feasible: p may lie below beta
-        report = core.is_feasible(instance.resolve(slot), instance.params)
+        (report,) = core.slot_reports(instance, Schedule((slot,)))
         if not (report.ok if args.p is None else core.first_p_violation([report], args.p) is None):
             raise VerificationError(
                 f"oracle {args.mode} answer failed verification (worst link "

@@ -71,9 +71,9 @@ class AffectanceRows:
     """The affectance kernel of ``links``: the only vectorized affectance formula.
 
     An instance has one, ``Instance.kernel``, built once and read-only:
-    the schedulers sweep it, and ``slot_reports``, the refiners and the
-    oracles gather their sets from it (``Instance.gather``). Only
-    ``is_feasible``, which has links and no instance, builds another.
+    the schedulers sweep it, and ``slot_reports``, the refiners, A's power
+    regimes and the oracles gather their sets from it (``Instance.gather``).
+    Only ``is_feasible``, which has links and no instance, builds another.
     Its per-link arrays are the rows of one (7, n) array ``data``: sender
     and receiver coordinates, powers, lengths d_vv and noise factors c_v.
     ``block`` is the formula; ``matrix`` and the affectance route of

@@ -6,12 +6,12 @@ repeated application for full schedules, two schedule refinement passes
 and a first-fit baseline for comparisons.
 All of them admit links through ``_sweep``, which fills one set, and
 ``_first_fit``, which repeats it on the links left (first-fit in that order).
-Both hold O(n) state and blocks of at most ``_WINDOW`` rows. They read the
-instance's one kernel, ``Instance.kernel``: the whole-instance schedulers
-sweep it, and the refiners gather a slot's links from it
-(``Instance.gather``).
+Both hold O(n) state and blocks of at most ``_WINDOW`` rows. They read only
+the instance's one kernel, ``Instance.kernel``, and build none: the
+whole-instance schedulers sweep it, and the refiners and A's power regimes
+gather their links from it (``Instance.gather``).
 
-A sweep (``_Sweep``) decides a window of up to ``_WINDOW`` live candidates
+A sweep (``_sweep``) decides a window of up to ``_WINDOW`` live candidates
 at a time, since at n = 1000 numpy's per-call cost, not arithmetic, bounds a
 loop over one candidate at a time. Per window, one kernel call gives the
 distances among the candidates (and, under first-fit's guard, from them to
@@ -54,7 +54,6 @@ from .core import (
     Slot,
     UnsupportedConfigurationError,
     ceiling,
-    effective_power,
     p_signal_violation,
     slot_reports,
 )
@@ -122,125 +121,103 @@ _WINDOW = 32
 # window over a long frontier holds fewer candidates.
 _BLOCK_CELLS = 2**15
 
-# near(rows, ids, j, ahead, rows.distances(j, ahead)) -> mask of the links
-# ahead that may not share a set with j, one row per entry when j is an array
-# of positions; rows is the kernel of links[ids]
-NearMask = Callable[
-    [AffectanceRows, np.ndarray, int | np.ndarray, slice | np.ndarray, np.ndarray], np.ndarray
-]
+# near(rows, j, v, rows.distances(j, v)) -> mask of the links v that may not
+# share a set with j, one row per entry when j is an array of positions
+NearMask = Callable[[AffectanceRows, int | np.ndarray, slice | np.ndarray, np.ndarray], np.ndarray]
 
 
-class _Sweep:
-    """One admission sweep in ``order``: the live frontier and, with ``guard``, the members.
-
-    A link is admitted when the accumulated affectance on it from the links
-    admitted before it is at most ``threshold``, it is in no ``near`` mask
-    of theirs, and, with ``guard``, adding it keeps the affectance on each
-    of them at most ``threshold`` too. The first link of ``order`` is always
-    admitted. ``run`` returns the admitted indices in admission order; with
-    ``guard``, ``member_acc[:m]`` then holds the accumulated affectance on
-    the m members, in admission order.
-
-    ``run`` gathers the kernel of ``order`` in sweep order (``rows.take``)
-    and decides it one window at a time, as the module docstring describes:
-    at most ``_WINDOW`` live candidates, and no more admitted rows beyond the
-    window than ``_BLOCK_CELLS`` cells hold.
-    """
-
-    def __init__(
-        self,
-        rows: AffectanceRows,
-        order: Sequence[int],
-        threshold: float,
-        near: NearMask | None = None,
-        guard: bool = False,
-    ):
-        self.ids = np.asarray(order, dtype=np.intp)
-        self.kernel = rows.take(self.ids)
-        self.threshold, self.near, self.guard = threshold, near, guard
-        if guard:  # the members in admission order, then the window's candidates
-            self.members = self.kernel.with_data(np.empty_like(self.kernel.data))
-            self.member_acc = np.empty(len(self.ids))
-
-    # inf, silently: a_w(v) of a sender on a receiver (no test admits it), a near bound past the float range
-    @np.errstate(divide="ignore", over="ignore")
-    def run(self) -> list[int]:
-        kernel, ids, near, guard = self.kernel, self.ids, self.near, self.guard
-        if guard:
-            members, member_acc = self.members, self.member_acc
-        finite = self.threshold < math.inf
-        bound = ceiling(self.threshold)
-        acc = np.zeros(len(ids))  # NaN once a near mask blocks the link: it fails every test
-        chosen: list[int] = []
-        m, start = 0, 0
-        while start < len(acc):
-            # the window's candidates among the next 2 * width links, of which the
-            # compaction below keeps about half live
-            width = max(1, min(_WINDOW, _BLOCK_CELLS // (len(acc) - start)))
-            win = start + (acc[start : start + 2 * width] <= bound).nonzero()[0][:width]
-            if not len(win):
-                start += 2 * width
-                continue
-            cand_acc = acc[win]
-            if guard:  # the candidates follow the members: column m0 + c is candidate c
-                m0, end = m, m + len(win)
-                members.data[:, m0:end] = kernel.data[:, win]
-                dist = members.distances(np.arange(m0, end), slice(end))
-            else:
-                dist = kernel.distances(win, win)
-            if near is not None:
-                blocked = near(kernel, ids, win, win, dist[:, -len(win) :])
-            taken = []
-            for c in range(len(win)):
-                if not cand_acc[c] <= bound:
-                    continue
-                if guard:  # c on the members, then on the candidates after it
-                    row = members.block(m0 + c, slice(end), dist[c])
-                    probe = member_acc[:m] + row[:m]
-                    if m and not np.maximum.reduce(probe) <= bound:  # no NaN: the max decides all
-                        continue
-                    member_acc[:m] = probe
-                    member_acc[m] = cand_acc[c]
-                    # c becomes member m; columns m to m0 + c hold decided candidates
-                    members.data[:, m] = members.data[:, m0 + c]
-                    dist[:, m] = dist[:, m0 + c]
-                    later = row[m0 + c + 1 :]
-                elif finite:
-                    later = kernel.block(win[c], win[c + 1 :], dist[c, c + 1 :])
-                m += 1
-                taken.append(c)
-                if finite:
-                    cand_acc[c + 1 :] += later
-                if near is not None:
-                    cand_acc[c + 1 :][blocked[c, c + 1 :]] = math.nan
-            start, admitted = win[-1] + 1, win[taken]
-            chosen += ids[admitted].tolist()
-            if not taken or start == len(acc):
-                continue
-            ahead, tail = slice(start, None), acc[start:]
-            dist = kernel.distances(admitted, ahead)
-            if finite:
-                for row in kernel.block(admitted[:, None], ahead, dist):
-                    tail += row
-            if near is not None:
-                tail[near(kernel, ids, admitted, ahead, dist).any(axis=0)] = math.nan
-            if len(tail) >= _FRONTIER_MIN:
-                live = tail <= bound
-                if 2 * np.count_nonzero(live) < len(tail):
-                    keep = start + live.nonzero()[0]
-                    kernel, ids, acc, start = kernel.take(keep), ids[keep], acc[keep], 0
-        return chosen
-
-
+# inf, silently: a_w(v) of a sender on a receiver (no test admits it), a near bound past the float range
+@np.errstate(divide="ignore", over="ignore")
 def _sweep(
     rows: AffectanceRows,
     order: Sequence[int],
     threshold: float,
     near: NearMask | None = None,
-    guard: bool = False,
+    member_acc: np.ndarray | None = None,
 ) -> list[int]:
-    """Indices admitted by one sweep in ``order``, in admission order: ``_Sweep(...).run()``."""
-    return _Sweep(rows, order, threshold, near, guard).run()
+    """Indices admitted by one sweep in ``order``, in admission order.
+
+    A link is admitted when the accumulated affectance on it from the links
+    admitted before it is at most ``threshold`` and it is in no ``near``
+    mask of theirs. First-fit's guard is on when ``member_acc`` (at least
+    len(order) floats) is given, with no ``near``: adding the link must also
+    keep the affectance on each admitted link at most ``threshold``, and
+    ``member_acc[:m]`` ends holding the accumulated affectance on the m
+    admitted links, in admission order. The first link of ``order`` is
+    always admitted.
+
+    The sweep gathers the kernel of ``order`` in sweep order (``rows.take``)
+    and decides it one window at a time, as the module docstring describes:
+    at most ``_WINDOW`` live candidates, and no more admitted rows beyond the
+    window than ``_BLOCK_CELLS`` cells hold.
+    """
+    ids = np.asarray(order, dtype=np.intp)
+    kernel = rows.take(ids)
+    guard = member_acc is not None
+    if guard:  # the members in admission order, then the window's candidates
+        members = kernel.with_data(np.empty_like(kernel.data))
+    finite = threshold < math.inf
+    bound = ceiling(threshold)
+    acc = np.zeros(len(ids))  # NaN once a near mask blocks the link: it fails every test
+    chosen: list[int] = []
+    m, start = 0, 0
+    while start < len(acc):
+        # the window's candidates among the next 2 * width links, of which the
+        # compaction below keeps about half live
+        width = max(1, min(_WINDOW, _BLOCK_CELLS // (len(acc) - start)))
+        win = start + (acc[start : start + 2 * width] <= bound).nonzero()[0][:width]
+        if not len(win):
+            start += 2 * width
+            continue
+        cand_acc = acc[win]
+        if guard:  # the candidates follow the members: column m0 + c is candidate c
+            m0, end = m, m + len(win)
+            members.data[:, m0:end] = kernel.data[:, win]
+            dist = members.distances(np.arange(m0, end), slice(end))
+        else:
+            dist = kernel.distances(win, win)
+        if near is not None:
+            blocked = near(kernel, win, win, dist)
+        taken = []
+        for c in range(len(win)):
+            if not cand_acc[c] <= bound:
+                continue
+            if guard:  # c on the members, then on the candidates after it
+                row = members.block(m0 + c, slice(end), dist[c])
+                probe = member_acc[:m] + row[:m]
+                if m and not np.maximum.reduce(probe) <= bound:  # no NaN: the max decides all
+                    continue
+                member_acc[:m] = probe
+                member_acc[m] = cand_acc[c]
+                # c becomes member m; columns m to m0 + c hold decided candidates
+                members.data[:, m] = members.data[:, m0 + c]
+                dist[:, m] = dist[:, m0 + c]
+                later = row[m0 + c + 1 :]
+            elif finite:
+                later = kernel.block(win[c], win[c + 1 :], dist[c, c + 1 :])
+            m += 1
+            taken.append(c)
+            if finite:
+                cand_acc[c + 1 :] += later
+            if near is not None:
+                cand_acc[c + 1 :][blocked[c, c + 1 :]] = math.nan
+        start, admitted = win[-1] + 1, win[taken]
+        chosen += ids[admitted].tolist()
+        if not taken or start == len(acc):
+            continue
+        ahead, tail = slice(start, None), acc[start:]
+        dist = kernel.distances(admitted, ahead)
+        if finite:
+            for row in kernel.block(admitted[:, None], ahead, dist):
+                tail += row
+        if near is not None:
+            tail[near(kernel, admitted, ahead, dist).any(axis=0)] = math.nan
+        if len(tail) >= _FRONTIER_MIN:
+            live = tail <= bound
+            if 2 * np.count_nonzero(live) < len(tail):
+                keep = start + live.nonzero()[0]
+                kernel, ids, acc, start = kernel.take(keep), ids[keep], acc[keep], 0
+    return chosen
 
 
 def _first_fit(
@@ -260,8 +237,9 @@ def _first_fit(
     """
     rounds: list[list[int]] = []
     left = list(order)
+    member_acc = np.empty(len(left)) if guard else None
     while left:
-        chosen = _sweep(rows, left, threshold, near, guard)
+        chosen = _sweep(rows, left, threshold, near, member_acc)
         rounds.append(chosen)
         taken = set(chosen)
         left = [i for i in left if i not in taken]
@@ -287,7 +265,7 @@ def _selector(instance: Instance, guarded: bool) -> tuple[float, NearMask | None
     constants = compute_constants(instance.params)
     if guarded:  # min(d(s_j, r_v), d(s_v, r_j)) <= c_hat * d_vv: v too close to admitted j
         c_hat = constants.c_hat
-        return 2.0 / 3.0, lambda rows, ids, j, v, dist: rows.near(j, v, dist, c_hat, False, "sender")
+        return 2.0 / 3.0, lambda rows, j, v, dist: rows.near(j, v, dist, c_hat, False, "sender")
     return constants.c, None
 
 
@@ -327,15 +305,14 @@ def single_shot_guarded(instance: Instance) -> Slot:
     return _single_shot(instance, True)
 
 
-def _repeat(instance: Instance, threshold: float, near: NearMask | None = None) -> Schedule:
-    """First-fit in length order on one row kernel: round k is slot k.
+def _repeat(links: Sequence[Link], rows: AffectanceRows, threshold: float, near: NearMask | None = None) -> Schedule:
+    """First-fit of ``links`` (kernel ``rows``) in length order: round k is slot k.
 
     A round selects what a single shot would on the sub-instance of the
     unscheduled links, whose affectances are those of the full instance.
     """
-    links = instance.links
-    order = _length_order(instance.kernel.lengths, [l.id for l in links])
-    return Schedule(_slots(links, _first_fit(instance.kernel, order, threshold, near)))
+    order = _length_order(rows.lengths, [l.id for l in links])
+    return Schedule(_slots(links, _first_fit(rows, order, threshold, near)))
 
 
 def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
@@ -351,7 +328,7 @@ def schedule_repeated(instance: Instance, *, guarded: bool = False) -> Schedule:
     Raises:
         UnsupportedConfigurationError: on non-uniform power.
     """
-    return _repeat(instance, *_selector(instance, guarded))
+    return _repeat(instance.links, instance.kernel, *_selector(instance, guarded))
 
 
 def strengthen_slot(
@@ -412,10 +389,9 @@ def disperse_slot(instance: Instance, slot: Slot, q: float) -> tuple[Slot, ...]:
     affectance only shrinks on subsets.
     """
     links, rows = instance.gather(slot.sorted_members)
-    factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
 
-    def near(rows, ids, j, v, dist):  # min(d(s_j, r_v), d(r_j, r_v)) < factor_v * d_vv
-        return rows.near(j, v, dist, factor[ids[v]], True, "receiver")
+    def near(rows, j, v, dist):  # min(d(s_j, r_v), d(r_j, r_v)) < (q c_v^(1/alpha) + 2) d_vv
+        return rows.near(j, v, dist, q * rows.cv[v] ** (1.0 / rows.alpha) + 2.0, True, "receiver")
 
     return _slots(links, _first_fit(rows, _length_order(rows.lengths, slot.sorted_members), math.inf, near))
 
@@ -447,18 +423,25 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
 
 
 def _schedule_power_regimes(instance: Instance, powers: list[float], base: float) -> Schedule:
+    """A in each bucket of links whose powers agree up to ``base``, on a gathered kernel of one power.
+
+    Each link keeps the noise factor c_v of its own power. Within a bucket
+    P_w/P_v < base, so a link's true affectance is below ``base`` times the
+    modelled one, which A keeps at most c.
+    """
     p_min = min(powers)
     buckets: dict[int, list[int]] = {}
-    for i, power in enumerate(powers):
+    for link, power in zip(instance.links, powers):
         # epsilon keeps exact powers of the base in their own bucket
         k = math.floor(math.log(power / p_min) / math.log(base) + 1e-12)
-        buckets.setdefault(k, []).append(i)
+        buckets.setdefault(k, []).append(link.id)
+    c = compute_constants(instance.params).c
     slots: list[Slot] = []
     for k in sorted(buckets):
-        worst_case = min(powers[i] for i in buckets[k])
-        uniform = tuple(instance.links[i].replace(power=worst_case) for i in buckets[k])
-        sub = Instance(params=instance.params, links=uniform)
-        slots.extend(schedule_repeated(sub).slots)
+        links, rows = instance.gather(buckets[k])
+        rows.powers[:] = rows.powers.min()
+        rows._unit()
+        slots.extend(_repeat(links, rows, c).slots)
     return Schedule(tuple(slots))
 
 
@@ -470,12 +453,14 @@ def schedule_nonuniform(
     ``mode`` "uniform" requires equal powers and is ``schedule_repeated``;
     "scaled-threshold" shrinks the admission threshold by P_min/P_max and
     admits on true non-uniform affectance; "power-regimes" buckets links
-    whose powers agree up to ``regime_base`` (default 2) and schedules the
-    buckets separately. Without a mode, an instance with one power is
-    scheduled "uniform" and any other "power-regimes". The base is checked
-    whatever the mode. The schedule is unverified: neither non-uniform mode
-    carries a feasibility proof under the true link powers, so
-    ``verify_schedule`` must pass it before it is used.
+    whose powers agree up to ``regime_base`` (default 2) and schedules each
+    bucket as uniform power: its kernel, gathered from the instance's, has
+    one power, and each link keeps the noise factor c_v of its own. Without
+    a mode, an instance with one power is scheduled "uniform" and any other
+    "power-regimes". The base is checked whatever the mode. The schedule is
+    unverified: neither non-uniform mode carries a feasibility proof under
+    the true link powers, so ``verify_schedule`` must pass it before it is
+    used.
 
     Raises:
         ValueError: on an unknown mode or a base that does not exceed 1.
@@ -492,9 +477,10 @@ def schedule_nonuniform(
         return Schedule(())
     if mode == "uniform":
         return schedule_repeated(instance)
-    powers = [effective_power(l, instance.params) for l in instance.links]
+    powers = instance.kernel.powers.tolist()
     if mode == "scaled-threshold":
-        return _repeat(instance, compute_constants(instance.params).c * min(powers) / max(powers))
+        c = compute_constants(instance.params).c
+        return _repeat(instance.links, instance.kernel, c * min(powers) / max(powers))
     return _schedule_power_regimes(instance, powers, base)
 
 

@@ -58,6 +58,10 @@ done
 "$python" -c 'import json, sys; doc = json.load(open(sys.argv[1])); [link.update(power=2.0 ** (i % 3)) for i, link in enumerate(doc["links"])]; json.dump(doc, open(sys.argv[2], "w"))' "$work/inst.json" "$work/power.json"
 "$python" -m capsched schedule "$work/power.json" --algo A --out "$work/sched_power.json"
 "$python" -m capsched verify "$work/power.json" "$work/sched_power.json" | tail -1 | grep -x "verified=true"
+# one power regime under noise: link 0 clears beta*noise = 1.32 at its own power 1.5, not at 1.2
+"$python" -c 'import json, sys; ends = [(0, 0, 1, 0, 1.5), (100, 0, 100.5, 0, 1.2)]; links = [{"id": i, "sx": e[0], "sy": e[1], "rx": e[2], "ry": e[3], "power": e[4]} for i, e in enumerate(ends)]; json.dump({"params": {"alpha": 3, "beta": 1.2, "noise": 1.1}, "links": links}, open(sys.argv[1], "w"))' "$work/noisy_power.json"
+"$python" -m capsched schedule "$work/noisy_power.json" --algo A --out "$work/sched_noisy.json"
+"$python" -m capsched verify "$work/noisy_power.json" "$work/sched_noisy.json" | tail -1 | grep -x "verified=true"
 "$python" -m capsched refine "$work/inst.json" "$work/sched.json" --strengthen 1.2 2.4 --out "$work/strong.json"
 "$python" -m capsched refine "$work/inst.json" "$work/sched.json" --disperse 2 --out "$work/spread.json"
 "$python" -m capsched verify "$work/inst.json" "$work/spread.json" --q 2 | tail -1 | grep -x "verified=true"

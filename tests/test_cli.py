@@ -195,6 +195,22 @@ def test_schedule_nonuniform_auto_regimes(capsys, tmp_path):
     assert sorted(schedule.all_ids()) == [0, 1, 2]
 
 
+def test_schedule_a_keeps_a_noisy_link_alive_at_its_own_power(capsys, tmp_path):
+    # one regime (powers 1.5 and 1.2 agree within base 2); at 1.2, link 0
+    # would receive 1.2 <= beta * noise = 1.32 and be dead, at its own 1.5 it is not
+    params = ModelParams(alpha=3.0, beta=1.2, noise=1.1)
+    links = (
+        Link(id=0, sender=Point(0.0, 0.0), receiver=Point(1.0, 0.0), power=1.5),
+        Link(id=1, sender=Point(100.0, 0.0), receiver=Point(100.5, 0.0), power=1.2),
+    )
+    inst_path, out = tmp_path / "noisy.json", tmp_path / "s.json"
+    save_instance(Instance(params=params, links=links), inst_path)
+    code, text = run_cli(capsys, "schedule", inst_path, "--algo", "A", "--out", out)
+    assert code == 0, text
+    code, text = run_cli(capsys, "verify", inst_path, out)
+    assert code == 0 and text.endswith("verified=true\n")
+
+
 def test_schedule_a_is_the_sweeps_a_repeated(capsys, tmp_path):
     # the harness's A-repeated is the function schedule --algo A runs, per-link powers too
     inst_path = nonuniform_instance(tmp_path)

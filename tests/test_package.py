@@ -354,7 +354,8 @@ def test_lazy_modules_are_package_attributes_and_registered():
 
 # The benchmark's tracer (perfbench/tracing.py) imports capsched.cli, looks up
 # sys.modules["capsched.<mod>"] for every target and wraps module attributes.
-# The oracle command checks its answer with core.is_feasible by the name cli imports.
+# refine --strengthen checks its input with core.p_signal_violation by the name
+# schedulers imports.
 _TRACER_PROBE = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
@@ -374,6 +375,7 @@ try:
             ["verify", "i.json", "s.json"],
             ["gen", "--family", "random", "--n", "8", "--seed", "1", "--out", "o.json"],
             ["oracle", "o.json", "--mode", "subset", "--out", "subset.json"],
+            ["refine", "i.json", "s.json", "--strengthen", "1.2", "2.4", "--out", "strong.json"],
         ):
             assert capsched.cli.main(argv) == 0, argv
 finally:
@@ -394,7 +396,7 @@ def test_the_benchmark_tracer_finds_and_wraps_every_target(tmp_path):
         "schedulers.schedule_repeated",
         "io.load_instance",
         "io.save_schedule",
-        "core.is_feasible",
+        "core.p_signal_violation",
         "core.partition_report",
     } <= set(result["spans"])
 

@@ -29,12 +29,14 @@ from capsched.core import (
     affectance,
     ceiling,
     distance,
+    effective_power,
     exactly_near,
     is_feasible,
     is_q_dispersed,
     p_signal_violation,
     partition_report,
     slot_reports,
+    verify_schedule,
 )
 from capsched.schedulers import (
     _FRONTIER_MIN,
@@ -42,7 +44,6 @@ from capsched.schedulers import (
     AlgoConstants,
     _first_fit,
     _sweep,
-    _Sweep,
     compute_constants,
     disperse,
     disperse_slot,
@@ -96,12 +97,14 @@ def dispersed(v, w, bound):
 
 def too_close(c_hat):
     """B's near mask as the sweep calls it: ``AffectanceRows.near`` with v's sender."""
-    return lambda rows, ids, j, ahead, dist: rows.near(j, ahead, dist, c_hat, False, "sender")
+    return lambda rows, j, ahead, dist: rows.near(j, ahead, dist, c_hat, False, "sender")
 
 
-def not_dispersed(factor):
-    """Disperse's near mask as the sweep calls it, ``factor`` indexed like the values of ``ids``."""
-    return lambda rows, ids, j, ahead, dist: rows.near(j, ahead, dist, factor[ids[ahead]], True, "receiver")
+def not_dispersed(q):
+    """Disperse's near mask at level q as the sweep calls it: bound (q c_v^(1/alpha) + 2) d_vv."""
+    return lambda rows, j, ahead, dist: rows.near(
+        j, ahead, dist, q * rows.cv[ahead] ** (1.0 / rows.alpha) + 2.0, True, "receiver"
+    )
 
 
 def squared(p, r):
@@ -618,6 +621,66 @@ def test_nonuniform_empty_instance():
     assert schedule_nonuniform(inst) == Schedule(())
 
 
+def regimes_by_sub_instances(inst, base):
+    """Power regimes as sub-instances: each bucket's links copied at its least power, then A."""
+    powers = [effective_power(l, inst.params) for l in inst.links]
+    buckets = {}
+    for link, power in zip(inst.links, powers):
+        k = math.floor(math.log(power / min(powers)) / math.log(base) + 1e-12)
+        buckets.setdefault(k, []).append(link)
+    slots = []
+    for k in sorted(buckets):
+        least = min(effective_power(l, inst.params) for l in buckets[k])
+        sub = Instance(params=inst.params, links=tuple(l.replace(power=least) for l in buckets[k]))
+        slots += schedule_repeated(sub).slots
+    return Schedule(tuple(slots))
+
+
+@st.composite
+def per_link_power_instances(
+    draw, noise_share=None, power_sets=((1.0, 2.0, 4.0, 8.0), (1.0, 1.5, 3.0), (1.0, 1.9), (0.3, 7.0))
+):
+    """A generated instance with per-link powers, at times with a far link (a ``hypot`` kernel).
+
+    With ``noise_share``, the noise is that share of the weakest link's
+    budget: P_vv / beta at the link whose P_vv is least.
+    """
+    family = draw(st.sampled_from(("random", "clustered")))
+    spec = TopologySpec(family=family, n=draw(st.integers(1, 80)), seed=draw(st.integers(0, 10**6)))
+    links = list(generate(spec, P0).links)
+    if draw(st.booleans()):
+        links.append(Link(id=len(links), sender=Point(1e160, 3.0), receiver=Point(1e160, 4.0)))
+    powers = draw(st.sampled_from(power_sets))
+    rnd = draw(st.randoms(use_true_random=False))
+    links = [l.replace(power=rnd.choice(powers)) for l in links]
+    params = P0
+    if noise_share is not None:
+        weakest = min(l.power / l.length**P0.alpha for l in links)
+        params = P0.replace(noise=draw(noise_share) * weakest / P0.beta)
+    return Instance(params=params, links=tuple(links))
+
+
+@given(per_link_power_instances(), st.sampled_from((1.5, 2.0, 3.0)))
+@settings(max_examples=60, deadline=None)
+def test_power_regimes_equal_the_sub_instances_at_noise_0(inst, base):
+    # a bucket gathered from the instance kernel, at one power, is the kernel
+    # of a sub-instance at that power: the same floats and records
+    assert schedule_nonuniform(inst, "power-regimes", base) == regimes_by_sub_instances(inst, base)
+
+
+@given(
+    per_link_power_instances(noise_share=st.floats(0.3, 0.95), power_sets=((1.0, 1.9), (1.0, 1.5, 3.0))),
+    st.sampled_from((None, 2.0, 3.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_noisy_power_regimes_keep_every_link_and_pass_the_gate(inst, base):
+    # each link keeps its own c_v: a link alive at its own power is never
+    # judged at its bucket's least power, where it may be dead (a link of
+    # power 1.9 at 1.0 once noise passes 1/1.9 of its budget)
+    schedule = schedule_nonuniform(inst, "power-regimes", base)
+    verify_schedule(inst, schedule)
+
+
 # --- first fit baseline -------------------------------------------------------
 
 
@@ -731,7 +794,7 @@ def full_row_sweep(rows, order, threshold, near=None, guard=False):
         if threshold < math.inf:
             acc += mat[i]
         if near is not None:
-            blocked |= near(rows, ids, i, slice(None), dist)
+            blocked |= near(rows, i, slice(None), dist)
     return members[:m].tolist()
 
 
@@ -773,12 +836,11 @@ def test_live_frontier_equals_full_rows(monkeypatch):
         rows = AffectanceRows(links, params)
         consts = compute_constants(params)
         length = sorted(range(len(links)), key=lambda i: (links[i].length, links[i].id))
-        factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
         cases = [
             (length, consts.c, None, False),
             (range(len(links)), 1 / params.beta, None, True),
             (length, 2.0 / 3.0, too_close(consts.c_hat), False),
-            (length, math.inf, not_dispersed(factor), False),
+            (length, math.inf, not_dispersed(q), False),
         ]
         for order, threshold, near, guard in cases:
             got = _first_fit(rows, order, threshold, near, guard)
@@ -879,11 +941,11 @@ def test_guard_member_block_equals_gathered_guard(
     rows = AffectanceRows(inst.links, inst.params)
     order = list(range(n))
     rnd.shuffle(order)
-    sweep = _Sweep(rows, order, threshold, guard=True)
-    chosen = sweep.run()
+    member_acc = np.empty(n)
+    chosen = _sweep(rows, order, threshold, member_acc=member_acc)
     want, want_acc = gathered_guard_sweep(rows, order, threshold)
-    assert chosen == want == _sweep(rows, order, threshold, guard=True)
-    assert sweep.member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
+    assert chosen == want
+    assert member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
 
 
 @st.composite
@@ -918,23 +980,22 @@ def test_windowed_sweep_equals_the_full_row_references(case, q):
     inst, order = case
     rows = AffectanceRows(inst.links, inst.params)
     consts = compute_constants(inst.params)
-    factor = q * rows.cv ** (1.0 / rows.alpha) + 2.0
     cases = [
         (consts.c, None, False),
         (2.0 / 3.0, too_close(consts.c_hat), False),
         (1 / inst.params.beta, None, True),
-        (math.inf, not_dispersed(factor), False),
+        (math.inf, not_dispersed(q), False),
     ]
     for threshold, near, guard in cases:
         got = _first_fit(rows, order, threshold, near, guard)
         assert got == full_row_first_fit(rows, order, threshold, near, guard)
         if near is None:
             assert got == slot_parallel_first_fit(rows, order, threshold, guard)
-    sweep = _Sweep(rows, order, 1 / inst.params.beta, guard=True)
-    chosen = sweep.run()
+    member_acc = np.empty(len(order))
+    chosen = _sweep(rows, order, 1 / inst.params.beta, member_acc=member_acc)
     with np.errstate(divide="ignore"):  # the reference's a_w(v) = inf on the coincident pair
         want, want_acc = gathered_guard_sweep(rows, order, 1 / inst.params.beta)
-    assert chosen == want and sweep.member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
+    assert chosen == want and member_acc[: len(chosen)].tobytes() == want_acc.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -942,7 +1003,7 @@ def test_windowed_sweep_equals_the_full_row_references(case, q):
     [
         ("B", 3.0, True),  # d(s_w, r_v) = 2 len(v): B's non-strict bound at c_hat = 2
         ("B", math.nextafter(3.0, 4.0), False),
-        ("disperse", 4.0, False),  # d(s_w, r_v) = 3 len(v): disperse's strict bound at factor 3
+        ("disperse", 4.0, False),  # d(s_w, r_v) = 3 len(v): disperse's strict bound at q = 1, noise 0
         ("disperse", math.nextafter(4.0, 0.0), True),
     ],
 )
@@ -968,8 +1029,7 @@ def test_window_blocks_decide_near_ties_exactly(monkeypatch, mask, sx, near):
     if mask == "B":
         threshold, test = 2.0 / 3.0, too_close(2.0)
     else:
-        factor = np.full(len(links), 3.0)
-        threshold, test = math.inf, not_dispersed(factor)
+        threshold, test = math.inf, not_dispersed(1.0)
     got = _first_fit(rows, order, threshold, test)
     assert len(calls) >= 2
     assert got == full_row_first_fit(rows, order, threshold, test)
