@@ -3,7 +3,9 @@
 The on-disk formats are JSON with a canonical rendering so that identical
 objects always serialize to identical bytes: keys sorted, compact separators,
 floats printed with 17 significant digits (enough to round-trip IEEE doubles),
-a single trailing newline, UTF-8.
+a single trailing newline, UTF-8. The writers are this module's own (an
+instance file is one format per link); the standard ``json`` module is
+imported to read a file only.
 
 Instance file::
 
@@ -17,12 +19,10 @@ Instance file::
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import reprlib
 from collections import Counter
-from json.encoder import encode_basestring
 from typing import Any, Iterable
 
 from .model import MODEL_PARAM_NAMES, Instance, Link, ModelParams, Point, Schedule, Slot
@@ -35,6 +35,11 @@ def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0
     return f"{x:.17g}"
+
+
+# json.encoder.encode_basestring's escapes: the quote, the backslash and the control characters
+_ESCAPES = {c: "\\u%04x" % c for c in range(32)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -52,7 +57,7 @@ def _emit(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        parts.append(encode_basestring(obj))
+        parts.append('"' + obj.translate(_ESCAPES) + '"')
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, dict):
@@ -62,7 +67,7 @@ def _emit(obj: Any, parts: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 parts.append(",")
-            parts.append(encode_basestring(key))
+            parts.append('"' + key.translate(_ESCAPES) + '"')
             parts.append(":")
             _emit(obj[key], parts)
         parts.append("}")
@@ -227,6 +232,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 def read_json(path: str | os.PathLike) -> Any:
     """Parse one JSON file; a duplicate key, or nesting too deep for the parser, is an input error."""
+    import json  # on load only: gen, which reads no file, never executes it
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
@@ -235,7 +241,26 @@ def read_json(path: str | os.PathLike) -> Any:
 
 
 def save_instance(instance: Instance, path: str | os.PathLike) -> None:
-    write_canonical(path, instance_to_obj(instance))
+    """``write_canonical(path, instance_to_obj(instance))``'s bytes, one format per link.
+
+    ``%.17g`` is ``format_float``'s format, ``x + 0.0`` its -0 normalization; the records hold
+    finite values only. An id that is no plain int, or a coordinate or power that is no float
+    (``%`` writes ``True`` as 1 and ``10**20`` as 1e+20), sends the instance to ``write_canonical``.
+    """
+    texts = []
+    for link in instance.links:
+        s, r, power = link.sender, link.receiver, link.power
+        plain = type(link.id) is int and type(r.x) is type(r.y) is type(s.x) is type(s.y) is float
+        if not plain or not (power is None or type(power) is float):
+            write_canonical(path, instance_to_obj(instance))
+            return
+        shown = "" if power is None else ',"power":%.17g' % power
+        values = (link.id, shown, r.x + 0.0, r.y + 0.0, s.x + 0.0, s.y + 0.0)
+        texts.append('{"id":%d%s,"rx":%.17g,"ry":%.17g,"sx":%.17g,"sy":%.17g}' % values)
+    params = canonical_dumps({name: getattr(instance.params, name) for name in MODEL_PARAM_NAMES})
+    text = '{"links":[%s],"params":%s}\n' % (",".join(texts), params)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def load_instance(path: str | os.PathLike) -> Instance:

@@ -1,14 +1,18 @@
 """Seeded topology generators for the two experiment families.
 
 Instances are reproducible across machines: all randomness comes from one
-Philox4x64-10 stream keyed directly with the topology seed (``uniforms``),
-and the draw order per entity is fixed and documented on each generator.
+Philox4x64-10 stream keyed directly with the topology seed (``uniforms``,
+numpy's stream computed a batch of blocks at a time, bit-sliced across Python
+ints, in numpy's draw order), and the draw order per entity is fixed and
+documented on each generator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from typing import Callable, Iterator
 
 from .model import DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, Point, Record
@@ -49,6 +53,8 @@ class TopologySpec(Record):
 # as 1, 2, 3*, SC 2011): the round multipliers and the Weyl increments of the key
 _M0, _M1, _W0, _W1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _MASK = (1 << 64) - 1
+# blocks in the first batch of ``uniforms`` and, doubling per batch, in the widest (by measurement)
+_FIRST_LANES, _LANES = 4, 256
 
 
 def _round_keys(seed: int) -> list[tuple[int, int]]:
@@ -56,13 +62,42 @@ def _round_keys(seed: int) -> list[tuple[int, int]]:
     return [((seed + r * _W0) & _MASK, r * _W1 & _MASK) for r in range(10)]
 
 
-def _block(keys: list[tuple[int, int]], counter: int) -> tuple[int, int, int, int]:
-    """The four 64-bit output words of ten Philox rounds on ``counter`` (256 bits, low word first)."""
-    c0, c1, c2, c3 = counter & _MASK, counter >> 64 & _MASK, counter >> 128 & _MASK, counter >> 192
+def _blocks(keys: list[tuple[int, int]], counter: int, lanes: int, rep: int, ramp: int) -> Iterator[float]:
+    """The draws of the ``lanes`` blocks from ``counter`` (256 bits) on, block by block, word by word.
+
+    Bit-sliced: lane i of each Python int holds block ``counter + i``'s word in bits
+    128i to 128i + 63, so a round is two multiplications, two shifts, four ANDs and
+    four XORs over all blocks. ``rep`` holds 1 in each lane, ``ramp`` holds i in lane i,
+    ``keys`` are the round keys times ``rep``; each counter word's carry ripples into the next.
+    """
+    words, carry, mask = [], ramp, rep * _MASK
+    for shift in (0, 64, 128, 192):
+        word = (counter >> shift & _MASK) * rep + carry
+        words.append(word & mask)
+        carry = word >> 64 & rep
+    c0, c1, c2, c3 = words
     for k0, k1 in keys:
         p0, p1 = _M0 * c0, _M1 * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
-    return c0, c1, c2, c3
+        c0, c1, c2, c3 = (p1 >> 64 & mask) ^ c1 ^ k0, p1 & mask, (p0 >> 64 & mask) ^ c3 ^ k1, p0 & mask
+    out = array("Q", bytes(32 * lanes))
+    for i, word in enumerate((c0, c1, c2, c3)):
+        out[i::4] = array("Q", (word >> 11).to_bytes(16 * lanes, "little"))[::2]
+    if sys.byteorder == "big":
+        out.byteswap()
+    return map((2.0**-53).__mul__, out)
+
+
+def _batches(keys: list[tuple[int, int]]) -> Iterator[Iterator[float]]:
+    """``uniforms``' batches: _FIRST_LANES blocks, then twice as many per batch up to _LANES."""
+    counter, lanes, rep, ramp = 1, 1, 1, 0
+    while True:
+        if lanes < _LANES:
+            rep, ramp = rep | rep << 128 * lanes, ramp | (ramp + lanes * rep) << 128 * lanes
+            keys = [(k0 | k0 << 128 * lanes, k1 | k1 << 128 * lanes) for k0, k1 in keys]
+            lanes *= 2
+        if lanes >= _FIRST_LANES:
+            yield _blocks(keys, counter, lanes, rep, ramp)
+            counter += lanes
 
 
 def uniforms(seed: int) -> Iterator[float]:
@@ -70,11 +105,9 @@ def uniforms(seed: int) -> Iterator[float]:
 
     Key (seed, 0); the 256-bit counter starts at 0 and is incremented before
     each block; each block's four words, in order, each word u as (u >> 11) * 2^-53.
+    Batches of blocks (``_blocks``) leave that order as it is.
     """
-    keys = _round_keys(seed)
-    for counter in itertools.count(1):
-        for word in _block(keys, counter):
-            yield (word >> 11) * 2.0**-53
+    return itertools.chain.from_iterable(_batches(_round_keys(seed)))
 
 
 def _disc_offset(random: Callable[[], float], radius: float) -> tuple[float, float]:
@@ -88,9 +121,7 @@ def _disc_offset(random: Callable[[], float], radius: float) -> tuple[float, flo
     return r * math.cos(angle), r * math.sin(angle)
 
 
-def gen_random(
-    spec: TopologySpec, params: ModelParams = DEFAULT_MODEL_PARAMS
-) -> Instance:
+def gen_random(spec: TopologySpec, params: ModelParams = DEFAULT_MODEL_PARAMS) -> Instance:
     """Receivers uniform on the field square, senders in discs around them.
 
     Per link, in order: receiver x, receiver y, then the two disc draws for
@@ -112,9 +143,7 @@ def gen_random(
     return Instance(params=params, links=tuple(links))
 
 
-def gen_clustered(
-    spec: TopologySpec, params: ModelParams = DEFAULT_MODEL_PARAMS
-) -> Instance:
+def gen_clustered(spec: TopologySpec, params: ModelParams = DEFAULT_MODEL_PARAMS) -> Instance:
     """Cluster centers on the field, whole links inside each cluster's disc.
 
     Draw order: first all cluster centers (x then y each), then links
@@ -127,11 +156,7 @@ def gen_clustered(
         raise ValueError(f"gen_clustered got family {spec.family!r}")
     random = uniforms(spec.seed).__next__
     k = spec.resolved_clusters
-    centers = []
-    for _ in range(k):
-        cx = spec.field_size * random()
-        cy = spec.field_size * random()
-        centers.append((cx, cy))
+    centers = [(spec.field_size * random(), spec.field_size * random()) for _ in range(k)]
     base, extra = divmod(spec.n, k)
     quotas = [base + (1 if c < extra else 0) for c in range(k)]
     links = []
@@ -142,19 +167,12 @@ def gen_clustered(
                 tx, ty = _disc_offset(random, spec.r_cluster)
                 if (sx, sy) != (tx, ty):
                     break
-            links.append(
-                Link(
-                    id=len(links),
-                    sender=Point(cx + sx, cy + sy),
-                    receiver=Point(cx + tx, cy + ty),
-                )
-            )
+            sender, receiver = Point(cx + sx, cy + sy), Point(cx + tx, cy + ty)
+            links.append(Link(id=len(links), sender=sender, receiver=receiver))
     return Instance(params=params, links=tuple(links))
 
 
-def generate(
-    spec: TopologySpec, params: ModelParams = DEFAULT_MODEL_PARAMS
-) -> Instance:
+def generate(spec: TopologySpec, params: ModelParams = DEFAULT_MODEL_PARAMS) -> Instance:
     """Dispatch to the generator matching spec.family."""
     if spec.family == "random":
         return gen_random(spec, params)

@@ -18,12 +18,14 @@ from capsched.cli import main
 
 CASES = [(family, seed) for family in ("random", "clustered") for seed in (0, 1)]
 
-# (family, seed) -> sha256 of the instance file gen writes
-GOLDEN_INSTANCES: dict[tuple[str, int], str] = {
-    ("random", 0): "0d8cabde7f8053e3ef78212a3048534ebd9576af85c37e16f5b0aa4205334aac",
-    ("random", 1): "69768206188176f1163d6e425ea4c2d7c964ddc1229c26463ea1964a8c2d742f",
-    ("clustered", 0): "b1a9513286df5d15cadfb0ddfc1deff097b7c3da150136dcc8e3bcc8ff510ea6",
-    ("clustered", 1): "b09685b74673d9d69e335df08528d066dd525940a17943c8cd808ce38a0be555",
+# (family, seed, n) -> sha256 of the instance file gen writes; clustered n=3000
+# draws 12 600 numbers, past the first batches of the widest size
+GOLDEN_INSTANCES: dict[tuple[str, int, int], str] = {
+    ("random", 0, 200): "0d8cabde7f8053e3ef78212a3048534ebd9576af85c37e16f5b0aa4205334aac",
+    ("random", 1, 200): "69768206188176f1163d6e425ea4c2d7c964ddc1229c26463ea1964a8c2d742f",
+    ("clustered", 0, 200): "b1a9513286df5d15cadfb0ddfc1deff097b7c3da150136dcc8e3bcc8ff510ea6",
+    ("clustered", 1, 200): "b09685b74673d9d69e335df08528d066dd525940a17943c8cd808ce38a0be555",
+    ("clustered", 0, 3000): "55ae1aee8059505796a9d4f53f05897826bc39bae1322fbb1e95fc0d89e96a77",
 }
 
 # (family, seed) -> output file -> sha256 of its bytes
@@ -112,7 +114,13 @@ def test_golden_schedule_hashes(capsys, tmp_path, family, seed):
     assert corpus_hashes(tmp_path, family, seed) == GOLDEN[(family, seed)]
 
 
-@pytest.mark.parametrize("family,seed", CASES)
-def test_golden_instance_hashes(capsys, tmp_path, family, seed):
-    _run("gen", "--family", family, "--n", 200, "--seed", seed, "--out", tmp_path / "inst.json")
-    assert _sha256(tmp_path / "inst.json") == GOLDEN_INSTANCES[(family, seed)]
+@pytest.mark.parametrize(
+    "family,seed,n",
+    [
+        pytest.param(family, seed, n, id=f"{family}-{seed}" + (f"-n{n}" if n != 200 else ""))
+        for family, seed, n in GOLDEN_INSTANCES
+    ],
+)
+def test_golden_instance_hashes(capsys, tmp_path, family, seed, n):
+    _run("gen", "--family", family, "--n", n, "--seed", seed, "--out", tmp_path / "inst.json")
+    assert _sha256(tmp_path / "inst.json") == GOLDEN_INSTANCES[(family, seed, n)]

@@ -3,12 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from capsched import io
 from capsched.abstract import load_gain_matrix
-from capsched.core import Instance, Link, ModelParams, Point, Schedule, Slot
+from capsched.core import Instance, Link, ModelParams, Point, SchedulingError, Schedule, Slot
 from capsched.experiment import load_experiment_config
 from capsched.io import (
     canonical_dumps,
@@ -73,6 +73,59 @@ def test_instance_round_trip(tmp_path):
         # byte-identical re-save
         save_instance(again, tmp_path / "b.json")
         assert path.read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# a coordinate both ends of a link share: extremes, -0 and Python ints, which the
+# reference writes with repr where %.17g would write 1e+20
+shared = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e300, -1e300, 1e-300, -1e-300, 10**20, -(10**20)]),
+    st.integers(-(10**20), 10**20),
+)
+# the coordinate that sets a link's length
+apart = st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000))
+
+
+@st.composite
+def written_instance(draw):
+    params = ModelParams(
+        alpha=draw(st.one_of(st.floats(2.0, 6.0, exclude_min=True), st.integers(3, 6))),
+        beta=draw(st.one_of(st.floats(0.1, 10.0), st.integers(1, 10))),
+        noise=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-250), st.just(0))),
+        default_power=draw(st.one_of(st.floats(0.5, 4.0), st.integers(1, 4))),
+    )
+    ids = draw(st.lists(st.one_of(st.integers(0, 2**63), st.just(True)), max_size=6, unique=True))
+    links = []
+    for link_id in ids:
+        a, b, c = draw(shared), draw(apart), draw(apart)
+        assume(abs(b - c) >= 1e-3)
+        ends = (Point(a, b), Point(a, c)) if draw(st.booleans()) else (Point(b, a), Point(c, a))
+        power = draw(st.one_of(st.none(), st.floats(1e-3, 1e3), st.integers(1, 10**20)))
+        links.append(Link(id=link_id, sender=ends[0], receiver=ends[1], power=power))
+    try:
+        return Instance(params=params, links=tuple(links))
+    except (ArithmeticError, SchedulingError):  # d**alpha out of float range, or a link dead alone
+        assume(False)
+
+
+@given(written_instance())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(
+    Instance(
+        params=ModelParams(alpha=4, beta=2.5, noise=1e-300, default_power=3),
+        links=(
+            Link(id=2**63, sender=Point(-0.0, 1.0), receiver=Point(-0.0, 2.5), power=0.5),
+            Link(id=True, sender=Point(10**20, 0.0), receiver=Point(10**20, 1), power=7),
+            Link(id=0, sender=Point(1e300, -1e-300), receiver=Point(1e300, 1.5)),
+            Link(id=5, sender=Point(3.0, -1e300), receiver=Point(-1e-300, -1e300), power=2.0),
+        ),
+    )
+)
+def test_save_instance_writes_the_reference_bytes(tmp_path, inst):
+    # the one format per link against canonical_dumps of the link dicts
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    assert path.read_bytes() == (canonical_dumps(instance_to_obj(inst)) + "\n").encode()
 
 
 def test_instance_file_is_valid_json_with_expected_shape(tmp_path):

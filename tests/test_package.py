@@ -52,11 +52,12 @@ LAZY = ("core", "abstract", "experiment", "oracles", "schedulers", "topogen")
 
 # Runs one `python -m capsched ...` in this fresh interpreter, then reports which
 # lazy modules executed (an unexecuted one still has the LazyLoader's module
-# type), whether numpy was imported, and the collector's state. The entry ends
-# the process with os._exit; here that raises SystemExit instead.
+# type), whether numpy and json were imported, and the collector's state. The
+# entry ends the process with os._exit; here that raises SystemExit instead.
+# The probe imports json only to print its report.
 _COMMAND_PROBE = """
-import gc, json, os, runpy, sys, types
-argv, lazy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+import gc, os, runpy, sys, types
+lazy, argv = sys.argv[1].split(","), sys.argv[2:]
 sys.argv = ["capsched", *argv]
 def _exit(code):
     raise SystemExit(code)
@@ -65,16 +66,19 @@ try:
     runpy.run_module("capsched", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({
+report = {
     "code": code,
     "executed": [n for n in lazy if type(sys.modules["capsched." + n]) is types.ModuleType],
     "numpy": "numpy" in sys.modules,
+    "json": "json" in sys.modules,
     "dataclasses": "dataclasses" in sys.modules,
     "inspect": "inspect" in sys.modules,
     "futures": "concurrent.futures" in sys.modules,
     "collecting": gc.isenabled(),
     "frozen": gc.get_freeze_count(),
-}))
+}
+import json
+print(json.dumps(report))
 """
 
 
@@ -119,31 +123,32 @@ def _instance_files(tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
-    "argv, code, executed, numpy",
+    "argv, code, executed, numpy, reads_json",
     [
-        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], 0, ["core"], True),
-        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, ["topogen"], False),
-        (["schedule", "inst.json", "--out", "out.json"], 0, ["core", "schedulers"], True),
-        (["reduce-graph", "g.txt", "--check"], 0, ["core", "abstract"], True),
+        (["verify", "inst.json", "sched.json", "--p", "1.2", "--q", "1"], 0, ["core"], True, True),
+        (["gen", "--family", "random", "--n", "5", "--out", "gen.json"], 0, ["topogen"], False, False),
+        (["schedule", "inst.json", "--out", "out.json"], 0, ["core", "schedulers"], True, True),
+        (["reduce-graph", "g.txt", "--check"], 0, ["core", "abstract"], True, False),
         (
             ["experiment", "--config", "config.json", "--workers", "1"], 0,
-            ["core", "experiment", "schedulers", "topogen"], True,
+            ["core", "experiment", "schedulers", "topogen"], True, True,
         ),
-        (["schedule", "inst.json", "--algo", "C"], 2, [], False),
-        (["verify", "inst.json", "sched.json", "--p", "nan"], 2, [], False),
+        (["schedule", "inst.json", "--algo", "C"], 2, [], False, False),
+        (["verify", "inst.json", "sched.json", "--p", "nan"], 2, [], False, False),
     ],
     ids=["verify", "gen", "schedule", "reduce-graph", "experiment-w1", "argparse-error", "verify-nan"],
 )
-def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, code, executed, numpy):
-    # gen draws its instance without core or numpy, a one-worker sweep imports no
-    # process pool, a command refused on its arguments stops before anything
-    # computes, and every command runs with the collector off and nothing frozen;
-    # no command imports dataclasses, and only numpy brings in inspect
+def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, code, executed, numpy, reads_json):
+    # gen draws its instance without core or numpy and writes it without json, a
+    # one-worker sweep imports no process pool, a command refused on its
+    # arguments stops before anything computes, and every command runs with the
+    # collector off and nothing frozen; no command imports dataclasses, only
+    # numpy brings in inspect, and only reading a JSON file brings in json
     _instance_files(tmp_path)
-    probe = _fresh_python(_COMMAND_PROBE, json.dumps(argv), json.dumps(LAZY), cwd=tmp_path)
+    probe = _fresh_python(_COMMAND_PROBE, ",".join(LAZY), *argv, cwd=tmp_path)
     result = json.loads(probe)
     assert result == {
-        "code": code, "executed": executed, "numpy": numpy, "dataclasses": False,
+        "code": code, "executed": executed, "numpy": numpy, "json": reads_json, "dataclasses": False,
         "inspect": numpy, "futures": False, "collecting": False, "frozen": 0,
     }
 

@@ -16,8 +16,10 @@ from capsched.core import ModelParams, distance
 from capsched.io import instance_to_obj, save_instance
 from capsched.topogen import (
     DEFAULT_MODEL_PARAMS,
+    _FIRST_LANES,
+    _LANES,
     TopologySpec,
-    _block,
+    _blocks,
     _round_keys,
     gen_clustered,
     gen_random,
@@ -32,9 +34,25 @@ def numpy_draws(seed, count, counter=None):
     return np.random.Generator(bitgen).random(count).tolist()
 
 
+def batch_ends(count):
+    """The draw counts at which the first ``count`` batches of ``uniforms`` end."""
+    ends, lanes, drawn = [], _FIRST_LANES, 0
+    for _ in range(count):
+        drawn += 4 * lanes
+        ends.append(drawn)
+        lanes = min(2 * lanes, _LANES)
+    return ends
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
 def test_uniforms_are_numpys_philox_stream(seed):
-    assert list(itertools.islice(uniforms(seed), 10**4)) == numpy_draws(seed, 10**4)
+    # streams that end one before, on and one after each of the first ten batch
+    # boundaries, the last four after batches of the widest size, and a long one
+    reference = numpy_draws(seed, 10**5)
+    for end in batch_ends(10):
+        for count in (end - 1, end, end + 1):
+            assert list(itertools.islice(uniforms(seed), count)) == reference[:count], count
+    assert list(itertools.islice(uniforms(seed), 10**5)) == reference
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(1, 13))
@@ -53,8 +71,17 @@ def test_the_counter_carries_across_its_words(words):
     counter = np.array(words, dtype=np.uint64)
     assert np.random.Philox(key=9, counter=counter).state["state"]["counter"].tolist() == words
     after = sum(word << (64 * i) for i, word in enumerate(words)) + 1
-    draws = [(word >> 11) * 2.0**-53 for word in _block(_round_keys(9), after)]
-    assert draws == numpy_draws(9, 4, counter)
+    # one lane, at counter 2**64 or 2**128: rep 1, ramp 0 and the keys as they are
+    assert list(_blocks(_round_keys(9), after, 1, 1, 0)) == numpy_draws(9, 4, counter)
+
+
+def test_a_batch_carries_within_its_lanes():
+    # four lanes from counter 2**128 - 2: the third lane carries into words 1 and 2
+    words = [2**64 - 3, 2**64 - 1, 0, 0]
+    rep, ramp = sum(1 << 128 * i for i in range(4)), sum(i << 128 * i for i in range(4))
+    keys = [(k0 * rep, k1 * rep) for k0, k1 in _round_keys(9)]
+    draws = list(_blocks(keys, 2**128 - 2, 4, rep, ramp))
+    assert draws == numpy_draws(9, 16, np.array(words, dtype=np.uint64))
 
 
 def test_default_params_preset():
