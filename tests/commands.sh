@@ -69,7 +69,7 @@ done
 "$python" -m capsched gen --family clustered --n 12 --seed 0 --out "$work/small.json"
 "$python" -m capsched oracle "$work/small.json" --mode schedule --out "$work/opt.json"
 printf '5 4\n0 1\n1 2\n2 3\n3 4\n' > "$work/graph.txt"
-"$python" -m capsched reduce-graph "$work/graph.txt" --check --out "$work/gains.json"
+"$python" -m capsched reduce-graph "$work/graph.txt" --check --out "$work/gains.json" | head -1 | grep -x "correspondence: ok subsets=32"
 # a two-point sweep writes the same results with one worker and with two
 for workers in 1 2; do
   printf '{"topology": {"family": "random", "n": 6, "l_max": 5.0, "field_size": 50.0}, "sweep": [["n", [6, 8]]], "algorithms": ["A-repeated", "first-fit-baseline"], "output": "%s"}' "$work/results_w$workers.csv" > "$work/sweep_w$workers.json"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from capsched import core, oracles, schedulers
+from capsched import abstract, core, oracles, schedulers
 from capsched.cli import main
 from capsched.core import Instance, Link, ModelParams, Point
 from capsched.io import load_instance, load_schedule, save_instance, save_schedule
@@ -1089,13 +1089,32 @@ def test_reduce_graph_check(capsys, tmp_path):
 
 
 def test_reduce_graph_check_certifies_above_the_limit(capsys, tmp_path):
-    # abstract.EXHAUSTIVE_LIMIT = 20 bounds only the fallback enumeration: the
-    # certificate vouches for all 2^21 subsets of a 21-vertex graph
+    # past the 20 vertices of the largest oracle: the certificate vouches for
+    # all 2^21 subsets of a 21-vertex graph
     graph_path = tmp_path / "g21.txt"
     graph_path.write_text("21 3\n0 1\n1 2\n5 20\n", encoding="utf-8")
     code, text = run_cli(capsys, "reduce-graph", graph_path, "--check", "--out", tmp_path / "g.json")
     assert code == 0
     assert text.splitlines()[0] == "correspondence: ok subsets=2097152"
+
+
+def test_reduce_graph_check_fails_where_the_certificate_does(capsys, tmp_path, monkeypatch):
+    # an encoding that puts its edges under the threshold fails the certificate:
+    # the command says so, exits 1 and writes no matrix
+    real = abstract.graph_to_instance
+
+    def weak_edges(graph):
+        entries = real(graph).entries.copy()
+        entries[entries == 2.0] = 0.5
+        return abstract.GainMatrix(entries=entries, threshold=1.0)
+
+    monkeypatch.setattr(abstract, "graph_to_instance", weak_edges)
+    graph_path = tmp_path / "p4.txt"
+    graph_path.write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
+    out = tmp_path / "g.json"
+    code = main(["reduce-graph", str(graph_path), "--check", "--out", str(out)])
+    assert (code, *capsys.readouterr()) == (1, "", "correspondence: FAIL\n")
+    assert not out.exists()
 
 
 def test_reduce_graph_impossible_size_exit_3(capsys, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from capsched import io
-from capsched.abstract import load_gain_matrix
 from capsched.core import Instance, Link, ModelParams, Point, SchedulingError, Schedule, Slot
 from capsched.experiment import load_experiment_config
 from capsched.io import (
@@ -269,9 +268,8 @@ def _deep(depth: int = 100_000) -> str:
         (load_schedule, '{"slots": ' + _deep() + "}"),
         (load_instance, '{"params": {"alpha": 3.0, "beta": ' + _deep() + '}, "links": []}'),
         (load_experiment_config, '{"topology": ' + _deep() + "}"),
-        (load_gain_matrix, '{"n": 1, "entries": ' + _deep() + "}"),
     ],
-    ids=["schedule", "instance", "experiment-config", "gain-matrix"],
+    ids=["schedule", "instance", "experiment-config"],
 )
 def test_json_nested_past_the_parser_limit_is_a_value_error(tmp_path, loader, text):
     # json.load raises RecursionError here; every loader turns it into an input error
@@ -287,9 +285,8 @@ def test_json_nested_past_the_parser_limit_is_a_value_error(tmp_path, loader, te
         (load_schedule, '{"slots": [], "slots": [[0]]}'),
         (load_instance, '{"params": {"alpha": 3.0, "beta": 1.2, "beta": 2.0}, "links": []}'),
         (load_experiment_config, '{"topology": {"family": "random"}, "sweep": {"n": [6], "n": [8]}}'),
-        (load_gain_matrix, '{"n": 1, "n": 2, "entries": [[0.0]]}'),
     ],
-    ids=["schedule", "instance", "experiment-config", "gain-matrix"],
+    ids=["schedule", "instance", "experiment-config"],
 )
 def test_a_duplicate_json_key_is_a_value_error(tmp_path, loader, text):
     # json.load keeps the last of a duplicated key; every loader refuses the file instead

@@ -1,5 +1,7 @@
-"""The package root exports what the README documents and loads only what a command runs."""
+"""The package root exports what the README documents, and a command loads only what it runs and
+enters every function that is not declared library-only."""
 
+import ast
 import gc
 import importlib
 import inspect
@@ -433,3 +435,167 @@ def test_entry_points_take_no_test_only_options():
     assert not hasattr(oracles, "OracleLimits") and not hasattr(oracles, "DEFAULT_LIMITS")
     assert not hasattr(abstract, "SAMPLE_SIZE") and not hasattr(abstract, "CHUNK")
     assert not hasattr(core.AffectanceRows, "row")  # the package reads ``block`` and ``matrix``
+
+
+# --- reachability ---------------------------------------------------------------
+
+_SCALAR = "scalar reference: the kernel and the slot verifier are tested against it"
+_RECORD = "the record contract: equality, hash, repr and immutability by the fields"
+_PINNED = "named by perfbench/tracing.py TARGETS; deleted once the tracer traces the stages (ROADMAP item 1)"
+
+# The functions no command enters, each with the reason it stays. A function
+# that REACH_CORPUS never enters and that is not listed fails the test, and so
+# does a listed one that it enters.
+LIBRARY_ONLY = {
+    "core.relative_interference": _SCALAR,
+    "core.single_affectance": _SCALAR,
+    "core.affectance": _SCALAR,
+    "core._sinr_ratio": _SCALAR,
+    "core.is_feasible": _SCALAR,
+    "core.is_q_near": "scalar reference of AffectanceRows.near's q-nearness",
+    "core.is_q_dispersed": "scalar reference of report_q_dispersed",
+    "model.Link.length": "scalar reference of the kernel's link lengths",
+    "abstract.abstract_affectance": "scalar reference of abstract_feasible's sums",
+    "abstract.abstract_feasible": "acceptance criterion 09; the correspondence check's reference",
+    "abstract.is_independent_set": "the correspondence check's reference",
+    "io.instance_to_obj": "save_instance's fallback for records holding ints, which no command builds; "
+    "the reference of its bytes",
+    "model.Record.__eq__": _RECORD,
+    "model.Record.__hash__": _RECORD,
+    "model.Record.__repr__": _RECORD,
+    "model.Record.__setattr__": _RECORD,
+    "model.Record.__delattr__": _RECORD,
+    "abstract.GainMatrix.__eq__": "the record contract: a gain matrix compares its entries by value",
+    "model.VerificationError.__init__": "the emission gate's refusal, raised only if a scheduler errs",
+    "experiment.ExperimentVerificationError.__init__": "a sweep cell the emission gate refuses",
+    "experiment.ExperimentVerificationError.__reduce__": "that refusal's way back from a worker process",
+    "__init__.__getattr__": "the README's library entry points, read from the package root",
+    "abstract.export_gain_matrix": "README entry point; acceptance criterion 09",
+    "oracles.min_p_signal_schedule": "acceptance criterion 05",
+    "schedulers.single_shot_greedy": "README entry point, A's single shot (the paper's capacity answer); "
+    "acceptance criteria 02 and 03",
+    "schedulers._single_shot": "the body of single_shot_greedy and single_shot_guarded",
+    "cli.run": "the program entry of python -m capsched, in a child process; the corpus calls main",
+    "core.affectance_matrix": _PINNED,
+    "schedulers.single_shot_guarded": _PINNED,
+}
+
+PACKAGE = os.path.dirname(os.path.realpath(capsched.__file__))
+
+# Every command and mode, both families, uniform and per-link power, and one
+# exit-1, exit-2 and exit-3 case each: argv, exit code. The files are
+# _reachability_files'.
+REACH_CORPUS = [
+    (["gen", "--family", "random", "--n", "30", "--seed", "1", "--out", "r.json"], 0),
+    (["gen", "--family", "clustered", "--n", "30", "--seed", "2", "--clusters", "3", "--out", "c.json"], 0),
+    (["gen", "--family", "clustered", "--n", "8", "--out", "s8.json"], 0),
+    (["schedule", "r.json", "--out", "a.json"], 0),
+    (["schedule", "r.json", "--power-mode", "uniform", "--alpha", "4", "--out", "u.json"], 0),
+    (["schedule", "c.json", "--algo", "B", "--out", "b.json"], 0),
+    (["schedule", "c.json", "--algo", "firstfit", "--out", "f.json"], 0),
+    (["schedule", "power.json", "--out", "pr.json"], 0),
+    (["schedule", "power.json", "--power-mode", "power-regimes", "--regime-base", "3", "--out", "pb.json"], 0),
+    (["schedule", "power.json", "--power-mode", "scaled-threshold", "--out", "ps.json"], 0),
+    (["verify", "r.json", "a.json", "--p", "1.2", "--q", "1", "--theta", "1.1"], 0),
+    (["verify", "power.json", "pr.json"], 0),
+    (["refine", "c.json", "f.json", "--strengthen", "1.2", "2.4", "--out", "st.json"], 0),
+    (["refine", "c.json", "f.json", "--disperse", "1", "--out", "d.json"], 0),
+    (["oracle", "s8.json", "--mode", "subset", "--out", "o1.json"], 0),
+    (["oracle", "s8.json", "--mode", "psignal", "--p", "2", "--out", "o2.json"], 0),
+    (["oracle", "s8.json", "--mode", "schedule", "--out", "o3.json"], 0),
+    (["reduce-graph", "g.txt", "--check", "--out", "g1.json"], 0),
+    (["reduce-graph", "g.txt", "--out", "g2.json"], 0),
+    (["experiment", "--config", "w1.json", "--workers", "1"], 0),
+    (["experiment", "--config", "w2.json", "--workers", "2"], 0),
+    # a q tie (exactly_near decides it) in a slot that fails: exit 1
+    (["verify", "tie.json", "tie_sched.json", "--q", "1"], 1),
+    (["schedule", "r.json", "--algo", "B", "--power-mode", "uniform"], 2),
+    (["schedule", "r.json", "--noise", "1e6"], 2),
+    (["oracle", "many.json", "--mode", "schedule"], 3),
+]
+
+# REACH_CORPUS in this fresh interpreter, under a profiler (call events, every
+# thread) installed before capsched.cli is imported; prints the exit codes and
+# the (file, first line) of every package code object entered.
+_REACH_PROBE = """
+import contextlib, io, json, os, sys, threading
+package, corpus = sys.argv[1], json.loads(sys.argv[2])
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+threading.setprofile(profile)
+sys.setprofile(profile)
+import capsched.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [capsched.cli.main(argv) for argv in corpus]
+sys.setprofile(None)
+threading.setprofile(None)
+entered = {(os.path.realpath(path), line) for path, line in entered}
+print(json.dumps({"codes": codes, "entered": sorted(e for e in entered if e[0].startswith(package))}))
+"""
+
+
+def _reachability_files(tmp_path) -> None:
+    _contract_files(tmp_path)
+    links = [
+        {"id": i, "sx": 40.0 * i, "sy": 0.0, "rx": 40.0 * i + 1.0, "ry": 0.0, "power": 2.0 ** (i % 3)}
+        for i in range(12)
+    ]
+    (tmp_path / "power.json").write_text(json.dumps({"params": {"alpha": 3, "beta": 1.2}, "links": links}))
+    # d(s_1, r_0) = d_00 = 1: a_1(0) = 1 = q^-alpha at q = 1
+    tie = [{"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}, {"id": 1, "sx": 2.0, "sy": 0.0, "rx": 3.0, "ry": 0.0}]
+    (tmp_path / "tie.json").write_text(json.dumps({"params": {"alpha": 3, "beta": 1.2}, "links": tie}))
+    (tmp_path / "tie_sched.json").write_text('{"slots": [[0, 1]]}')
+    (tmp_path / "g.txt").write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    for workers, family in ((1, "random"), (2, "clustered")):
+        config = {
+            "topology": {"family": family, "n": 6, "l_max": 5.0, "field_size": 50.0},
+            "sweep": [["n", [6, 8]]],
+            "algorithms": ["A-repeated", "B-repeated", "first-fit-baseline"],
+            "output": f"results_w{workers}.csv",
+            "timings": f"timings_w{workers}.csv",
+        }
+        (tmp_path / f"w{workers}.json").write_text(json.dumps(config))
+
+
+def _defined_functions() -> dict[tuple[str, int], str]:
+    """Every function defined in the package: (file, first line) -> qualified name.
+
+    A code object's first line is that of its first decorator, or of its
+    ``def``. Lambdas and comprehensions are left out (Python 3.12 inlines
+    comprehensions); Python 3.10 has no ``co_qualname``, so the names come
+    from the source.
+    """
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[path, first] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), path, f"{name[:-3]}.")
+    return found
+
+
+def test_every_function_is_entered_by_a_command_or_declared_library_only(tmp_path):
+    _reachability_files(tmp_path)
+    argvs = json.dumps([argv for argv, _ in REACH_CORPUS])
+    result = json.loads(_fresh_python(_REACH_PROBE, PACKAGE + os.sep, argvs, cwd=tmp_path))
+    assert result["codes"] == [code for _, code in REACH_CORPUS]
+    defined = _defined_functions()
+    assert len(set(defined.values())) == len(defined)
+    entered = {defined.get(tuple(key)) for key in result["entered"]}
+    unreached = set(defined.values()) - entered
+    assert sorted(unreached - set(LIBRARY_ONLY)) == [], "no command enters these: delete or declare them"
+    assert sorted(set(LIBRARY_ONLY) - unreached) == [], "a command enters these, or they are gone"

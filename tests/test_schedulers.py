@@ -420,6 +420,18 @@ def test_repeated_rounds_equal_single_shots_on_the_rest(guarded):
     assert not remaining
 
 
+@pytest.mark.parametrize("guarded", [False, True], ids=["A", "B"])
+@pytest.mark.parametrize("family", ["random", "clustered"])
+def test_the_first_repeated_slot_is_the_single_shot(family, guarded):
+    # a repeated schedule's first slot is its single shot on the whole
+    # instance: for A, the capacity answer, read off the schedule
+    shot = single_shot_guarded if guarded else single_shot_greedy
+    for n in (20, 200, 1000):
+        for seed in range(3):
+            inst = generate(TopologySpec(family=family, n=n, seed=seed), P0)
+            assert schedule_repeated(inst, guarded=guarded).slots[0] == shot(inst), (n, seed)
+
+
 def test_repeated_works_with_guarded_selector():
     inst = random_instance(42, 50)
     sched = schedule_repeated(inst, guarded=True)
