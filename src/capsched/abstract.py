@@ -8,6 +8,7 @@ sets, and an export bridging geometric instances into matrix form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from typing import Iterable
@@ -84,11 +85,11 @@ class Graph(Record):
             seen.add(key)
         return Graph(n=n, edges=frozenset(seen))
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = 1.0
-        return adj
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges' two ends as index arrays, for one indexed assignment per direction."""
+        ends = itertools.chain.from_iterable(self.edges)
+        flat = np.fromiter(ends, dtype=np.intp, count=2 * len(self.edges))
+        return flat[0::2], flat[1::2]
 
 
 def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
@@ -136,8 +137,8 @@ def graph_to_instance(graph: Graph) -> GainMatrix:
         raise ValueError("graph must have at least one vertex")
     n = graph.n
     entries = np.full((n, n), 1.0 / n)
-    for u, v in graph.edges:
-        entries[u, v] = entries[v, u] = 2.0
+    u, v = graph.endpoints()
+    entries[u, v] = entries[v, u] = 2.0
     np.fill_diagonal(entries, 0.0)
     return GainMatrix(entries=entries, threshold=1.0)
 
@@ -163,10 +164,10 @@ def correspondence_check(graph: Graph) -> CorrespondenceReport:
     """
     matrix = graph_to_instance(graph)
     n, gains, bound = graph.n, matrix.entries, ceiling(matrix.threshold)
-    adjacent = graph.adjacency() > 0
-    incoming = np.zeros(n)
-    for w in range(n):
-        incoming += np.where(adjacent[w], 0.0, gains[w])
+    adjacent = np.zeros((n, n), dtype=bool)
+    u, v = graph.endpoints()
+    adjacent[u, v] = adjacent[v, u] = True
+    incoming = np.where(adjacent, 0.0, gains).sum(axis=0)  # row by row, in the id order abstract_feasible adds in
     weak_edges = adjacent & (gains <= bound) & (gains.T <= bound)
     return CorrespondenceReport(not weak_edges.any() and bool((incoming <= bound).all()), 1 << n)
 

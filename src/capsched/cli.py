@@ -62,14 +62,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _add_model_flags(sub: argparse.ArgumentParser, with_defaults: bool) -> None:
-    """One flag per ModelParams field; None defaults mean "keep the file's values"."""
-    flags = {"--alpha": "alpha", "--beta": "beta", "--noise": "noise", "--power": "default_power"}
-    for flag, name in flags.items():
-        default = getattr(DEFAULT_MODEL_PARAMS, name) if with_defaults else None
-        sub.add_argument(flag, type=float, dest=name, metavar=flag[2:].upper(), default=default)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capsched",
@@ -87,25 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--clusters", type=int, default=None, help="cluster count (default n/10)")
     gen.add_argument("--rc", type=float, default=10.0, help="cluster radius")
     gen.add_argument("--out", default="instance.json")
-    _add_model_flags(gen, with_defaults=True)
+    # one flag per ModelParams field: the model the instance file carries, which every command reads
+    flags = {"--alpha": "alpha", "--beta": "beta", "--noise": "noise", "--power": "default_power"}
+    for flag, name in flags.items():
+        default = getattr(DEFAULT_MODEL_PARAMS, name)
+        gen.add_argument(flag, type=float, dest=name, metavar=flag[2:].upper(), default=default)
     gen.set_defaults(func=cmd_gen)
 
     sched = subs.add_parser("schedule", help="schedule an instance file")
     sched.add_argument("instance")
     sched.add_argument("--algo", choices=tuple(_ALGORITHM_NAMES), default="A")
     sched.add_argument("--out", default="schedule.json")
-    _add_model_flags(sched, with_defaults=False)
     sched.add_argument(
         "--power-mode",
         choices=("uniform", "scaled-threshold", "power-regimes"),
         default=None,
         help="strategy for non-uniform power with --algo A",
-    )
-    sched.add_argument(
-        "--regime-base",
-        type=float,
-        default=None,
-        help="power bucket base of --power-mode power-regimes with --algo A (default 2)",
     )
     sched.set_defaults(func=cmd_schedule)
 
@@ -185,26 +174,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
-    given = {name: getattr(args, name) for name in MODEL_PARAM_NAMES}
-    overrides = {name: value for name, value in given.items() if value is not None}
-    if not overrides:
-        return instance
-    return instance.replace(params=instance.params.replace(**overrides))
-
-
 def _gated_schedule(instance: Instance, args: argparse.Namespace) -> Schedule:
     """The schedule ``--algo`` asks for, after exactly one pass of the emission gate."""
-    power = (args.power_mode, args.regime_base) if args.algo == "A" else ()
+    power = (args.power_mode,) if args.algo == "A" else ()
     schedule = schedulers.ALGORITHMS[_ALGORITHM_NAMES[args.algo]](instance, *power)
     core.verify_schedule(instance, schedule)
     return schedule
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    if args.algo != "A" and (args.power_mode is not None or args.regime_base is not None):
-        raise ValueError("--power-mode and --regime-base apply only to --algo A")
-    instance = _apply_overrides(load_instance(args.instance), args)
+    if args.algo != "A" and args.power_mode is not None:
+        raise ValueError("--power-mode applies only to --algo A")
+    instance = load_instance(args.instance)
     schedule = _gated_schedule(instance, args)
     save_schedule(schedule, args.out)
     print(
@@ -337,13 +318,15 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     config = experiment.load_experiment_config(args.config)
     out = config.output or "results.csv"
     agg_path = os.path.splitext(out)[0] + "_aggregate.dat"
     if config.timings and os.path.realpath(config.timings) in map(os.path.realpath, (out, agg_path)):
         raise ValueError(f"timings must name a file of its own; {config.timings!r} is an output")
     try:
-        rows, aggregates = experiment.run_experiment(config, workers=max(args.workers, 1))
+        rows, aggregates = experiment.run_experiment(config, workers=args.workers)
     except experiment.ExperimentVerificationError as exc:
         directory = os.path.dirname(out) or "."
         inst_path = os.path.join(directory, "failed_instance.json")

@@ -172,11 +172,7 @@ def config_from_obj(obj: Any) -> ExperimentConfig:
         params_obj = _typed(obj["params"], dict, "params")
         _refuse_unknown(params_obj, MODEL_PARAM_NAMES, "params keys")
         params = DEFAULT_MODEL_PARAMS.replace(**{key: _number(v, key) for key, v in params_obj.items()})
-    raw_sweep = obj.get("sweep", [])
-    if isinstance(raw_sweep, dict):
-        pairs = list(raw_sweep.items())
-    else:
-        pairs = [_typed(pair, list, "a sweep entry") for pair in _typed(raw_sweep, list, "sweep")]
+    pairs = [_typed(pair, list, "a sweep entry") for pair in _typed(obj.get("sweep", []), list, "sweep")]
     algorithms = _typed(obj.get("algorithms", ["A-repeated"]), list, "algorithms")
     return ExperimentConfig(
         topology=topology,

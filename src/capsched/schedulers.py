@@ -422,18 +422,18 @@ def disperse(instance: Instance, schedule: Schedule, q: float) -> Schedule:
     return Schedule(tuple(s for slots in pieces for s in slots))
 
 
-def _schedule_power_regimes(instance: Instance, powers: list[float], base: float) -> Schedule:
-    """A in each bucket of links whose powers agree up to ``base``, on a gathered kernel of one power.
+def _schedule_power_regimes(instance: Instance, powers: list[float]) -> Schedule:
+    """A in each bucket of links whose powers agree up to 2, on a gathered kernel of one power.
 
     Each link keeps the noise factor c_v of its own power. Within a bucket
-    P_w/P_v < base, so a link's true affectance is below ``base`` times the
-    modelled one, which A keeps at most c.
+    P_w/P_v < 2, so a link's true affectance is below twice the modelled
+    one, which A keeps at most c.
     """
     p_min = min(powers)
     buckets: dict[int, list[int]] = {}
     for link, power in zip(instance.links, powers):
-        # epsilon keeps exact powers of the base in their own bucket
-        k = math.floor(math.log(power / p_min) / math.log(base) + 1e-12)
+        # epsilon keeps exact powers of 2 in their own bucket
+        k = math.floor(math.log(power / p_min) / math.log(2.0) + 1e-12)
         buckets.setdefault(k, []).append(link.id)
     c = compute_constants(instance.params).c
     slots: list[Slot] = []
@@ -445,34 +445,28 @@ def _schedule_power_regimes(instance: Instance, powers: list[float], base: float
     return Schedule(tuple(slots))
 
 
-def schedule_nonuniform(
-    instance: Instance, mode: str | None = None, regime_base: float | None = None
-) -> Schedule:
+def schedule_nonuniform(instance: Instance, mode: str | None = None) -> Schedule:
     """The greedy selector A, repeated, on links that may transmit at different powers.
 
     ``mode`` "uniform" requires equal powers and is ``schedule_repeated``;
     "scaled-threshold" shrinks the admission threshold by P_min/P_max and
     admits on true non-uniform affectance; "power-regimes" buckets links
-    whose powers agree up to ``regime_base`` (default 2) and schedules each
-    bucket as uniform power: its kernel, gathered from the instance's, has
-    one power, and each link keeps the noise factor c_v of its own. Without
-    a mode, an instance with one power is scheduled "uniform" and any other
-    "power-regimes". The base is checked whatever the mode. The schedule is
-    unverified: neither non-uniform mode carries a feasibility proof under
-    the true link powers, so ``verify_schedule`` must pass it before it is
-    used.
+    whose powers agree up to a factor 2 and schedules each bucket as
+    uniform power: its kernel, gathered from the instance's, has one power,
+    and each link keeps the noise factor c_v of its own. Without a mode, an
+    instance with one power is scheduled "uniform" and any other
+    "power-regimes". The schedule is unverified: neither non-uniform mode
+    carries a feasibility proof under the true link powers, so
+    ``verify_schedule`` must pass it before it is used.
 
     Raises:
-        ValueError: on an unknown mode or a base that does not exceed 1.
+        ValueError: on an unknown mode.
         UnsupportedConfigurationError: in uniform mode on non-uniform input.
     """
     if mode is None:
         mode = "uniform" if instance.has_uniform_power else "power-regimes"
     if mode not in ("uniform", "scaled-threshold", "power-regimes"):
         raise ValueError(f"unknown power strategy mode {mode!r}")
-    base = 2.0 if regime_base is None else regime_base
-    if not (base > 1.0):
-        raise ValueError(f"regime_base must exceed 1, got {base}")
     if not instance.links:
         return Schedule(())
     if mode == "uniform":
@@ -481,7 +475,7 @@ def schedule_nonuniform(
     if mode == "scaled-threshold":
         c = compute_constants(instance.params).c
         return _repeat(instance.links, instance.kernel, c * min(powers) / max(powers))
-    return _schedule_power_regimes(instance, powers, base)
+    return _schedule_power_regimes(instance, powers)
 
 
 def first_fit_baseline(instance: Instance) -> Schedule:

@@ -54,6 +54,11 @@ for algo in B firstfit; do
   "$python" -m capsched schedule "$work/inst.json" --algo "$algo" --out "$work/sched_$algo.json"
   "$python" -m capsched verify "$work/inst.json" "$work/sched_$algo.json" | tail -1 | grep -x "verified=true"
 done
+# the model is the instance file's: a model flag on schedule is a usage error that writes nothing
+code=0
+"$python" -m capsched schedule "$work/inst.json" --algo firstfit --beta 0.5 --out "$work/beta.json" 2> /dev/null || code=$?
+test "$code" = 2
+test ! -e "$work/beta.json"
 # a per-link-power copy goes through A's default power mode
 "$python" -c 'import json, sys; doc = json.load(open(sys.argv[1])); [link.update(power=2.0 ** (i % 3)) for i, link in enumerate(doc["links"])]; json.dump(doc, open(sys.argv[2], "w"))' "$work/inst.json" "$work/power.json"
 "$python" -m capsched schedule "$work/power.json" --algo A --out "$work/sched_power.json"
@@ -69,13 +74,22 @@ done
 "$python" -m capsched gen --family clustered --n 12 --seed 0 --out "$work/small.json"
 "$python" -m capsched oracle "$work/small.json" --mode schedule --out "$work/opt.json"
 printf '5 4\n0 1\n1 2\n2 3\n3 4\n' > "$work/graph.txt"
-"$python" -m capsched reduce-graph "$work/graph.txt" --check --out "$work/gains.json" | head -1 | grep -x "correspondence: ok subsets=32"
+# into a file first: head closing the pipe after one line would fail the second print
+"$python" -m capsched reduce-graph "$work/graph.txt" --check --out "$work/gains.json" > "$work/reduce.out"
+head -1 "$work/reduce.out" | grep -x "correspondence: ok subsets=32"
 # a two-point sweep writes the same results with one worker and with two
 for workers in 1 2; do
   printf '{"topology": {"family": "random", "n": 6, "l_max": 5.0, "field_size": 50.0}, "sweep": [["n", [6, 8]]], "algorithms": ["A-repeated", "first-fit-baseline"], "output": "%s"}' "$work/results_w$workers.csv" > "$work/sweep_w$workers.json"
   "$python" -m capsched experiment --config "$work/sweep_w$workers.json" --workers "$workers"
 done
 cmp "$work/results_w1.csv" "$work/results_w2.csv"
+# no worker count below 1: refused before the sweep writes anything
+printf '{"topology": {"family": "random", "n": 6}, "output": "%s"}' "$work/results_w0.csv" > "$work/sweep_w0.json"
+code=0
+"$python" -m capsched experiment --config "$work/sweep_w0.json" --workers 0 2> /dev/null || code=$?
+test "$code" = 2
+test ! -e "$work/results_w0.csv"
+test ! -e "$work/results_w0_aggregate.dat"
 # a timings sidecar leaves the results untouched
 printf '{"topology": {"family": "random", "n": 6, "l_max": 5.0, "field_size": 50.0}, "sweep": [["n", [6, 8]]], "algorithms": ["A-repeated", "first-fit-baseline"], "output": "%s", "timings": "%s"}' "$work/results_t.csv" "$work/timings.csv" > "$work/sweep_t.json"
 "$python" -m capsched experiment --config "$work/sweep_t.json" --workers 2

@@ -125,6 +125,38 @@ def test_gen_bad_family_exit_2(capsys, tmp_path):
 
 # --- schedule ------------------------------------------------------------------
 
+def test_every_schedule_written_passes_verify_of_the_same_files(capsys, tmp_path):
+    # the model is the instance file's: schedule takes no flag that changes it
+    modes = [None, "uniform", "scaled-threshold", "power-regimes"]  # --power-mode, --algo A only
+    choices = [("A", mode) for mode in modes] + [("B", None), ("firstfit", None)]
+    uniform = gen_instance(capsys, tmp_path, 200, 3)
+    noisy = gen_instance(capsys, tmp_path, 60, 1, "clustered", "--noise", 5e-5)
+    per_link = {}
+    for name, source in (("power", uniform), ("noisy_power", noisy)):
+        doc = json.loads(source.read_text())
+        for i, link in enumerate(doc["links"]):
+            link["power"] = 2.0 ** (i % 3)
+        per_link[name] = tmp_path / f"{name}.json"
+        per_link[name].write_text(json.dumps(doc))
+    for inst_path in (uniform, noisy, *per_link.values()):
+        for algo, mode in choices:
+            out = tmp_path / f"{inst_path.stem}_{algo}_{mode}.json"
+            flags = ("--power-mode", mode) if mode else ()
+            code, text = run_cli(capsys, "schedule", inst_path, "--algo", algo, *flags, "--out", out)
+            if inst_path in per_link.values() and (algo == "B" or mode == "uniform"):
+                # A's uniform mode and B need one power
+                assert code == 2 and "requires uniform power" in text and not out.exists(), text
+                continue
+            assert code == 0 and "verified=true" in text, (inst_path.name, algo, mode, text)
+            code, text = run_cli(capsys, "verify", inst_path, out)
+            assert code == 0 and text.endswith("verified=true\n"), (inst_path.name, algo, mode)
+    # the removed model and bucket flags are usage errors that write nothing (argparse
+    # reads --power as an abbreviation of --power-mode, and refuses its value)
+    for flag, value in (("--alpha", 4), ("--beta", 0.5), ("--noise", 1), ("--power", 2), ("--regime-base", 3)):
+        out = tmp_path / "removed.json"
+        code, text = run_cli(capsys, "schedule", uniform, "--algo", "firstfit", flag, value, "--out", out)
+        assert code == 2 and text.startswith("usage: capsched") and not out.exists(), text
+
 
 def test_schedule_algo_a_verified(capsys, tmp_path):
     inst_path = gen_instance(capsys, tmp_path, n=30)
@@ -173,18 +205,6 @@ def test_schedule_param_override(capsys, tmp_path):
     assert "slots=2" in text
 
 
-def test_schedule_applies_noise_and_power_overrides(capsys, tmp_path):
-    inst_path = spread_instance(tmp_path)  # unit links at noise 0, power 1, beta 1.2
-    out = tmp_path / "s.json"
-    # at noise 1 a unit link at power 1 receives 1 <= beta * noise: it fails even alone
-    code, text = run_cli(capsys, "schedule", inst_path, "--noise", 1.0, "--out", out)
-    assert code == 2
-    assert text.startswith("error: link 0 is infeasible even alone: received power 1 <= beta*noise")
-    code, text = run_cli(capsys, "schedule", inst_path, "--noise", 1.0, "--power", 2.0, "--out", out)
-    assert code == 0
-    assert "verified=true" in text
-
-
 def test_schedule_nonuniform_auto_regimes(capsys, tmp_path):
     inst_path = nonuniform_instance(tmp_path)
     out = tmp_path / "s.json"
@@ -223,14 +243,14 @@ def test_schedule_a_is_the_sweeps_a_repeated(capsys, tmp_path):
 @pytest.mark.parametrize(
     "algo, name, flags, passed",
     [
-        ("A", "A-repeated", (), (None, None)),
-        ("A", "A-repeated", ("--power-mode", "power-regimes", "--regime-base", 3), ("power-regimes", 3.0)),
+        ("A", "A-repeated", (), (None,)),
+        ("A", "A-repeated", ("--power-mode", "power-regimes"), ("power-regimes",)),
         ("B", "B-repeated", (), ()),
         ("firstfit", "first-fit-baseline", (), ()),
     ],
 )
 def test_schedule_looks_every_algo_up_in_algorithms(capsys, tmp_path, monkeypatch, algo, name, flags, passed):
-    # only A takes the power flags
+    # only A takes the power mode
     real, calls = ALGORITHMS[name], []
 
     def recorded(instance, *args):
@@ -783,22 +803,13 @@ def test_schedule_b_failing_round_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("algo", ["B", "firstfit"])
-@pytest.mark.parametrize("flag", [("--regime-base", 0.5), ("--power-mode", "scaled-threshold")])
+@pytest.mark.parametrize("flag", [("--power-mode", "power-regimes"), ("--power-mode", "scaled-threshold")])
 def test_schedule_power_flags_apply_only_to_a(capsys, tmp_path, algo, flag):
     inst_path = spread_instance(tmp_path)
     out = tmp_path / "s.json"
     code, text = run_cli(capsys, "schedule", inst_path, "--algo", algo, *flag, "--out", out)
     assert code == 2
-    assert text == "error: --power-mode and --regime-base apply only to --algo A\n"
-    assert not out.exists()
-
-
-def test_schedule_a_checks_regime_base_on_uniform_power(capsys, tmp_path):
-    # A always goes through schedule_nonuniform, which checks the base in every mode
-    inst_path = spread_instance(tmp_path)
-    out = tmp_path / "s.json"
-    code, text = run_cli(capsys, "schedule", inst_path, "--regime-base", 0.5, "--out", out)
-    assert code == 2 and "regime_base" in text
+    assert text == "error: --power-mode applies only to --algo A\n"
     assert not out.exists()
 
 
@@ -1190,11 +1201,21 @@ def test_experiment_bad_config_exit_2(capsys, tmp_path):
     assert "error:" in text
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_experiment_refuses_workers_below_1(capsys, tmp_path, monkeypatch, workers):
+    # these once ran one worker and exited 0
+    cfg_path = write_config(tmp_path)
+    monkeypatch.setattr("capsched.experiment.run_experiment", lambda *a, **k: pytest.fail("a cell ran"))
+    code, text = run_cli(capsys, "experiment", "--config", cfg_path, "--workers", workers)
+    assert (code, text) == (2, f"error: --workers must be at least 1, got {workers}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
         {"algorithms": ["A" * 5000]},
-        {"sweep": {"x" * 5000: [1]}},
+        {"sweep": [["x" * 5000, [1]]]},
         {"y" * 5000: 1},
         {"params": {"z" * 5000: 1.0}},
         {"topology": {"family": "f" * 5000, "n": 5}},

@@ -76,11 +76,10 @@ def test_config_defaults():
     assert cfg.base_seed == 0
 
 
-def test_config_sweep_as_mapping():
-    cfg = config_from_obj(
-        {"topology": {"family": "random", "n": 5}, "sweep": {"n": [5, 10]}}
-    )
-    assert cfg.sweep == (("n", (5, 10)),)
+def test_config_sweep_refuses_a_mapping():
+    # the sweep has one form, a list of [name, values] entries
+    with pytest.raises(ValueError, match=r"^sweep must be a JSON array, got \{'n': \[5, 10\]\}$"):
+        config_from_obj({"topology": {"family": "random", "n": 5}, "sweep": {"n": [5, 10]}})
 
 
 @pytest.mark.parametrize(

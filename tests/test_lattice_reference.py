@@ -202,6 +202,8 @@ def small_graph(draw, n_max=12, n_min=1):
 def test_correspondence_check_equals_matrix_scan(graph):
     assert reference_correspondence_check(graph) is None
     assert correspondence_check(graph) == CorrespondenceReport(True, 1 << graph.n)
+    # the reduction's indexed assignments write the loop's matrix
+    assert abstract.graph_to_instance(graph) == encoding(2.0, 1.0 / graph.n)(graph)
 
 
 def encoding(adjacent, other):
@@ -260,6 +262,19 @@ def near_threshold_reduction(draw, n_max=10):
     return graph, abstract.GainMatrix(entries=entries, threshold=threshold)
 
 
+def loop_certificate(graph, matrix):
+    """The certificate with a loop over rows: the reference of ``correspondence_check``'s column sums."""
+    gains, bound = matrix.entries, ceiling(matrix.threshold)
+    adjacent = np.zeros((graph.n, graph.n), dtype=bool)
+    for u, v in graph.edges:
+        adjacent[u, v] = adjacent[v, u] = True
+    incoming = np.zeros(graph.n)
+    for w in range(graph.n):
+        incoming += np.where(adjacent[w], 0.0, gains[w])
+    weak_edges = adjacent & (gains <= bound) & (gains.T <= bound)
+    return not weak_edges.any() and bool((incoming <= bound).all())
+
+
 @given(near_threshold_reduction())
 @settings(max_examples=150, deadline=None)
 def test_certificate_never_vouches_for_a_mismatch(case):
@@ -273,6 +288,51 @@ def test_certificate_never_vouches_for_a_mismatch(case):
     event("certified" if got.ok else f"refused, mismatch={want is not None}")
     assert got.subsets_checked == 1 << graph.n
     assert want is None or not got.ok
+    # sums on the bound's either side: one axis-0 sum adds row by row, as the loop does
+    assert got.ok == loop_certificate(graph, matrix)
+
+
+@st.composite
+def tight_columns(draw, n_max=12):
+    """A graph and a matrix whose non-neighbour entries, added in id order, end on the bound.
+
+    Each vertex's column gets arbitrary non-neighbour entries, the last one
+    the largest float that keeps the id-order sum at most the bound; edges
+    weigh 2 * threshold both ways. Added in another order, a column often
+    lands one ulp above the bound.
+    """
+    graph = draw(small_graph(n_max=n_max, n_min=2))
+    threshold = draw(st.sampled_from([1.0, 1 / 1.2, 0.7]))
+    bound, n = ceiling(threshold), graph.n
+    entries = np.zeros((n, n))
+    for u, v in graph.edges:
+        entries[u, v] = entries[v, u] = 2 * threshold
+    for v in range(n):
+        others = [w for w in range(n) if w != v and (min(w, v), max(w, v)) not in graph.edges]
+        partial = 0.0
+        for w in others[:-1]:
+            entries[w, v] = draw(st.floats(0.0, bound / len(others)))
+            partial += entries[w, v]
+        if others:
+            last = bound - partial
+            while partial + last > bound:
+                last = math.nextafter(last, 0.0)
+            while partial + math.nextafter(last, math.inf) <= bound:
+                last = math.nextafter(last, math.inf)
+            entries[others[-1], v] = last
+    return graph, abstract.GainMatrix(entries=entries, threshold=threshold)
+
+
+@given(tight_columns())
+@settings(max_examples=100, deadline=None)
+def test_certificate_adds_each_column_in_id_order(case):
+    # the certificate's sums are those of abstract_feasible: in id order
+    graph, matrix = case
+    assert loop_certificate(graph, matrix)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abstract, "graph_to_instance", lambda g: matrix)
+        assert correspondence_check(graph) == CorrespondenceReport(True, 1 << graph.n)
+        assert reference_correspondence_check(graph) is None
 
 
 def weak_pairs(*pairs):

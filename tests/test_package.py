@@ -490,11 +490,11 @@ REACH_CORPUS = [
     (["gen", "--family", "clustered", "--n", "30", "--seed", "2", "--clusters", "3", "--out", "c.json"], 0),
     (["gen", "--family", "clustered", "--n", "8", "--out", "s8.json"], 0),
     (["schedule", "r.json", "--out", "a.json"], 0),
-    (["schedule", "r.json", "--power-mode", "uniform", "--alpha", "4", "--out", "u.json"], 0),
+    (["schedule", "r.json", "--power-mode", "uniform", "--out", "u.json"], 0),
     (["schedule", "c.json", "--algo", "B", "--out", "b.json"], 0),
     (["schedule", "c.json", "--algo", "firstfit", "--out", "f.json"], 0),
     (["schedule", "power.json", "--out", "pr.json"], 0),
-    (["schedule", "power.json", "--power-mode", "power-regimes", "--regime-base", "3", "--out", "pb.json"], 0),
+    (["schedule", "power.json", "--power-mode", "power-regimes", "--out", "pb.json"], 0),
     (["schedule", "power.json", "--power-mode", "scaled-threshold", "--out", "ps.json"], 0),
     (["verify", "r.json", "a.json", "--p", "1.2", "--q", "1", "--theta", "1.1"], 0),
     (["verify", "power.json", "pr.json"], 0),
@@ -510,7 +510,7 @@ REACH_CORPUS = [
     # a q tie (exactly_near decides it) in a slot that fails: exit 1
     (["verify", "tie.json", "tie_sched.json", "--q", "1"], 1),
     (["schedule", "r.json", "--algo", "B", "--power-mode", "uniform"], 2),
-    (["schedule", "r.json", "--noise", "1e6"], 2),
+    (["schedule", "noisy.json"], 2),
     (["oracle", "many.json", "--mode", "schedule"], 3),
 ]
 
@@ -547,6 +547,9 @@ def _reachability_files(tmp_path) -> None:
     tie = [{"id": 0, "sx": 0.0, "sy": 0.0, "rx": 1.0, "ry": 0.0}, {"id": 1, "sx": 2.0, "sy": 0.0, "rx": 3.0, "ry": 0.0}]
     (tmp_path / "tie.json").write_text(json.dumps({"params": {"alpha": 3, "beta": 1.2}, "links": tie}))
     (tmp_path / "tie_sched.json").write_text('{"slots": [[0, 1]]}')
+    # a unit link at power 1 receives 1 <= beta * noise: infeasible even alone
+    noisy = {"params": {"alpha": 3, "beta": 1.2, "noise": 1e6}, "links": tie}
+    (tmp_path / "noisy.json").write_text(json.dumps(noisy))
     (tmp_path / "g.txt").write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
     for workers, family in ((1, "random"), (2, "clustered")):
         config = {

@@ -565,14 +565,12 @@ def test_schedule_nonuniform_validation():
     inst = random_instance(11, 5)
     with pytest.raises(ValueError, match="^unknown power strategy mode 'mystery'$"):
         schedule_nonuniform(inst, mode="mystery")
-    with pytest.raises(ValueError, match="^regime_base must exceed 1, got 1.0$"):
-        schedule_nonuniform(inst, mode="power-regimes", regime_base=1.0)
-    # the base is checked whatever mode it resolves to, on an empty instance too
-    for mode in (None, "uniform", "scaled-threshold"):
-        with pytest.raises(ValueError, match="^regime_base must exceed 1, got 0.5$"):
-            schedule_nonuniform(inst, mode=mode, regime_base=0.5)
-    with pytest.raises(ValueError, match="^regime_base must exceed 1"):
-        schedule_nonuniform(Instance(params=P0, links=()), regime_base=0.5)
+    # the mode is checked on an empty instance too
+    with pytest.raises(ValueError, match="^unknown power strategy mode 'mystery'$"):
+        schedule_nonuniform(Instance(params=P0, links=()), mode="mystery")
+    # the power regimes' base is 2, not a parameter
+    with pytest.raises(TypeError):
+        schedule_nonuniform(inst, "power-regimes", 3.0)
 
 
 def test_nonuniform_equal_powers_match_uniform():
@@ -587,7 +585,6 @@ def test_nonuniform_default_mode_follows_the_powers():
     mixed = random_instance(13, 50, power_range=(1.0, 4.0))
     regimes = schedule_nonuniform(mixed, "power-regimes")
     assert schedule_nonuniform(mixed) == regimes != schedule_nonuniform(mixed, "scaled-threshold")
-    assert schedule_nonuniform(mixed, regime_base=3.0) == schedule_nonuniform(mixed, "power-regimes", 3.0)
     # one power given on every link is one power
     one = random_instance(11, 40)
     equal = Instance(params=P0, links=tuple(l.replace(power=2.0) for l in one.links))
@@ -633,12 +630,12 @@ def test_nonuniform_empty_instance():
     assert schedule_nonuniform(inst) == Schedule(())
 
 
-def regimes_by_sub_instances(inst, base):
+def regimes_by_sub_instances(inst):
     """Power regimes as sub-instances: each bucket's links copied at its least power, then A."""
     powers = [effective_power(l, inst.params) for l in inst.links]
     buckets = {}
     for link, power in zip(inst.links, powers):
-        k = math.floor(math.log(power / min(powers)) / math.log(base) + 1e-12)
+        k = math.floor(math.log(power / min(powers)) / math.log(2.0) + 1e-12)
         buckets.setdefault(k, []).append(link)
     slots = []
     for k in sorted(buckets):
@@ -672,24 +669,21 @@ def per_link_power_instances(
     return Instance(params=params, links=tuple(links))
 
 
-@given(per_link_power_instances(), st.sampled_from((1.5, 2.0, 3.0)))
+@given(per_link_power_instances())
 @settings(max_examples=60, deadline=None)
-def test_power_regimes_equal_the_sub_instances_at_noise_0(inst, base):
+def test_power_regimes_equal_the_sub_instances_at_noise_0(inst):
     # a bucket gathered from the instance kernel, at one power, is the kernel
     # of a sub-instance at that power: the same floats and records
-    assert schedule_nonuniform(inst, "power-regimes", base) == regimes_by_sub_instances(inst, base)
+    assert schedule_nonuniform(inst, "power-regimes") == regimes_by_sub_instances(inst)
 
 
-@given(
-    per_link_power_instances(noise_share=st.floats(0.3, 0.95), power_sets=((1.0, 1.9), (1.0, 1.5, 3.0))),
-    st.sampled_from((None, 2.0, 3.0)),
-)
+@given(per_link_power_instances(noise_share=st.floats(0.3, 0.95), power_sets=((1.0, 1.9), (1.0, 1.5, 3.0))))
 @settings(max_examples=60, deadline=None)
-def test_noisy_power_regimes_keep_every_link_and_pass_the_gate(inst, base):
+def test_noisy_power_regimes_keep_every_link_and_pass_the_gate(inst):
     # each link keeps its own c_v: a link alive at its own power is never
     # judged at its bucket's least power, where it may be dead (a link of
     # power 1.9 at 1.0 once noise passes 1/1.9 of its budget)
-    schedule = schedule_nonuniform(inst, "power-regimes", base)
+    schedule = schedule_nonuniform(inst, "power-regimes")
     verify_schedule(inst, schedule)
 
 
