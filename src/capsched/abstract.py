@@ -63,27 +63,31 @@ class Graph(Record):
     _defaults = {"edges": frozenset()}
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        normalized = set()
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        normalized = []
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            normalized.add((min(u, v), max(u, v)))
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            normalized.append((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, rejecting duplicate edges in the input."""
-        seen = set()
-        for u, v in pairs:
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-        return Graph(n=n, edges=frozenset(seen))
+        """Build a graph, rejecting duplicate edges in the input after the constructor's own faults."""
+        pairs = list(pairs)
+        graph = Graph(n=n, edges=pairs)
+        if len(graph.edges) < len(pairs):
+            seen = set()
+            for u, v in pairs:
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+                seen.add(key)
+        return graph
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges' two ends as index arrays, for one indexed assignment per direction."""
@@ -204,13 +208,9 @@ def parse_edge_list(text: str) -> Graph:
     n, m = values[0], values[1]
     if n < 0 or m < 0:
         raise ValueError(f"invalid header n={n} m={m}")
-    pairs = values[2:]
-    if len(pairs) != 2 * m:
-        raise ValueError(
-            f"header announces {m} edges but {len(pairs) // 2} pair tokens follow"
-        )
-    edges = [(pairs[2 * k], pairs[2 * k + 1]) for k in range(m)]
-    return Graph.from_edges(n, edges)
+    if len(values) != 2 * m + 2:
+        raise ValueError(f"header announces {m} edges but {(len(values) - 2) // 2} pair tokens follow")
+    return Graph.from_edges(n, zip(values[2::2], values[3::2]))
 
 
 def load_graph(path: str | os.PathLike) -> Graph:

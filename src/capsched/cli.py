@@ -67,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="capsched",
         description="Generate, schedule, verify, refine, and benchmark "
         "SINR link-scheduling instances.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="generate an instance file")
+    gen = subs.add_parser("gen", help="generate an instance file", allow_abbrev=False)
     gen.add_argument("--family", choices=("random", "clustered"), required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         gen.add_argument(flag, type=float, dest=name, metavar=flag[2:].upper(), default=default)
     gen.set_defaults(func=cmd_gen)
 
-    sched = subs.add_parser("schedule", help="schedule an instance file")
+    sched = subs.add_parser("schedule", help="schedule an instance file", allow_abbrev=False)
     sched.add_argument("instance")
     sched.add_argument("--algo", choices=tuple(_ALGORITHM_NAMES), default="A")
     sched.add_argument("--out", default="schedule.json")
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sched.set_defaults(func=cmd_schedule)
 
-    ver = subs.add_parser("verify", help="verify a schedule against an instance")
+    ver = subs.add_parser("verify", help="verify a schedule against an instance", allow_abbrev=False)
     ver.add_argument("instance")
     ver.add_argument("schedule")
     ver.add_argument("--p", type=float, default=None, help="also require a p-signal schedule")
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.set_defaults(func=cmd_verify)
 
-    ref = subs.add_parser("refine", help="strengthen or disperse a schedule")
+    ref = subs.add_parser("refine", help="strengthen or disperse a schedule", allow_abbrev=False)
     ref.add_argument("instance")
     ref.add_argument("schedule")
     group = ref.add_mutually_exclusive_group(required=True)
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     ref.add_argument("--out", default="refined.json")
     ref.set_defaults(func=cmd_refine)
 
-    exp = subs.add_parser("experiment", help="run a configured sweep")
+    exp = subs.add_parser("experiment", help="run a configured sweep", allow_abbrev=False)
     exp.add_argument("--config", required=True)
     exp.add_argument(
         "--workers",
@@ -132,16 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.set_defaults(func=cmd_experiment)
 
-    orc = subs.add_parser("oracle", help="run an exact small-instance oracle")
+    orc = subs.add_parser("oracle", help="run an exact small-instance oracle", allow_abbrev=False)
     orc.add_argument("instance")
     orc.add_argument("--mode", choices=("subset", "psignal", "schedule"), required=True)
     orc.add_argument("--p", type=float, default=None)
     orc.add_argument("--out", default="oracle.json")
     orc.set_defaults(func=cmd_oracle)
 
-    red = subs.add_parser(
-        "reduce-graph", help="reduce an edge-list graph to a gain matrix"
-    )
+    red = subs.add_parser("reduce-graph", help="reduce an edge-list graph to a gain matrix", allow_abbrev=False)
     red.add_argument("graph")
     red.add_argument("--out", default="gains.json")
     red.add_argument(
@@ -430,10 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except (VerificationError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SchedulingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
+    except (SchedulingError, ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -204,7 +204,7 @@ def _apply_point(
     spec, params = config.topology, config.params
     for name, value in point.items():
         if name in MODEL_PARAM_NAMES:
-            params = params.replace(**{name: float(value)})
+            params = params.replace(**{name: value})
         elif name == "n":
             spec = spec.replace(n=int(value))
         else:

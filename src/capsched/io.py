@@ -25,7 +25,7 @@ import reprlib
 from collections import Counter
 from typing import Any, Iterable
 
-from .model import MODEL_PARAM_NAMES, Instance, Link, ModelParams, Point, Schedule, Slot
+from .model import MODEL_PARAM_NAMES, Instance, Link, ModelParams, Point, Schedule, SchedulingError, Slot
 
 
 def format_float(x: float) -> str:
@@ -187,8 +187,9 @@ def instance_from_obj(obj: Any) -> Instance:
 
 
 def _plain_link(raw: Any) -> Link | None:
-    """The link of ``raw`` if no input check can fail on it, else None: a plain dict of
-    known keys with the five required, an int id and int or float values in float range."""
+    """The link of ``raw`` if it is a plain dict of known keys, an int id and int or float
+    values, and the records accept them; else None, and the checked path names the fault
+    in the order of its checks."""
     if not (
         type(raw) is dict
         and _LINK_KEYS.issuperset(raw)
@@ -197,11 +198,9 @@ def _plain_link(raw: Any) -> Link | None:
     ):
         return None
     try:
-        sx, sy, rx, ry = float(raw["sx"]), float(raw["sy"]), float(raw["rx"]), float(raw["ry"])
-        power = float(raw["power"]) if "power" in raw else None
-    except (KeyError, OverflowError):
+        return Link(raw["id"], Point(raw["sx"], raw["sy"]), Point(raw["rx"], raw["ry"]), raw.get("power"))
+    except (KeyError, OverflowError, ValueError, SchedulingError):
         return None
-    return Link(id=raw["id"], sender=Point(sx, sy), receiver=Point(rx, ry), power=power)
 
 
 def schedule_to_obj(schedule: Schedule) -> dict:
@@ -243,19 +242,14 @@ def read_json(path: str | os.PathLike) -> Any:
 def save_instance(instance: Instance, path: str | os.PathLike) -> None:
     """``write_canonical(path, instance_to_obj(instance))``'s bytes, one format per link.
 
-    ``%.17g`` is ``format_float``'s format, ``x + 0.0`` its -0 normalization; the records hold
-    finite values only. An id that is no plain int, or a coordinate or power that is no float
-    (``%`` writes ``True`` as 1 and ``10**20`` as 1e+20), sends the instance to ``write_canonical``.
+    ``%.17g`` is ``format_float``'s format: the records hold int ids and finite floats,
+    -0 turned into 0.
     """
     texts = []
     for link in instance.links:
         s, r, power = link.sender, link.receiver, link.power
-        plain = type(link.id) is int and type(r.x) is type(r.y) is type(s.x) is type(s.y) is float
-        if not plain or not (power is None or type(power) is float):
-            write_canonical(path, instance_to_obj(instance))
-            return
         shown = "" if power is None else ',"power":%.17g' % power
-        values = (link.id, shown, r.x + 0.0, r.y + 0.0, s.x + 0.0, s.y + 0.0)
+        values = (link.id, shown, r.x, r.y, s.x, s.y)
         texts.append('{"id":%d%s,"rx":%.17g,"ry":%.17g,"sx":%.17g,"sy":%.17g}' % values)
     params = canonical_dumps({name: getattr(instance.params, name) for name in MODEL_PARAM_NAMES})
     text = '{"links":[%s],"params":%s}\n' % (",".join(texts), params)

@@ -151,12 +151,13 @@ class Record:
 
 
 class Point(Record):
-    """A point in the Euclidean plane (abstract distance units): finite floats ``x``, ``y``."""
+    """A point of the plane (abstract distance units): finite floats ``x``, ``y``, -0 stored as 0."""
 
     __slots__ = ("x", "y")
 
     # Point and Link are built 3n times per load: their constructors are written out
     def __init__(self, x: float, y: float) -> None:
+        x, y = x + 0.0, y + 0.0
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
         _set(self, "x", x)
@@ -166,15 +167,18 @@ class Point(Record):
 class Link(Record):
     """A communication request, ``id``, from a ``sender`` Point to a ``receiver`` Point.
 
-    ``power`` is the per-link transmission power; ``None`` means "use the
-    instance-wide default".
+    ``id`` is a plain int: a bool or a float is refused. ``power`` is the per-link
+    transmission power, a float; ``None`` means "use the instance-wide default".
     """
 
     __slots__ = ("id", "sender", "receiver", "power")
 
     def __init__(self, id: int, sender: Point, receiver: Point, power: float | None = None) -> None:
+        if type(id) is not int:
+            raise ValueError(f"link ids must be ints, got {id!r}")
         if sender.x == receiver.x and sender.y == receiver.y:
             raise SingularityError(f"link {id} has zero length (sender equals receiver)")
+        power = None if power is None else power + 0.0
         if power is not None and not (power > 0 and math.isfinite(power)):
             raise ValueError(f"link {id}: power must be positive and finite")
         _set(self, "id", id)
@@ -188,12 +192,14 @@ class Link(Record):
 
 
 class ModelParams(Record):
-    """Physical-model parameters: path-loss exponent, SINR threshold, noise, default power."""
+    """Physical-model parameters, floats: path-loss exponent, SINR threshold, noise, default power."""
 
     __slots__ = ("alpha", "beta", "noise", "default_power")
     _defaults = {"noise": 0.0, "default_power": 1.0}
 
     def __post_init__(self) -> None:
+        for name in self._fields:
+            _set(self, name, getattr(self, name) + 0.0)
         if not (math.isfinite(self.alpha) and self.alpha > 2):
             raise ValueError(f"alpha must be finite and > 2, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -209,7 +215,7 @@ DEFAULT_MODEL_PARAMS = ModelParams(alpha=3.0, beta=1.2, noise=0.0, default_power
 
 
 class Slot(Record):
-    """A set of link ids, ``members``, scheduled to transmit concurrently."""
+    """A set of link ids, ``members``, scheduled to transmit concurrently: plain ints, as ``Link.id``."""
 
     __slots__ = ("members",)
     _defaults = {"members": frozenset()}
@@ -217,7 +223,7 @@ class Slot(Record):
     def __post_init__(self) -> None:
         _set(self, "members", frozenset(self.members))
         for m in self.members:
-            if not isinstance(m, int):
+            if type(m) is not int:
                 raise ValueError(f"slot members must be integer link ids, got {m!r}")
 
     @property

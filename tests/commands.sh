@@ -59,6 +59,11 @@ code=0
 "$python" -m capsched schedule "$work/inst.json" --algo firstfit --beta 0.5 --out "$work/beta.json" 2> /dev/null || code=$?
 test "$code" = 2
 test ! -e "$work/beta.json"
+# a flag is known by its full name only: a prefix of --power-mode is a usage error that writes nothing
+code=0
+"$python" -m capsched schedule "$work/inst.json" --power uniform --out "$work/prefix.json" 2> /dev/null || code=$?
+test "$code" = 2
+test ! -e "$work/prefix.json"
 # a per-link-power copy goes through A's default power mode
 "$python" -c 'import json, sys; doc = json.load(open(sys.argv[1])); [link.update(power=2.0 ** (i % 3)) for i, link in enumerate(doc["links"])]; json.dump(doc, open(sys.argv[2], "w"))' "$work/inst.json" "$work/power.json"
 "$python" -m capsched schedule "$work/power.json" --algo A --out "$work/sched_power.json"

@@ -327,6 +327,23 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n2 1\n1 2\n", "duplicate edge (1, 2)"),
+        ("3 3\n0 1\n1 0\n0 1\n", "duplicate edge (1, 0)"),
+        # the constructor's faults come first, wherever the repeat stands
+        ("3 3\n0 1\n1 0\n2 2\n", "self-loop at vertex 2"),
+        ("3 3\n0 1\n0 1\n1 3\n", "edge (1, 3) out of range for n=3"),
+        ("3 3\n0 1\n1 3\n2 2\n", "edge (1, 3) out of range for n=3"),
+    ],
+)
+def test_an_edge_list_names_its_first_fault(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
 def test_gain_matrix_file_round_trip(tmp_path):
     m = graph_to_instance(path3())
     path = tmp_path / "m.json"

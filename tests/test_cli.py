@@ -1339,6 +1339,35 @@ def test_unknown_subcommand_exit_2(capsys):
     assert code == 2
 
 
+# one flag prefix per command: a flag is known by its full name only
+PREFIXED = {
+    "top-level": ["--hel"],
+    "gen": ["gen", "--family", "random", "--n", "4", "--see", "1", "--out", "{out}"],
+    "schedule": ["schedule", "{inst}", "--power", "uniform", "--out", "{out}"],
+    "verify": ["verify", "{inst}", "{sched}", "--the", "1"],
+    "refine": ["refine", "{inst}", "{sched}", "--dis", "1", "--out", "{out}"],
+    "experiment": ["experiment", "--config", "{config}", "--work", "1"],
+    "oracle": ["oracle", "{inst}", "--mode", "subset", "--o", "{out}"],
+    "reduce-graph": ["reduce-graph", "{graph}", "--ch", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(PREFIXED.values()), ids=list(PREFIXED))
+def test_a_flag_prefix_exits_2_and_writes_nothing(capsys, tmp_path, argv):
+    inst = gen_instance(capsys, tmp_path, n=6)
+    sched = tmp_path / "sched.json"
+    assert run_cli(capsys, "schedule", inst, "--out", sched)[0] == 0
+    graph = tmp_path / "graph.txt"
+    graph.write_text("3 1\n0 1\n", encoding="utf-8")
+    files = {"inst": inst, "sched": sched, "graph": graph, "config": write_config(tmp_path)}
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "out.json"
+    code = main([arg.format(out=out, **files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and ": error: " in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # --- exit-code contract under fuzzed documents -----------------------------------
 
 json_scalar = st.one_of(

@@ -1,6 +1,7 @@
 """Serialization tests: canonical JSON, round-trips, strictness."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -74,11 +75,11 @@ def test_instance_round_trip(tmp_path):
         assert path.read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-# a coordinate both ends of a link share: extremes, -0 and Python ints, which the
-# reference writes with repr where %.17g would write 1e+20
+# a coordinate both ends of a link share: extremes, -0, Python ints and a bool, which
+# the records store as floats (-0 as 0, 10**20 as 1e+20, True as 1.0)
 shared = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 1e300, -1e300, 1e-300, -1e-300, 10**20, -(10**20)]),
+    st.sampled_from([-0.0, 1e300, -1e300, 1e-300, -1e-300, 10**20, -(10**20), True]),
     st.integers(-(10**20), 10**20),
 )
 # the coordinate that sets a link's length
@@ -89,11 +90,11 @@ apart = st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000))
 def written_instance(draw):
     params = ModelParams(
         alpha=draw(st.one_of(st.floats(2.0, 6.0, exclude_min=True), st.integers(3, 6))),
-        beta=draw(st.one_of(st.floats(0.1, 10.0), st.integers(1, 10))),
+        beta=draw(st.one_of(st.floats(0.1, 10.0), st.integers(1, 10), st.just(True))),
         noise=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-250), st.just(0))),
         default_power=draw(st.one_of(st.floats(0.5, 4.0), st.integers(1, 4))),
     )
-    ids = draw(st.lists(st.one_of(st.integers(0, 2**63), st.just(True)), max_size=6, unique=True))
+    ids = draw(st.lists(st.integers(-(2**70), 2**70), max_size=6, unique=True))
     links = []
     for link_id in ids:
         a, b, c = draw(shared), draw(apart), draw(apart)
@@ -114,17 +115,36 @@ def written_instance(draw):
         params=ModelParams(alpha=4, beta=2.5, noise=1e-300, default_power=3),
         links=(
             Link(id=2**63, sender=Point(-0.0, 1.0), receiver=Point(-0.0, 2.5), power=0.5),
-            Link(id=True, sender=Point(10**20, 0.0), receiver=Point(10**20, 1), power=7),
+            Link(id=1, sender=Point(10**20, 0.0), receiver=Point(10**20, True), power=7),
             Link(id=0, sender=Point(1e300, -1e-300), receiver=Point(1e300, 1.5)),
             Link(id=5, sender=Point(3.0, -1e300), receiver=Point(-1e-300, -1e300), power=2.0),
         ),
     )
 )
 def test_save_instance_writes_the_reference_bytes(tmp_path, inst):
-    # the one format per link against canonical_dumps of the link dicts
-    path = tmp_path / "inst.json"
+    # the one format per link against write_canonical of the link dicts
+    path, reference = tmp_path / "inst.json", tmp_path / "reference.json"
     save_instance(inst, path)
-    assert path.read_bytes() == (canonical_dumps(instance_to_obj(inst)) + "\n").encode()
+    io.write_canonical(reference, instance_to_obj(inst))
+    assert path.read_bytes() == reference.read_bytes()
+
+
+# slots of ids past 64 bits, an empty slot, ids in several slots: what load_schedule reads
+written_schedule = st.lists(st.frozensets(st.integers(-(2**70), 2**70), max_size=5), max_size=5).map(
+    lambda sets: Schedule(tuple(Slot(members) for members in sets))
+)
+
+
+@given(written_instance(), written_schedule)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_record_the_constructors_accept_reads_back_equal(tmp_path, inst, schedule):
+    # save, load and save again: an equal record and the same bytes
+    for save, load, record in ((save_instance, load_instance, inst), (save_schedule, load_schedule, schedule)):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(record, first)
+        again = load(first)
+        save(again, second)
+        assert again == record and first.read_bytes() == second.read_bytes()
 
 
 def test_instance_file_is_valid_json_with_expected_shape(tmp_path):
@@ -333,6 +353,10 @@ def _outcome(read, raw):
 
 @given(raw_link())
 @settings(max_examples=400, deadline=None)
+# two faults in one link: the checked path names the fault of the field it checks first
+@example({"id": 0, "sx": math.nan, "sy": 0, "ry": 0})
+@example({"id": 0, "sx": math.nan, "sy": 0, "rx": 10**400, "ry": 0})
+@example({"id": 0, "sx": 0, "sy": 0, "rx": 0, "ry": 0, "power": 10**400})
 def test_plain_link_path_equals_the_checked_path(raw):
     # the lean loader builds what the checked reader does, or leaves the link to it
     doc = {"params": {"alpha": 3.0, "beta": 1.2}, "links": [raw]}

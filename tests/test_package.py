@@ -458,8 +458,7 @@ LIBRARY_ONLY = {
     "abstract.abstract_affectance": "scalar reference of abstract_feasible's sums",
     "abstract.abstract_feasible": "acceptance criterion 09; the correspondence check's reference",
     "abstract.is_independent_set": "the correspondence check's reference",
-    "io.instance_to_obj": "save_instance's fallback for records holding ints, which no command builds; "
-    "the reference of its bytes",
+    "io.instance_to_obj": "the reference of save_instance's bytes",
     "model.Record.__eq__": _RECORD,
     "model.Record.__hash__": _RECORD,
     "model.Record.__repr__": _RECORD,

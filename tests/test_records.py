@@ -2,7 +2,8 @@
 
 Runs under pytest, and as a plain script on interpreters without pytest or
 numpy (``PYTHONPATH=src python tests/test_records.py``): the script checks
-the records of ``model`` and ``topogen``, and that none of them imported numpy.
+the records of ``model`` and ``topogen``, the one form each field of ``model``
+holds, their file round trip, and that none of them imported numpy.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ from __future__ import annotations
 import copy
 import importlib
 import math
+import os
 import pickle
 import sys
+import tempfile
 
+from capsched.io import load_instance, load_schedule, save_instance, save_schedule
 from capsched.model import (
     DEFAULT_MODEL_PARAMS, Instance, Link, ModelParams, PartitionReport, Point, Schedule,
     SingularityError, Slot,
@@ -41,11 +45,16 @@ CASES = {
     ),
     "model.Link": (
         lambda: LINK, {"power": 2.0},
-        [({"receiver": Point(0.0, 0.0)}, SingularityError), ({"power": -1}, ValueError)], LINK_REPR,
+        [
+            ({"receiver": Point(0.0, 0.0)}, SingularityError), ({"power": -1}, ValueError),
+            ({"id": True}, ValueError), ({"id": 1.5}, ValueError),
+        ],
+        LINK_REPR,
     ),
     "model.ModelParams": (lambda: P0, {"noise": 1e-9}, [({"alpha": 2}, ValueError)], P0_REPR),
     "model.Slot": (
-        lambda: Slot(frozenset({2, 1})), {"members": frozenset({3})}, [({"members": {"a"}}, ValueError)],
+        lambda: Slot(frozenset({2, 1})), {"members": frozenset({3})},
+        [({"members": {"a"}}, ValueError), ({"members": {True}}, ValueError)],
         "Slot(members=frozenset({1, 2}))",
     ),
     "model.Schedule": (
@@ -159,6 +168,30 @@ def test_instance_pickles_its_fields_only():
     assert clone == inst and vars(clone) == {}
 
 
+def test_each_float_field_holds_a_float():
+    # coordinates, powers and model parameters, -0 turned into 0 (ids and slot members: CASES)
+    params = ModelParams(alpha=3, beta=True, noise=-0.0, default_power=2)
+    link = Link(1, Point(-0.0, 10**20), Point(True, 10**20), power=7)
+    values = [getattr(params, name) for name in ("alpha", "beta", "noise", "default_power")]
+    values += [link.sender.x, link.sender.y, link.receiver.x, link.receiver.y, link.power]
+    assert values == [3.0, 1.0, 0.0, 2.0, 0.0, 1e20, 1.0, 1e20, 7.0]
+    assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in values)
+
+
+def test_records_read_back_equal_from_their_files():
+    # save, load and save again: an equal record and the same bytes
+    inst = Instance(ModelParams(3, True), (Link(1, Point(-0.0, 10**20), Point(True, 10**20), power=7), LINK))
+    schedule = Schedule((Slot(frozenset({0, 2**70})), Slot()))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        for save, load, record in ((save_instance, load_instance, inst), (save_schedule, load_schedule, schedule)):
+            save(record, first)
+            again = load(first)
+            save(again, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert again == record and a.read() == b.read()
+
+
 def test_a_record_keeps_the_contract(record):
     check_record(record)
 
@@ -173,5 +206,7 @@ if __name__ == "__main__":
     for name in NUMPY_FREE:
         check_record(name)
     test_instance_pickles_its_fields_only()
+    test_each_float_field_holds_a_float()
+    test_records_read_back_equal_from_their_files()
     assert "numpy" not in sys.modules
     print(f"{len(NUMPY_FREE)} numpy-free record cases keep the contract on Python {sys.version.split()[0]}")
